@@ -1,18 +1,16 @@
 """Shared fixtures for the figure/table regeneration benchmarks.
 
-Runs resolve through the results store (:mod:`repro.store`): a
+Cells resolve through the one job resolver (:mod:`repro.store`): a
 session-scoped :class:`ExperimentMatrix` fans cold cells out over a
 process pool and persists every result in ``.repro_store.sqlite`` at the
 repo root, so a warm re-run of ``pytest benchmarks/`` performs zero
-simulations.  A legacy ``.repro_cache/`` file tree, if present, is
-migrated into the store on first use.
+simulations.
 
 Knobs (also see ``--jobs`` / ``--fresh-cache`` pytest options):
 
 - ``REPRO_JOBS=N`` — worker processes (default: ``os.cpu_count()``).
 - ``REPRO_NO_CACHE=1`` — disable the persistent store for this session.
 - ``REPRO_STORE_PATH`` — store location (default: ``.repro_store.sqlite``).
-- ``REPRO_SERVE=host:port`` — resolve cells via a running ``repro serve``.
 
 Every regenerated figure is printed and also written to
 ``benchmark_results/``.
@@ -31,7 +29,6 @@ from repro.store import ResultStore
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 RESULTS_DIR = REPO_ROOT / "benchmark_results"
-CACHE_DIR = REPO_ROOT / ".repro_cache"
 STORE_PATH = REPO_ROOT / ".repro_store.sqlite"
 
 
@@ -55,11 +52,6 @@ def matrix(request: pytest.FixtureRequest) -> ExperimentMatrix:
     store = ResultStore(path, enabled=not os.environ.get("REPRO_NO_CACHE"))
     if request.config.getoption("--fresh-cache"):
         store.clear()
-    elif store.enabled and CACHE_DIR.exists() and not pathlib.Path(path).exists():
-        migrated = store.migrate_cache(CACHE_DIR)
-        if migrated:
-            print(f"[store] migrated {migrated} legacy cache entr(ies) "
-                  f"from {CACHE_DIR}")
     return ExperimentMatrix(
         scale=1.0, jobs=jobs, store=store, progress=default_progress
     )

@@ -5,8 +5,9 @@ Runs the figure-slice sweep twice against one fresh store:
 - pass 1 (cold) simulates and fills the store — unless the committed
   seed snapshot (``ci/store_seed.jsonl``) is still fresh against the
   current sources, in which case even the first pass is all lookups;
-- pass 2 (warm) must perform ZERO simulations (the execution paths are
-  replaced with tripwires) and produce byte-identical stats.
+- pass 2 (warm) must perform ZERO simulations (every function through
+  which the resolver can simulate is replaced with a tripwire) and
+  produce byte-identical stats.
 
 Run from the repo root: ``PYTHONPATH=src python ci/check_store_warm.py``.
 """
@@ -38,9 +39,11 @@ def forbid_simulation() -> None:
     def boom(*_args, **_kwargs):
         raise AssertionError("warm pass simulated a cell")
 
-    executor.run_cell_inline = boom
+    executor.run_jobs = boom
     executor.run_inline = boom
     executor.run_pool = boom
+    executor.run_payload = boom
+    executor.run_cell_inline = boom
 
 
 def main() -> int:

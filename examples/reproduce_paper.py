@@ -5,8 +5,9 @@ Prints Tables II/III and Figures 4-7 (as text tables plus ASCII bar
 charts), with the paper's reported averages alongside the measured ones.
 
 Simulation cells fan out over a process pool (``--jobs``) and results
-persist in ``.repro_cache/``, so a second invocation reproduces every
-figure without simulating anything (``--no-cache`` opts out).
+persist in the results store (``.repro_store.sqlite``, or
+``$REPRO_STORE_PATH``), so a second invocation reproduces every figure
+without simulating anything (``--no-cache`` opts out).
 
 Run:  python examples/reproduce_paper.py           (full suite, ~1 min cold)
       python examples/reproduce_paper.py --scale 0.5   (faster)
@@ -25,7 +26,8 @@ from repro.analysis.experiments import (
     table3_text,
 )
 from repro.analysis.report import bar_chart
-from repro.runner import ResultCache, default_progress
+from repro.runner import default_progress
+from repro.store import ResultStore
 
 
 def main() -> None:
@@ -37,14 +39,14 @@ def main() -> None:
     parser.add_argument("--jobs", type=int, default=None,
                         help="worker processes (default: os.cpu_count())")
     parser.add_argument("--no-cache", action="store_true",
-                        help="disable the persistent result cache")
+                        help="disable the persistent results store")
     args = parser.parse_args()
 
     matrix = ExperimentMatrix(
         scale=args.scale,
         verify=args.verify,
         jobs=args.jobs,
-        cache=None if args.no_cache else ResultCache(),
+        store=None if args.no_cache else ResultStore(),
         progress=default_progress,
     )
 

@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 from repro.analysis.report import format_table
 from repro.coherence.policies import PRESETS, DirectoryPolicy
-from repro.runner import Cell, ResultCache
+from repro.runner import Cell
 from repro.store import ResultStore, resolve_cells
 from repro.system.apu import SimulationResult
 from repro.system.config import SystemConfig
@@ -45,13 +45,11 @@ class ExperimentMatrix:
     """Runs and caches (workload, policy) cells on one configuration.
 
     Cells resolve through :func:`repro.store.resolve_cells`, the shared
-    entry point: a :class:`ResultStore` (or legacy :class:`ResultCache`)
-    answers warm cells from disk, a configured serve daemon shards cold
-    ones over its worker pool, and the rest fan out locally with
-    ``jobs > 1`` — all bit-identical to a serial in-process run (the
-    simulator is deterministic and results round-trip exactly).  The
-    in-memory ``_cache`` keeps object identity within one matrix, as
-    before.
+    entry point: a :class:`ResultStore` answers warm cells from disk and
+    the rest run inline or fan out locally with ``jobs > 1`` — all
+    bit-identical to a serial in-process run (the simulator is
+    deterministic and results round-trip exactly).  The in-memory
+    ``_cache`` keeps object identity within one matrix.
     """
 
     config_factory: Callable[..., SystemConfig] = SystemConfig.benchmark
@@ -60,17 +58,12 @@ class ExperimentMatrix:
     #: worker processes for cell fan-out; None → ``os.cpu_count()``.
     #: ``jobs=1`` runs every cell serially in-process.
     jobs: int | None = None
-    #: persistent result backend (:class:`ResultStore`, or the legacy
-    #: file :class:`ResultCache`); None → in-memory caching only.
-    cache: ResultCache | ResultStore | None = None
+    #: persistent results store; None → in-memory caching only.
+    store: ResultStore | None = None
     #: optional sink for structured runner progress lines.
     progress: Callable[[str], None] | None = None
     #: optional per-cell wall-clock timeout (enforced in pool workers).
     timeout_s: float | None = None
-    #: preferred alias for ``cache`` now that the backend is the store
-    store: ResultStore | None = None
-    #: serve-daemon address ("host:port") or client; None → $REPRO_SERVE
-    serve: object | None = None
     _cache: dict[tuple[str, str], SimulationResult] = field(default_factory=dict)
 
     def _cell(self, workload: str | Workload, policy: DirectoryPolicy,
@@ -95,10 +88,9 @@ class ExperimentMatrix:
         results = resolve_cells(
             [cell for _key, cell in todo],
             jobs=self.jobs if len(todo) > 1 else 1,
-            store=self.store if self.store is not None else self.cache,
+            store=self.store,
             timeout_s=self.timeout_s,
             progress=self.progress,
-            serve=self.serve,
         )
         for (key, _cell), result in zip(todo, results):
             self._cache[key] = result

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from repro.coherence.policies import PRESETS, DirectoryPolicy
-from repro.runner import Cell, ResultCache
+from repro.runner import Cell
 from repro.store import ResultStore, resolve_cells
 from repro.system.apu import SimulationResult
 from repro.system.config import SystemConfig
@@ -75,10 +75,8 @@ def sweep(
     scale: float = 1.0,
     verify: bool = False,
     jobs: int | None = None,
-    cache: ResultCache | None = None,
     progress=None,
     store: ResultStore | None = None,
-    serve=None,
 ) -> SweepResult:
     """Run ``workload`` over ``axis`` x ``policies``.
 
@@ -87,10 +85,9 @@ def sweep(
     or to :class:`DirectoryPolicy` (e.g. ``dir_entries``, ``dir_banks``).
 
     The cross product is embarrassingly parallel: cells resolve through
-    :func:`repro.store.resolve_cells` — a :class:`ResultStore` (or legacy
-    :class:`ResultCache`) serves previously-simulated points from disk, a
-    serve daemon shards cold cells, and the rest fan out over ``jobs``
-    local workers.
+    :func:`repro.store.resolve_cells` — a :class:`ResultStore` serves
+    previously-simulated points from disk and the rest fan out over
+    ``jobs`` local workers.
     """
     axis_name, axis_values = axis
     instance = get_workload(workload) if isinstance(workload, str) else workload
@@ -119,11 +116,7 @@ def sweep(
                 label=f"{instance.name}/{policy_name}/{axis_name}={value}",
             ))
             labels.append((policy_name, value))
-    runs = resolve_cells(
-        cells, jobs=jobs,
-        store=store if store is not None else cache,
-        progress=progress, serve=serve,
-    )
+    runs = resolve_cells(cells, jobs=jobs, store=store, progress=progress)
     for (policy_name, value), run in zip(labels, runs):
         if not run.ok:
             raise RuntimeError(

@@ -7,14 +7,10 @@ Subcommands:
 - ``compare`` — run one workload across several policies, print a table.
 - ``figures`` — regenerate the paper's figures (Figures 4-7 + tables).
 - ``bench`` — regenerate figures through the results store (``--jobs``,
-  ``--no-cache``, ``--clear-cache``, ``--serve``); warm cells are
+  ``--no-cache``, ``--clear-cache``, ``--store-path``); warm cells are
   sub-millisecond store lookups.
 - ``store`` — administer the persistent SQLite results store
-  (``stats``, ``gc``, ``clear``, ``export``/``import`` snapshots,
-  ``migrate`` a legacy ``.repro_cache/`` tree).
-- ``serve`` — run the always-on cell server: shards cold cells over a
-  persistent worker pool, dedups in-flight identical cells, answers
-  warm cells from the store.
+  (``stats``, ``gc``, ``clear``, ``export``/``import`` snapshots).
 - ``lint-protocol`` — statically lint every shipped transition table
   (unhandled pairs, unreachable states, dead transitions).
 - ``litmus`` — run the litmus suite across schedules and policy variants
@@ -102,7 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     bench_p = sub.add_parser(
         "bench",
-        help="regenerate figures via the parallel runner + persistent cache",
+        help="regenerate figures via the parallel runner + results store",
     )
     bench_p.add_argument("--figure", choices=["4", "5", "6", "7", "all"],
                          default="all", help="which figure to regenerate")
@@ -116,16 +112,10 @@ def _build_parser() -> argparse.ArgumentParser:
     bench_p.add_argument("--store-path", default=None, metavar="DB",
                          help="results store location (default: "
                               ".repro_store.sqlite, or $REPRO_STORE_PATH)")
-    bench_p.add_argument("--cache-dir", default=None, metavar="DIR",
-                         help="use the legacy file cache at DIR instead of "
-                              "the SQLite store")
     bench_p.add_argument("--clear-cache", action="store_true",
-                         help="clear the store/cache before running")
+                         help="clear the store before running")
     bench_p.add_argument("--timeout", type=float, default=None, metavar="S",
                          help="per-cell wall-clock timeout in seconds")
-    bench_p.add_argument("--serve", default=None, metavar="HOST:PORT",
-                         help="resolve cold cells via a running "
-                              "`repro serve` daemon (default: $REPRO_SERVE)")
 
     prof_p = sub.add_parser(
         "profile",
@@ -261,11 +251,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="administer the persistent SQLite results store",
     )
     store_p.add_argument("action",
-                         choices=["stats", "gc", "clear", "export", "import",
-                                  "migrate"])
+                         choices=["stats", "gc", "clear", "export", "import"])
     store_p.add_argument("file", nargs="?", default=None,
-                         help="snapshot file (export/import) or legacy "
-                              "cache directory (migrate)")
+                         help="snapshot file (export/import)")
     store_p.add_argument("--path", default=None, metavar="DB",
                          help="store location (default: .repro_store.sqlite, "
                               "or $REPRO_STORE_PATH)")
@@ -278,23 +266,6 @@ def _build_parser() -> argparse.ArgumentParser:
     store_p.add_argument("--older-than", type=float, default=None,
                          metavar="S", help="gc: also drop fresh rows older "
                          "than S seconds")
-
-    serve_p = sub.add_parser(
-        "serve",
-        help="run the always-on experiment-cell server (localhost HTTP)",
-    )
-    serve_p.add_argument("--host", default="127.0.0.1")
-    serve_p.add_argument("--port", type=int, default=0,
-                         help="listen port (default: ephemeral; the bound "
-                              "address is printed on startup)")
-    serve_p.add_argument("--jobs", type=_positive_int, default=None,
-                         help="persistent worker processes "
-                              "(default: os.cpu_count())")
-    serve_p.add_argument("--timeout", type=float, default=None, metavar="S",
-                         help="default per-cell wall-clock timeout")
-    serve_p.add_argument("--store-path", default=None, metavar="DB",
-                         help="results store location (default: "
-                              ".repro_store.sqlite, or $REPRO_STORE_PATH)")
 
     val_p = sub.add_parser("validate",
                            help="check every headline claim (scorecard)")
@@ -400,26 +371,20 @@ def _figures(args) -> int:
 def _bench(args) -> int:
     import time
 
-    from repro.runner import ResultCache, default_progress
+    from repro.runner import default_progress
     from repro.store import ResultStore
 
-    if args.cache_dir is not None:
-        backend = ResultCache(args.cache_dir, enabled=not args.no_cache)
-        location = backend.root
-    else:
-        backend = ResultStore(args.store_path, enabled=not args.no_cache)
-        location = backend.path
+    store = ResultStore(args.store_path, enabled=not args.no_cache)
     if args.clear_cache:
-        removed = backend.clear()
-        print(f"cleared {removed} stored result(s) from {location}")
+        removed = store.clear()
+        print(f"cleared {removed} stored result(s) from {store.path}")
     matrix = ExperimentMatrix(
         scale=args.scale,
         verify=args.verify,
         jobs=args.jobs,
-        store=backend if not args.no_cache else None,
+        store=store if not args.no_cache else None,
         progress=default_progress,
         timeout_s=args.timeout,
-        serve=args.serve,
     )
     figures = {
         "4": run_figure4,
@@ -438,8 +403,8 @@ def _bench(args) -> int:
     elapsed = time.perf_counter() - start
     print(
         f"\n[bench] {elapsed:.2f}s wall clock, "
-        f"store: {backend.hits} hit(s) / {backend.misses} miss(es) "
-        f"at {location}"
+        f"store: {store.hits} hit(s) / {store.misses} miss(es) "
+        f"at {store.path}"
     )
     return 0
 
@@ -790,35 +755,8 @@ def _store(args) -> int:
         )
         print(f"exported {count} row(s) to {args.file}")
         return 0
-    if args.action == "import":
-        count = store.import_snapshot(args.file)
-        print(f"imported {count} row(s) from {args.file} into {store.path}")
-        return 0
-    count = store.migrate_cache(args.file)
-    print(f"migrated {count} legacy cache entr(ies) from {args.file} "
-          f"into {store.path}")
-    return 0
-
-
-def _serve(args) -> int:
-    from repro.serve import ServeDaemon
-    from repro.store import ResultStore
-
-    store = ResultStore(args.store_path)
-    daemon = ServeDaemon(
-        store, host=args.host, port=args.port, jobs=args.jobs,
-        timeout_s=args.timeout,
-    )
-    print(f"[serve] listening on {daemon.address} "
-          f"({daemon.jobs} worker(s), store {store.path})")
-    print(f"[serve] point clients at it with REPRO_SERVE={daemon.address}")
-    try:
-        daemon.serve_forever()
-    except KeyboardInterrupt:
-        print("\n[serve] shutting down")
-    finally:
-        daemon.shutdown()
-        store.close()
+    count = store.import_snapshot(args.file)
+    print(f"imported {count} row(s) from {args.file} into {store.path}")
     return 0
 
 
@@ -862,8 +800,6 @@ def main(argv: list[str] | None = None) -> int:
         return _fuzz(args)
     if args.command == "store":
         return _store(args)
-    if args.command == "serve":
-        return _serve(args)
     if args.command == "validate":
         return _validate(args)
     return _list()

@@ -1,13 +1,15 @@
-"""Parallel experiment runner with a persistent result cache.
+"""Parallel experiment runner: cells, their keys, and job execution.
 
 Public surface:
 
 - :class:`Cell` — one (workload, config) simulation.
-- :func:`run_cells` — cache-aware, process-pool execution of many cells.
-- :class:`ResultCache` / :func:`cell_key` — the on-disk cache.
+- :func:`cell_key` — its content-addressed key.
+- :func:`run_cell_inline` — run one cell in this process.
+
+Batches of cells resolve through :func:`repro.store.resolve_cells`.
 """
 
-from repro.runner.cache import ResultCache, cell_key, source_digest, workload_token
+from repro.runner.cache import cell_key, source_digest, workload_token
 from repro.runner.cells import Cell
 from repro.runner.executor import (
     CellError,
@@ -15,19 +17,16 @@ from repro.runner.executor import (
     default_progress,
     effective_jobs,
     run_cell_inline,
-    run_cells,
 )
 
 __all__ = [
     "Cell",
     "CellError",
     "CellTimeout",
-    "ResultCache",
     "cell_key",
     "default_progress",
     "effective_jobs",
     "run_cell_inline",
-    "run_cells",
     "source_digest",
     "workload_token",
 ]

@@ -1,8 +1,6 @@
-"""Persistent, content-addressed simulation-result cache.
+"""Content-addressed keys for simulation results.
 
-Results live under ``.repro_cache/`` (override with ``REPRO_CACHE_DIR``),
-one JSON file per cell, keyed by a stable hash of everything that
-determines the outcome:
+:func:`cell_key` hashes everything that determines a cell's outcome:
 
 - the full :class:`SystemConfig` (including its ``DirectoryPolicy``),
   serialized through :mod:`repro.system.serialize`;
@@ -10,29 +8,26 @@ determines the outcome:
   instances);
 - the ``scale`` / ``verify`` / ``seed`` run parameters;
 - a digest of every ``repro`` source file, so any code change invalidates
-  the whole cache rather than serving stale results.
+  every stored result rather than serving stale ones.
 
-Because the simulator is deterministic, a cache hit is bit-identical to a
-re-run; repeated ``pytest benchmarks/`` or ``examples/reproduce_paper.py``
-invocations therefore perform zero simulations once warm.
+Because the simulator is deterministic, a result stored under a key is
+bit-identical to a re-run; :class:`repro.store.ResultStore` persists
+results under these keys, so repeated ``pytest benchmarks/`` or
+``examples/reproduce_paper.py`` invocations perform zero simulations
+once warm.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 import pathlib
-import tempfile
 
 from repro.runner.cells import Cell
-from repro.system.apu import SimulationResult
-from repro.system.serialize import config_to_dict, result_from_dict, result_to_dict
+from repro.system.serialize import config_to_dict
 
 #: bump when the key schema or stored payload layout changes
 CACHE_VERSION = 1
-
-DEFAULT_CACHE_DIR = ".repro_cache"
 
 _SOURCE_DIGEST: str | None = None
 
@@ -58,7 +53,7 @@ def workload_token(workload) -> str:
     Registered benchmarks are identified by name; ad-hoc :class:`Workload`
     instances (microbenchmarks, parameterized variants) by their class and
     constructor state, so two instances with the same parameters share
-    cache entries.
+    stored results.
     """
     if isinstance(workload, str):
         return workload
@@ -70,7 +65,7 @@ def workload_token(workload) -> str:
 
 
 def cell_key(cell: Cell) -> str:
-    """Content-addressed cache key for ``cell`` (hex sha256)."""
+    """Content-addressed key for ``cell`` (hex sha256)."""
     payload = {
         "version": CACHE_VERSION,
         "source": source_digest(),
@@ -82,101 +77,3 @@ def cell_key(cell: Cell) -> str:
     }
     blob = json.dumps(payload, sort_keys=True, default=str)
     return hashlib.sha256(blob.encode()).hexdigest()
-
-
-class ResultCache:
-    """On-disk result store; safe under concurrent writers (atomic rename)."""
-
-    def __init__(self, root: str | os.PathLike | None = None, enabled: bool = True) -> None:
-        self.root = pathlib.Path(
-            root if root is not None
-            else os.environ.get("REPRO_CACHE_DIR", DEFAULT_CACHE_DIR)
-        )
-        self.enabled = enabled
-        self.hits = 0
-        self.misses = 0
-
-    def _path(self, key: str) -> pathlib.Path:
-        return self.root / key[:2] / f"{key}.json"
-
-    def get(self, key: str) -> SimulationResult | None:
-        """The cached result for ``key``, or None on a miss.
-
-        A present-but-corrupt entry (truncated write, bad JSON, wrong
-        shape) is evicted so it cannot shadow a future good write, then
-        reported as an ordinary miss.
-        """
-        if not self.enabled:
-            return None
-        path = self._path(key)
-        try:
-            text = path.read_text()
-        except OSError:
-            self.misses += 1
-            return None
-        try:
-            result = result_from_dict(json.loads(text)["result"])
-        except (ValueError, KeyError, TypeError):
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            self.misses += 1
-            return None
-        self.hits += 1
-        return result
-
-    def put(self, key: str, cell: Cell, result: SimulationResult) -> None:
-        """Persist ``result`` for ``key`` (atomic: concurrent writers race
-        benignly — last rename wins with identical content)."""
-        if not self.enabled:
-            return
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "version": CACHE_VERSION,
-            "key": key,
-            "workload": workload_token(cell.workload),
-            "scale": cell.scale,
-            "verify": cell.verify,
-            "seed": cell.seed,
-            "config": config_to_dict(cell.config),
-            "result": result_to_dict(result),
-        }
-        # Crash-safe: serialize to a sibling temp file, flush it to disk,
-        # then atomically rename over the final name — readers only ever
-        # see a missing entry or a complete one, never a partial write.
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(payload, handle)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-
-    def clear(self) -> int:
-        """Delete every cached result; returns the number removed."""
-        removed = 0
-        if not self.root.exists():
-            return removed
-        for path in self.root.rglob("*.json"):
-            path.unlink()
-            removed += 1
-        return removed
-
-    def __len__(self) -> int:
-        if not self.root.exists():
-            return 0
-        return sum(1 for _ in self.root.rglob("*.json"))
-
-    def __repr__(self) -> str:
-        return (
-            f"ResultCache({str(self.root)!r}, enabled={self.enabled}, "
-            f"hits={self.hits}, misses={self.misses})"
-        )

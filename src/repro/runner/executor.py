@@ -1,21 +1,20 @@
-"""Process-pool execution of simulation cells.
+"""Execution of keyed jobs: inline, or fanned out over a process pool.
 
-``run_cells`` is a thin client of the results store: it delegates to
-:func:`repro.store.resolve.resolve_cells`, the single resolution entry
-point shared by figures, sweeps, benchmarks, and the serve daemon.  This
-module keeps the execution primitives resolution fans out to:
+:func:`repro.store.resolve_jobs` decides which jobs (figure cells,
+litmus runs) must actually run; this module runs them:
 
-- :func:`run_cell_inline` — the serial in-process reference path;
+- :func:`run_jobs` — inline for one worker or one job, else the pool;
+- :func:`run_inline` — the serial in-process reference path;
 - :func:`run_pool` — fan-out over a :class:`ProcessPoolExecutor` with a
-  per-cell timeout (SIGALRM inside the worker, where available) and
-  bounded retries for crashed *or* timed-out cells;
-- :func:`_run_payload` — the worker entry point (also used by the serve
-  daemon's persistent pool).
+  per-job timeout (an interval timer inside the worker, where available)
+  and bounded retries for crashed *or* timed-out jobs;
+- :func:`run_payload` — the worker entry point.
 
-Workers rebuild the system from the serialized config and return the
-result as a plain dict (see :mod:`repro.system.serialize`), so nothing
-simulator-internal crosses the process boundary and parallel results are
-bit-identical to serial ones.
+A job crosses the process boundary pickled: its inputs are plain
+dataclasses (configs, policies, schedules, litmus programs) and so is its
+result, so nothing simulator-internal crosses and parallel results are
+bit-identical to serial ones.  A job that cannot be pickled (a workload
+or postcondition holding a closure, a fault-injection hook) runs inline.
 """
 
 from __future__ import annotations
@@ -30,18 +29,17 @@ from typing import Callable, Sequence
 
 from repro.runner.cells import Cell
 from repro.system.apu import SimulationResult
-from repro.system.serialize import config_from_dict, config_to_dict, result_from_dict
 
-#: how many times a crashed or timed-out cell is resubmitted before giving up
+#: how many times a crashed or timed-out job is resubmitted before giving up
 DEFAULT_RETRIES = 1
 
 
 class CellError(RuntimeError):
-    """A cell failed to execute (crash, timeout, or worker exception)."""
+    """A job failed to execute (crash, timeout, or worker exception)."""
 
 
 class CellTimeout(CellError):
-    """A cell exceeded its per-cell wall-clock timeout."""
+    """A job exceeded its wall-clock timeout."""
 
 
 def effective_jobs(jobs: int | None) -> int:
@@ -54,48 +52,7 @@ def effective_jobs(jobs: int | None) -> int:
 
 
 def _alarm_handler(_signum, _frame):  # pragma: no cover - fires in workers
-    raise CellTimeout("cell exceeded its wall-clock timeout")
-
-
-def _cell_payload(cell: Cell, timeout_s: float | None) -> dict:
-    return {
-        "workload": cell.workload,  # name, or pickled Workload instance
-        "config": config_to_dict(cell.config),
-        "scale": cell.scale,
-        "verify": cell.verify,
-        "seed": cell.seed,
-        "timeout_s": timeout_s,
-        "label": cell.display,
-    }
-
-
-def _run_payload(payload: dict) -> dict:
-    """Worker entry point: rebuild, simulate, return a result dict."""
-    timeout_s = payload.get("timeout_s")
-    use_alarm = timeout_s is not None and hasattr(signal, "SIGALRM")
-    if use_alarm:
-        signal.signal(signal.SIGALRM, _alarm_handler)
-        signal.alarm(max(1, int(timeout_s)))
-    try:
-        from repro.system.builder import build_system
-        from repro.system.serialize import result_to_dict
-        from repro.workloads.registry import get_workload
-
-        config = config_from_dict(payload["config"])
-        workload = payload["workload"]
-        if isinstance(workload, str):
-            workload = get_workload(workload)
-        system = build_system(config)
-        result = system.run_workload(
-            workload,
-            seed=payload["seed"],
-            scale=payload["scale"],
-            verify=payload["verify"],
-        )
-        return result_to_dict(result)
-    finally:
-        if use_alarm:
-            signal.alarm(0)
+    raise CellTimeout("job exceeded its wall-clock timeout")
 
 
 def run_cell_inline(cell: Cell) -> SimulationResult:
@@ -112,48 +69,39 @@ def run_cell_inline(cell: Cell) -> SimulationResult:
     )
 
 
-def _picklable(payload: dict) -> bool:
+def run_payload(payload: bytes):
+    """Worker entry point: unpickle one job, run it under its timeout."""
+    job, timeout_s = pickle.loads(payload)
+    use_timer = timeout_s is not None and hasattr(signal, "setitimer")
+    if use_timer:
+        signal.signal(signal.SIGALRM, _alarm_handler)
+        signal.setitimer(signal.ITIMER_REAL, timeout_s)
     try:
-        pickle.dumps(payload)
-        return True
-    except Exception:
-        return False
+        return job.run()
+    finally:
+        if use_timer:
+            signal.setitimer(signal.ITIMER_REAL, 0)
 
 
-def run_cells(
-    cells: Sequence[Cell],
-    jobs: int | None = None,
-    cache=None,
-    timeout_s: float | None = None,
-    retries: int = DEFAULT_RETRIES,
-    progress: Callable[[str], None] | None = None,
-    store=None,
-    serve=None,
-) -> list[SimulationResult]:
-    """Run every cell, in input order, returning one result per cell.
-
-    A thin client of the results store: ``store`` (a
-    :class:`repro.store.ResultStore`) or ``cache`` (the legacy file
-    :class:`ResultCache` — both expose the same backend surface) serves
-    warm cells without simulating, ``serve`` routes execution to a running
-    ``repro serve`` daemon, and the rest fans out over ``jobs`` local
-    workers.  Identical duplicate cells are simulated once.
-    """
-    from repro.store.resolve import resolve_cells
-
-    return resolve_cells(
-        cells,
-        store=store if store is not None else cache,
-        jobs=jobs,
-        timeout_s=timeout_s,
-        retries=retries,
-        progress=progress,
-        serve=serve,
-    )
+def run_jobs(
+    batch: Sequence,
+    pending: Sequence[int],
+    results: list,
+    jobs: int | None,
+    timeout_s: float | None,
+    retries: int,
+    emit: Callable[[str], None],
+) -> None:
+    """Run the ``pending`` jobs of ``batch`` into ``results``."""
+    jobs = effective_jobs(jobs)
+    if jobs <= 1 or len(pending) == 1:
+        run_inline(batch, pending, results, emit)
+    else:
+        run_pool(batch, pending, results, jobs, timeout_s, retries, emit)
 
 
 def run_inline(
-    cells: Sequence[Cell],
+    batch: Sequence,
     pending: Sequence[int],
     results: list,
     emit: Callable[[str], None],
@@ -161,48 +109,50 @@ def run_inline(
     """Serial execution of ``pending`` into ``results`` (reference path)."""
     for position, index in enumerate(pending):
         start = time.perf_counter()
-        results[index] = run_cell_inline(cells[index])
+        results[index] = batch[index].run()
         emit(
-            f"[runner] {position + 1}/{len(pending)} {cells[index].display}: "
+            f"[runner] {position + 1}/{len(pending)} {batch[index].label}: "
             f"simulated inline in {time.perf_counter() - start:.2f}s"
         )
 
 
-def pool_map(
-    worker: Callable[[dict], dict],
-    payloads: dict,
-    labels: dict,
+def run_pool(
+    batch: Sequence,
     pending: Sequence[int],
     results: list,
-    decode: Callable[[dict], object],
     jobs: int,
     timeout_s: float | None,
     retries: int,
     emit: Callable[[str], None],
 ) -> None:
-    """Generic process-pool fan-out with retry on crash/timeout.
+    """Fan ``pending`` out over a process pool with retry on crash/timeout.
 
-    ``payloads``/``labels`` map each pending index to the worker payload
-    and its progress label; ``decode`` turns each worker answer back into
-    the caller's result type.  Progress accounting counts each *unique*
-    item exactly once: an item that times out or crashes and then
-    succeeds on retry contributes one ``done/total`` line, and ``total``
-    never inflates with re-attempts.
+    Progress accounting counts each *unique* job exactly once: a job that
+    times out or crashes and then succeeds on retry contributes one
+    ``done/total`` line, and ``total`` never inflates with re-attempts.
     """
-    attempts = dict.fromkeys(pending, 0)
+    payloads = {}
+    for index in pending:
+        try:
+            payloads[index] = pickle.dumps((batch[index], timeout_s))
+        except (pickle.PicklingError, AttributeError, TypeError):
+            emit(f"[runner] {batch[index].label}: not picklable, running inline")
+            results[index] = batch[index].run()
+
+    attempts = dict.fromkeys(payloads, 0)
     done = 0
-    total = len(pending)
-    queue = list(pending)
+    total = len(payloads)
+    queue = list(payloads)
     while queue:
         # A fresh pool per round also recovers from BrokenProcessPool.
         with ProcessPoolExecutor(max_workers=min(jobs, len(queue))) as pool:
-            futures = {pool.submit(worker, payloads[i]): i for i in queue}
+            futures = {pool.submit(run_payload, payloads[i]): i for i in queue}
             queue = []
             for future in as_completed(futures):
                 index = futures[future]
-                label = labels[index]
+                label = batch[index].label
                 try:
-                    results[index] = decode(future.result())
+                    results[index] = future.result()
                 except Exception as exc:  # timeout, crash, BrokenProcessPool
                     attempts[index] += 1
                     timed_out = isinstance(exc, CellTimeout)
@@ -228,137 +178,6 @@ def pool_map(
                 else:
                     done += 1
                     emit(f"[runner] {done}/{total} {label}: simulated on pool")
-
-
-def run_pool(
-    cells: Sequence[Cell],
-    pending: Sequence[int],
-    results: list,
-    jobs: int,
-    timeout_s: float | None,
-    retries: int,
-    emit: Callable[[str], None],
-) -> None:
-    """Fan ``pending`` out over a process pool with retry on crash/timeout."""
-    payloads = {index: _cell_payload(cells[index], timeout_s) for index in pending}
-    # Unpicklable workload instances cannot cross the process boundary;
-    # run them inline rather than poisoning the pool.
-    queue = []
-    for index in pending:
-        if _picklable(payloads[index]):
-            queue.append(index)
-        else:
-            emit(f"[runner] {cells[index].display}: not picklable, running inline")
-            results[index] = run_cell_inline(cells[index])
-
-    labels = {index: cells[index].display for index in queue}
-    pool_map(_run_payload, payloads, labels, queue, results,
-             result_from_dict, jobs, timeout_s, retries, emit)
-
-
-# -- litmus fan-out -------------------------------------------------------------
-#
-# The litmus analogue of the cell worker: a (test, policy, schedule)
-# triple crosses the process boundary as JSON (the DSL is JSON-able by
-# design), the worker rebuilds everything from names, and the outcome
-# comes back as a plain dict.  Postconditions are code and cannot cross;
-# registry tests reattach theirs by name, anything else runs inline.
-
-
-def litmus_run_label(test, policy_name: str, schedule) -> str:
-    return f"{test.name}@{policy_name}@{schedule.label()}"
-
-
-def litmus_payload(test, policy_name: str, schedule, max_events: int,
-                   coverage: bool, timeout_s: float | None) -> dict | None:
-    """Serialize one litmus run for the pool, or None if it cannot cross
-    the process boundary (a non-registry postcondition closure)."""
-    registry_post = False
-    if test.postcondition is not None:
-        from repro.verify.litmus.registry import REGISTRY
-
-        registered = REGISTRY.get(test.name)
-        if registered is not None and registered.to_json() == test.to_json():
-            registry_post = True
-        else:
-            return None
-    return {
-        "test": test.to_json(),
-        "registry_postcondition": registry_post,
-        "policy": policy_name,
-        "schedule": schedule.to_json(),
-        "max_events": max_events,
-        "coverage": coverage,
-        "timeout_s": timeout_s,
-    }
-
-
-def _run_litmus_payload(payload: dict) -> dict:
-    """Worker entry point: rebuild the litmus run, execute, return a dict."""
-    timeout_s = payload.get("timeout_s")
-    use_alarm = timeout_s is not None and hasattr(signal, "SIGALRM")
-    if use_alarm:
-        signal.signal(signal.SIGALRM, _alarm_handler)
-        signal.alarm(max(1, int(timeout_s)))
-    try:
-        from repro.verify.litmus.dsl import LitmusTest
-        from repro.verify.litmus.harness import outcome_to_dict, run_litmus
-        from repro.verify.litmus.schedule import Schedule
-
-        test = LitmusTest.from_json(payload["test"])
-        if payload.get("registry_postcondition"):
-            from repro.verify.litmus.registry import get_litmus
-
-            test = get_litmus(test.name)
-        outcome = run_litmus(
-            test,
-            policy_name=payload["policy"],
-            schedule=Schedule.from_json(payload["schedule"]),
-            max_events=payload["max_events"],
-            coverage=payload["coverage"],
-        )
-        return outcome_to_dict(outcome)
-    finally:
-        if use_alarm:
-            signal.alarm(0)
-
-
-def run_litmus_pool(
-    runs: Sequence[tuple],
-    pending: Sequence[int],
-    results: list,
-    jobs: int,
-    timeout_s: float | None,
-    retries: int,
-    emit: Callable[[str], None],
-    max_events: int,
-    coverage: bool,
-) -> None:
-    """Fan pending ``(test, policy_name, schedule)`` runs out over a pool."""
-    from repro.verify.litmus.harness import outcome_from_dict, run_litmus
-
-    payloads = {}
-    labels = {}
-    queue = []
-    for index in pending:
-        test, policy_name, schedule = runs[index]
-        label = litmus_run_label(test, policy_name, schedule)
-        payload = litmus_payload(test, policy_name, schedule, max_events,
-                                 coverage, timeout_s)
-        if payload is None:
-            emit(f"[runner] {label}: postcondition cannot cross the pool, "
-                 "running inline")
-            results[index] = run_litmus(
-                test, policy_name=policy_name, schedule=schedule,
-                max_events=max_events, coverage=coverage,
-            )
-            continue
-        payloads[index] = payload
-        labels[index] = label
-        queue.append(index)
-
-    pool_map(_run_litmus_payload, payloads, labels, queue, results,
-             outcome_from_dict, jobs, timeout_s, retries, emit)
 
 
 def default_progress(line: str) -> None:

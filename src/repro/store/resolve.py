@@ -1,128 +1,150 @@
-"""``resolve_cells`` — the one entry point for turning cells into results.
+"""``resolve_jobs`` — the one path from keyed jobs to results.
 
-Every consumer (figures, sweeps, benchmarks, the litmus fan-out, the CLI)
-resolves cells here instead of carrying private caching logic.  For each
-cell, in order of preference:
+Every consumer (figures, sweeps, benchmarks, the litmus sweep, the fuzz
+campaign, the CLI) resolves its work here.  A *job* is a figure cell
+(:class:`CellJob`) or a litmus run
+(:class:`repro.verify.litmus.harness.LitmusJob`); both expose
 
-1. **store lookup** — any backend exposing ``get(key)`` / ``put(key,
-   cell, result)`` (:class:`repro.store.ResultStore` or the legacy
-   :class:`repro.runner.cache.ResultCache`) answers warm cells without
-   simulating;
-2. **in-flight dedup** — identical cells in one batch are simulated once;
-3. **serve daemon** — with ``serve=`` (or ``$REPRO_SERVE``) set,
-   registry-name cells are resolved by the always-on ``repro serve``
-   daemon, which shards them over its persistent worker pool and dedups
-   identical in-flight cells across *all* clients;
-4. **local execution** — the remainder runs on a local process pool
-   (``jobs>1``) or inline, exactly as before.
+- ``kind`` and ``label`` — the store row kind and a progress label;
+- ``key()`` — the content-addressed key (None: not content-addressable,
+  e.g. a fault-injected run, so never looked up, shared or stored);
+- ``run()`` — the simulation itself, inline or in a pool worker;
+- ``decode(row)`` / ``row(result)`` — the store row round trip;
+- ``share(result)`` — the result as seen by an identical duplicate.
 
-All four paths are bit-identical: results round-trip exactly through
-:mod:`repro.system.serialize` and the simulator is deterministic.
+For each job, in order: **store lookup** (warm jobs never simulate),
+**in-batch dedup** (identical jobs simulate once), then **execution**
+inline or on a local process pool, and finally **store put** of every
+fresh result.  All paths are bit-identical: results round-trip exactly
+through :mod:`repro.system.serialize` and the simulator is deterministic.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Callable, Protocol, Sequence
+from dataclasses import dataclass
+from typing import Callable, ClassVar, Sequence
 
-from repro.runner.cache import cell_key
+from repro.runner import executor
+from repro.runner.cache import cell_key, workload_token
 from repro.runner.cells import Cell
+from repro.store.store import KIND_CELL, ResultStore
 from repro.system.apu import SimulationResult
-
-#: environment variable naming a running serve daemon (host:port)
-SERVE_ENV = "REPRO_SERVE"
+from repro.system.serialize import config_to_dict, result_from_dict, result_to_dict
 
 
-class ResultBackend(Protocol):
-    """What ``resolve_cells`` needs from a store: the shared surface of
-    :class:`ResultStore` and the legacy :class:`ResultCache`."""
+@dataclass
+class CellJob:
+    """One figure cell as a keyed job."""
 
-    def get(self, key: str) -> SimulationResult | None: ...
-    def put(self, key: str, cell: Cell, result: SimulationResult) -> None: ...
+    cell: Cell
+    kind: ClassVar[str] = KIND_CELL
+    decode = staticmethod(result_from_dict)
+
+    @property
+    def label(self) -> str:
+        return self.cell.display
+
+    def key(self) -> str:
+        return cell_key(self.cell)
+
+    def run(self) -> SimulationResult:
+        return executor.run_cell_inline(self.cell)
+
+    def row(self, result: SimulationResult) -> dict:
+        cell = self.cell
+        return {
+            "workload": workload_token(cell.workload),
+            "config": config_to_dict(cell.config),
+            "result": result_to_dict(result),
+            "scale": cell.scale,
+            "verify": cell.verify,
+            "seed": cell.seed,
+        }
+
+    def share(self, result: SimulationResult) -> SimulationResult:
+        return result
 
 
-def _serve_client(serve):
-    """Normalize the ``serve`` argument into a client, or None."""
-    if serve is None:
-        serve = os.environ.get(SERVE_ENV) or None
-    if serve is None or serve == "":
-        return None
-    if isinstance(serve, str):
-        from repro.serve.client import ServeClient
+def resolve_jobs(
+    batch: Sequence,
+    store: ResultStore | None = None,
+    jobs: int | None = None,
+    timeout_s: float | None = None,
+    retries: int | None = None,
+    progress: Callable[[str], None] | None = None,
+) -> list:
+    """Resolve every job of ``batch``, returning results in input order.
 
-        return ServeClient(serve)
-    return serve  # already a client
+    ``store`` serves warm jobs and receives every fresh result; ``jobs``
+    is the worker count (None: one per CPU); ``timeout_s`` and
+    ``retries`` bound each pool attempt.
+    """
+    emit = progress or (lambda line: None)
+    total = len(batch)
+    results: list = [None] * total
+    # A lone job without a store has nothing to look up or share, so it
+    # skips the key (hashing the sources costs ~0.2 s on first use).
+    if store is not None or total > 1:
+        keys = [job.key() for job in batch]
+    else:
+        keys = [None] * total
+
+    pending: list[int] = []
+    first: dict[str, int] = {}
+    duplicates: list[tuple[int, int]] = []
+    for index, (job, key) in enumerate(zip(batch, keys)):
+        if key is not None:
+            if store is not None:
+                stored = store.get_row(key, job.kind, job.decode)
+                if stored is not None:
+                    results[index] = stored
+                    emit(f"[runner] {index + 1}/{total} {job.label}: store hit")
+                    continue
+            if key in first:
+                duplicates.append((index, first[key]))
+                continue
+            first[key] = index
+        pending.append(index)
+
+    if pending:
+        executor.run_jobs(
+            batch, pending, results, jobs, timeout_s,
+            executor.DEFAULT_RETRIES if retries is None else retries, emit,
+        )
+    if store is not None:
+        for index in pending:
+            if keys[index] is not None:
+                job = batch[index]
+                store.put_row(keys[index], job.kind, **job.row(results[index]))
+    for index, source in duplicates:
+        results[index] = batch[index].share(results[source])
+    return results
 
 
 def resolve_cells(
     cells: Sequence[Cell],
-    store: ResultBackend | None = None,
+    store: ResultStore | None = None,
     jobs: int | None = None,
     timeout_s: float | None = None,
     retries: int | None = None,
     progress: Callable[[str], None] | None = None,
     serve=None,
 ) -> list[SimulationResult]:
-    """Resolve every cell, in input order, returning one result per cell.
+    """Resolve figure cells through :func:`resolve_jobs`.
 
-    ``store`` serves warm cells and receives every fresh result;
-    ``serve`` (an address string, a :class:`ServeClient`, or the
-    ``$REPRO_SERVE`` environment variable) routes simulation to a running
-    daemon; everything else falls back to the local pool.
+    ``serve`` is accepted only empty: the serve daemon it once named
+    has been removed.
     """
-    from repro.runner import executor
-
-    if retries is None:
-        retries = executor.DEFAULT_RETRIES
-    emit = progress or (lambda line: None)
-    total = len(cells)
-    results: list[SimulationResult | None] = [None] * total
-    keys = [cell_key(cell) if store is not None else None for cell in cells]
-
-    pending: list[int] = []
-    seen_keys: dict[str, int] = {}
-    duplicates: list[tuple[int, int]] = []
-    for index, cell in enumerate(cells):
-        key = keys[index]
-        if store is not None:
-            cached = store.get(key)
-            if cached is not None:
-                results[index] = cached
-                emit(f"[runner] {index + 1}/{total} {cell.display}: store hit")
-                continue
-            if key in seen_keys:
-                duplicates.append((index, seen_keys[key]))
-                continue
-            seen_keys[key] = index
-        pending.append(index)
-
-    served: set[int] = set()
-    client = _serve_client(serve) if pending else None
-    if client is not None:
-        served = _resolve_served(cells, pending, results, client, emit,
-                                 timeout_s)
-        pending = [index for index in pending if index not in served]
-
-    if pending:
-        jobs = executor.effective_jobs(jobs)
-        if jobs <= 1 or len(pending) == 1:
-            executor.run_inline(cells, pending, results, emit)
-        else:
-            executor.run_pool(cells, pending, results, jobs, timeout_s,
-                              retries, emit)
-
-    if store is not None:
-        for index in sorted(set(pending) | served):
-            store.put(keys[index], cells[index], results[index])
-
-    for index, source in duplicates:
-        results[index] = results[source]
-    return results  # type: ignore[return-value]
+    if serve:
+        raise ValueError("the serve daemon was removed; resolve cells "
+                         "locally, with a ResultStore for warm reuse")
+    return resolve_jobs([CellJob(cell) for cell in cells], store, jobs,
+                        timeout_s, retries, progress)
 
 
 def resolve_litmus(
     runs: Sequence[tuple],
-    store=None,
+    store: ResultStore | None = None,
     jobs: int | None = None,
     timeout_s: float | None = None,
     retries: int | None = None,
@@ -131,150 +153,27 @@ def resolve_litmus(
     coverage: bool = False,
     mutate_system=None,
 ) -> list:
-    """Resolve litmus runs the way :func:`resolve_cells` resolves cells.
+    """Resolve ``(test, policy_name, schedule)`` litmus runs (policies by
+    :data:`POLICY_VARIANTS` name) through :func:`resolve_jobs`.
 
-    ``runs`` is a sequence of ``(test, policy_name, schedule)`` triples
-    (policies by :data:`POLICY_VARIANTS` name, so they can cross the
-    process boundary).  Outcomes come back in input order: warm triples
-    are store lookups (:data:`KIND_LITMUS` rows keyed by
-    :func:`litmus_key`), identical in-batch triples simulate once, and
-    the rest fans out over ``jobs`` local workers.
-
-    ``mutate_system`` (fault injection) forces everything inline with the
-    store bypassed — mutation hooks are closures that neither cross the
-    process boundary nor belong in content-addressed rows.
+    ``mutate_system`` (fault injection) makes every run unkeyed, so the
+    store is bypassed; a closure hook cannot be pickled, so its runs
+    execute inline.
     """
-    import dataclasses
-
-    from repro.runner import executor
-    from repro.store import KIND_LITMUS
     from repro.verify.litmus.harness import (
         LITMUS_MAX_EVENTS,
         POLICY_VARIANTS,
-        litmus_key,
-        outcome_from_dict,
-        outcome_to_dict,
-        run_litmus,
+        LitmusJob,
     )
 
     if max_events is None:
         max_events = LITMUS_MAX_EVENTS
-    if retries is None:
-        retries = executor.DEFAULT_RETRIES
-    emit = progress or (lambda line: None)
-    total = len(runs)
-    results: list = [None] * total
-
-    if mutate_system is not None:
-        for index, (test, policy_name, schedule) in enumerate(runs):
-            results[index] = run_litmus(
-                test, policy_name=policy_name, schedule=schedule,
-                max_events=max_events, coverage=coverage,
-                mutate_system=mutate_system,
-            )
-            label = executor.litmus_run_label(test, policy_name, schedule)
-            emit(f"[runner] {index + 1}/{total} {label}: simulated inline "
-                 "(fault injection)")
-        return results
-
-    keys = [
-        litmus_key(test, POLICY_VARIANTS[policy_name], schedule,
-                   max_events, coverage)
+    batch = [
+        LitmusJob(test, POLICY_VARIANTS[policy_name], schedule, policy_name,
+                  max_events, coverage, mutate_system)
         for test, policy_name, schedule in runs
     ]
-
-    pending: list[int] = []
-    seen_keys: dict[str, int] = {}
-    duplicates: list[tuple[int, int]] = []
-    for index, (test, policy_name, schedule) in enumerate(runs):
-        key = keys[index]
-        if store is not None:
-            row = store.get_row(key, KIND_LITMUS)
-            if row is not None:
-                try:
-                    stored = outcome_from_dict(row)
-                except (KeyError, ValueError, TypeError):
-                    pass  # unreadable payload: fall through and re-run
-                else:
-                    stored.policy = policy_name
-                    results[index] = stored
-                    label = executor.litmus_run_label(
-                        test, policy_name, schedule
-                    )
-                    emit(f"[runner] {index + 1}/{total} {label}: store hit")
-                    continue
-        if key in seen_keys:
-            duplicates.append((index, seen_keys[key]))
-            continue
-        seen_keys[key] = index
-        pending.append(index)
-
-    if pending:
-        jobs = executor.effective_jobs(jobs)
-        if jobs <= 1 or len(pending) == 1:
-            for position, index in enumerate(pending):
-                test, policy_name, schedule = runs[index]
-                results[index] = run_litmus(
-                    test, policy_name=policy_name, schedule=schedule,
-                    max_events=max_events, coverage=coverage,
-                )
-                label = executor.litmus_run_label(test, policy_name, schedule)
-                emit(f"[runner] {position + 1}/{len(pending)} {label}: "
-                     "simulated inline")
-        else:
-            executor.run_litmus_pool(
-                runs, pending, results, jobs, timeout_s, retries, emit,
-                max_events=max_events, coverage=coverage,
-            )
-
-    if store is not None:
-        from repro.system.serialize import policy_to_dict
-
-        for index in pending:
-            test, policy_name, schedule = runs[index]
-            store.put_row(
-                keys[index], KIND_LITMUS,
-                workload=test.name,
-                config={"policy": policy_to_dict(POLICY_VARIANTS[policy_name]),
-                        "schedule": schedule.to_json(),
-                        "max_events": max_events},
-                result=outcome_to_dict(results[index]),
-                verify=True,
-                seed=schedule.seed,
-            )
-
-    for index, source in duplicates:
-        # Same key, possibly a different policy *name* (two names can map
-        # to one policy dict): share the data, fix the label.
-        results[index] = dataclasses.replace(
-            results[source], policy=runs[index][1]
-        )
-    return results
+    return resolve_jobs(batch, store, jobs, timeout_s, retries, progress)
 
 
-def _resolve_served(
-    cells: Sequence[Cell],
-    pending: Sequence[int],
-    results: list,
-    client,
-    emit: Callable[[str], None],
-    timeout_s: float | None,
-) -> set[int]:
-    """Resolve what the daemon can take (registry-name workloads); on any
-    transport failure fall back to local execution for everything."""
-    eligible = [i for i in pending if isinstance(cells[i].workload, str)]
-    if not eligible:
-        return set()
-    try:
-        answers = client.resolve(
-            [cells[i] for i in eligible], progress=emit, timeout_s=timeout_s
-        )
-    except (OSError, ValueError) as exc:
-        emit(f"[runner] serve daemon unavailable ({exc}); running locally")
-        return set()
-    for index, result in zip(eligible, answers):
-        results[index] = result
-    return set(eligible)
-
-
-__all__ = ["ResultBackend", "resolve_cells", "resolve_litmus", "SERVE_ENV"]
+__all__ = ["CellJob", "resolve_cells", "resolve_jobs", "resolve_litmus"]

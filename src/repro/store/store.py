@@ -1,19 +1,19 @@
 """SQLite-backed persistent result store.
 
-The store is the single source of truth for simulation results: every
-producer (parallel runner, serve daemon, litmus harness) inserts rows and
-every consumer (figures, sweeps, benchmarks, CI) answers cell queries
-from it.  Rows are keyed by the same content-addressed
-:func:`repro.runner.cache.cell_key` the file cache used — the full
-config, the workload identity, the run parameters, and a digest of the
-``repro`` sources — so a hit is bit-identical to a re-run by
-construction and any code change invalidates stale rows (they simply
-never match again; ``gc`` reclaims them).
+The store is the single source of truth for simulation results: the
+resolver (:mod:`repro.store.resolve`) inserts every fresh figure-cell
+and litmus-run result and answers warm queries from it.  Rows are keyed
+content-addressed (:func:`repro.runner.cache.cell_key`,
+:func:`repro.verify.litmus.harness.litmus_key`) — the full config, the
+workload identity, the run parameters, and a digest of the ``repro``
+sources — so a hit is bit-identical to a re-run by construction and any
+code change invalidates stale rows (they simply never match again;
+``gc`` reclaims them).
 
-Compared to the loose ``.repro_cache/`` JSON files the store adds:
+The store provides:
 
-- one queryable database instead of thousands of files (``stats``,
-  ``gc``, ``export``/``import`` of committable snapshots);
+- one queryable database (``stats``, ``gc``, ``export``/``import`` of
+  committable snapshots);
 - atomic, crash-safe writes (SQLite transactions — a reader racing a
   writer sees the old or the new complete row, never a torn one);
 - corrupt-row tolerance: an unparsable row is evicted and counted as a
@@ -33,11 +33,12 @@ import pathlib
 import sqlite3
 import threading
 import time
+from typing import Callable
 
-from repro.runner.cache import CACHE_VERSION, cell_key, source_digest, workload_token
+from repro.runner.cache import CACHE_VERSION, cell_key, source_digest
 from repro.runner.cells import Cell
 from repro.system.apu import SimulationResult
-from repro.system.serialize import config_to_dict, result_from_dict, result_to_dict
+from repro.system.serialize import result_from_dict
 
 #: default database location (override with $REPRO_STORE_PATH)
 DEFAULT_STORE_PATH = ".repro_store.sqlite"
@@ -70,12 +71,11 @@ def default_store_path() -> pathlib.Path:
 
 
 class ResultStore:
-    """Persistent result store; drop-in backend for :func:`resolve_cells`.
+    """Persistent result store, the backend of :func:`resolve_jobs`.
 
-    Exposes the same ``get(key)`` / ``put(key, cell, result)`` surface as
-    the legacy :class:`repro.runner.cache.ResultCache`, plus generic
-    ``get_row`` / ``put_row`` for non-cell payloads (litmus outcomes) and
-    the admin operations behind ``repro store``.
+    Generic ``get_row`` / ``put_row`` serve every row kind; ``get(key)``
+    / ``put(key, cell, result)`` are the cell-row shorthands; the admin
+    operations sit behind ``repro store``.
     """
 
     def __init__(self, path: str | os.PathLike | None = None,
@@ -139,8 +139,10 @@ class ResultStore:
                 )
             self.puts += 1
 
-    def get_row(self, key: str, kind: str) -> dict | None:
-        """The decoded ``result`` payload for ``key``, or None.
+    def get_row(self, key: str, kind: str,
+                decode: Callable[[dict], object] | None = None):
+        """The ``result`` payload for ``key`` (through ``decode``, if
+        given), or None.
 
         A row that exists but fails to decode is evicted (corrupt-row
         tolerance) and reported as a miss.
@@ -153,52 +155,32 @@ class ResultStore:
                 "SELECT result FROM results WHERE key = ? AND kind = ?",
                 (key, kind),
             ).fetchone()
-            if row is None:
-                self.misses += 1
-                return None
-            try:
-                payload = json.loads(row[0])
-                if not isinstance(payload, dict):
-                    raise ValueError("row payload is not an object")
-            except (ValueError, TypeError):
-                with conn:
-                    conn.execute("DELETE FROM results WHERE key = ?", (key,))
-                self.evicted += 1
-                self.misses += 1
-                return None
-            self.hits += 1
-            return payload
-
-    # -- the cell backend protocol (shared with ResultCache) -------------
-
-    def get(self, key: str) -> SimulationResult | None:
-        payload = self.get_row(key, KIND_CELL)
-        if payload is None:
-            return None
-        try:
-            return result_from_dict(payload)
-        except (ValueError, TypeError, KeyError):
-            # decodable JSON but not a result: evict like any corrupt row
-            with self._lock:
-                conn = self._connect()
-                with conn:
-                    conn.execute("DELETE FROM results WHERE key = ?", (key,))
-            self.evicted += 1
-            self.hits -= 1
+            if row is not None:
+                try:
+                    payload = json.loads(row[0])
+                    if not isinstance(payload, dict):
+                        raise ValueError("row payload is not an object")
+                    if decode is not None:
+                        payload = decode(payload)
+                except (ValueError, TypeError, KeyError):
+                    with conn:
+                        conn.execute("DELETE FROM results WHERE key = ?", (key,))
+                    self.evicted += 1
+                else:
+                    self.hits += 1
+                    return payload
             self.misses += 1
             return None
 
+    # -- cell rows -------------------------------------------------------
+
+    def get(self, key: str) -> SimulationResult | None:
+        return self.get_row(key, KIND_CELL, result_from_dict)
+
     def put(self, key: str, cell: Cell, result: SimulationResult) -> None:
-        self.put_row(
-            key,
-            KIND_CELL,
-            workload=workload_token(cell.workload),
-            config=config_to_dict(cell.config),
-            result=result_to_dict(result),
-            scale=cell.scale,
-            verify=cell.verify,
-            seed=cell.seed,
-        )
+        from repro.store.resolve import CellJob
+
+        self.put_row(key, KIND_CELL, **CellJob(cell).row(result))
 
     # -- admin operations (repro store) ----------------------------------
 
@@ -332,42 +314,6 @@ class ResultStore:
                     count += 1
                 except (ValueError, TypeError, KeyError):
                     continue
-        return count
-
-    def migrate_cache(self, cache_root: str | os.PathLike) -> int:
-        """Absorb a legacy ``.repro_cache/`` file tree into the store.
-
-        Each cache file carries its own key and full metadata, so rows
-        migrate losslessly; unreadable files are skipped.  Returns the
-        number of entries imported.
-        """
-        root = pathlib.Path(cache_root)
-        if not root.exists():
-            return 0
-        count = 0
-        for file in sorted(root.rglob("*.json")):
-            try:
-                data = json.loads(file.read_text())
-                key = data["key"]
-                result = data["result"]
-                if not isinstance(key, str) or not isinstance(result, dict):
-                    continue
-            except (OSError, ValueError, TypeError, KeyError):
-                continue
-            self.put_row(
-                key, KIND_CELL,
-                workload=str(data.get("workload", "?")),
-                config=data.get("config", {}),
-                result=result,
-                scale=data.get("scale", 1.0),
-                verify=data.get("verify", False),
-                seed=data.get("seed", 0),
-                # legacy entries embedded the digest in the key, not the
-                # payload; keys still match while the sources do, so mark
-                # the row fresh only if its key is reachable today
-                source=source_digest(),
-            )
-            count += 1
         return count
 
     def __repr__(self) -> str:

@@ -113,9 +113,10 @@ def run_campaign(
     are not budgeted — they are the campaign's output, not its search.
 
     ``mutate_system`` injects a protocol fault into every run (and every
-    shrink candidate); it forces inline execution and disables both the
-    store and corpus writes — a fault-injection campaign only looks for
-    the failure, it must not pollute the shared coverage corpus.
+    shrink candidate); it disables both the store (fault-injected runs
+    are unkeyed) and corpus writes — a fault-injection campaign only
+    looks for the failure, it must not pollute the shared coverage
+    corpus.
 
     ``targets`` — an iterable of ``(table, state, event)`` triples —
     switches the campaign to **directed** mode: generation uses
@@ -165,7 +166,7 @@ def run_campaign(
         ]
         outcomes = resolve_litmus(
             runs,
-            store=None if fault_mode else store,
+            store=store,
             jobs=jobs,
             timeout_s=timeout_s,
             progress=progress,

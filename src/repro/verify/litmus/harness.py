@@ -28,8 +28,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from dataclasses import dataclass, field, replace
+from typing import Callable, ClassVar, Iterable
 
 from repro.coherence.policies import (
     OWNER_TRACKING,
@@ -37,9 +37,12 @@ from repro.coherence.policies import (
     SHARER_TRACKING,
     DirectoryPolicy,
 )
+from repro.runner.cache import CACHE_VERSION, source_digest
 from repro.sim.tracing import ProtocolTrace
+from repro.store.store import KIND_LITMUS
 from repro.system.builder import build_system
 from repro.system.config import SystemConfig
+from repro.system.serialize import policy_to_dict
 from repro.verify.invariants import InvariantViolation
 from repro.verify.litmus.dsl import CompiledLitmus, LitmusEnv, LitmusTest, SpinTimeout
 from repro.verify.litmus.schedule import Schedule, default_schedules
@@ -134,9 +137,6 @@ def litmus_key(test: LitmusTest, policy: DirectoryPolicy,
     knobs, the event backstop, and the source digest — so code changes
     invalidate stored outcomes the same way they invalidate cells.
     """
-    from repro.runner.cache import CACHE_VERSION, source_digest
-    from repro.system.serialize import policy_to_dict
-
     payload = {
         "version": CACHE_VERSION,
         "source": source_digest(),
@@ -202,7 +202,6 @@ def run_litmus(
     trace: bool = False,
     trace_capacity: int = 4_000,
     mutate_system: Callable[[object], None] | None = None,
-    store=None,
     coverage: bool = False,
 ) -> LitmusOutcome:
     """Run one litmus under one policy and one schedule.
@@ -211,66 +210,17 @@ def run_litmus(
     tests to overlay a broken transition table on a controller); it runs
     after the schedule's perturbations and before any traffic.
 
-    ``store`` (a :class:`repro.store.ResultStore`) memoizes outcomes the
-    same way the runner memoizes cells: a warm (test, policy, schedule)
-    triple is a store lookup, not a simulation.  Traced or
-    fault-injected runs bypass the store — their outcomes depend on
-    state outside the key.
-
     ``coverage`` attaches a :class:`TransitionCoverage` hook and records
     the set of ``(table, state, event)`` triples the run fired in the
-    outcome.  Covered and uncovered runs memoize under distinct keys.
+    outcome.
+
+    This is the plain per-run primitive; batches that should reuse
+    stored outcomes go through :class:`LitmusJob` and the resolver
+    (:func:`run_schedules`, :func:`run_differential`,
+    :func:`repro.store.resolve_litmus`).
     """
     policy = POLICY_VARIANTS[policy_name] if policy is None else policy
     schedule = schedule or Schedule(0)
-    memoizable = store is not None and mutate_system is None and not trace
-    if memoizable:
-        from repro.store import KIND_LITMUS
-
-        key = litmus_key(test, policy, schedule, max_events, coverage)
-        row = store.get_row(key, KIND_LITMUS)
-        if row is not None:
-            try:
-                stored = outcome_from_dict(row)
-            except (KeyError, ValueError, TypeError):
-                pass  # unreadable payload: fall through and re-run
-            else:
-                stored.policy = policy_name  # names may differ per sweep
-                return stored
-        outcome = _run_litmus_live(
-            test, policy, schedule, policy_name, max_events,
-            trace, trace_capacity, mutate_system, coverage,
-        )
-        from repro.system.serialize import policy_to_dict
-
-        store.put_row(
-            key, KIND_LITMUS,
-            workload=test.name,
-            config={"policy": policy_to_dict(policy),
-                    "schedule": schedule.to_json(),
-                    "max_events": max_events},
-            result=outcome_to_dict(outcome),
-            verify=True,
-            seed=schedule.seed,
-        )
-        return outcome
-    return _run_litmus_live(
-        test, policy, schedule, policy_name, max_events,
-        trace, trace_capacity, mutate_system, coverage,
-    )
-
-
-def _run_litmus_live(
-    test: LitmusTest,
-    policy: DirectoryPolicy,
-    schedule: Schedule,
-    policy_name: str,
-    max_events: int,
-    trace: bool,
-    trace_capacity: int,
-    mutate_system: Callable[[object], None] | None,
-    coverage: bool = False,
-) -> LitmusOutcome:
     system = build_system(litmus_config(policy, schedule))
     schedule.apply(system)
     if mutate_system is not None:
@@ -323,24 +273,91 @@ def _run_litmus_live(
     return outcome
 
 
+@dataclass
+class LitmusJob:
+    """One litmus run as a keyed job for :func:`repro.store.resolve_jobs`.
+
+    The job carries the policy itself, not only its name, so any policy
+    (a :data:`POLICY_VARIANTS` entry or an ad-hoc one) keys, pickles and
+    stores the same way.  A fault-injected job (``mutate_system``) is not
+    content-addressable: its outcome depends on the hook, which the key
+    cannot see.
+    """
+
+    test: LitmusTest
+    policy: DirectoryPolicy
+    schedule: Schedule
+    policy_name: str
+    max_events: int = LITMUS_MAX_EVENTS
+    coverage: bool = False
+    mutate_system: Callable[[object], None] | None = None
+    kind: ClassVar[str] = KIND_LITMUS
+
+    @property
+    def label(self) -> str:
+        return f"{self.test.name}@{self.policy_name}@{self.schedule.label()}"
+
+    def key(self) -> str | None:
+        if self.mutate_system is not None:
+            return None
+        return litmus_key(self.test, self.policy, self.schedule,
+                          self.max_events, self.coverage)
+
+    def run(self) -> LitmusOutcome:
+        return run_litmus(
+            self.test, self.policy, self.schedule, self.policy_name,
+            self.max_events, mutate_system=self.mutate_system,
+            coverage=self.coverage,
+        )
+
+    def row(self, outcome: LitmusOutcome) -> dict:
+        return {
+            "workload": self.test.name,
+            "config": {"policy": policy_to_dict(self.policy),
+                       "schedule": self.schedule.to_json(),
+                       "max_events": self.max_events},
+            "result": outcome_to_dict(outcome),
+            "verify": True,
+            "seed": self.schedule.seed,
+        }
+
+    def decode(self, data: dict) -> LitmusOutcome:
+        return self.share(outcome_from_dict(data))
+
+    def share(self, outcome: LitmusOutcome) -> LitmusOutcome:
+        # one key may serve several policy *names*: keep this job's name
+        return replace(outcome, policy=self.policy_name)
+
+
+def _resolve_runs(test: LitmusTest, pairs, schedules, store,
+                  **options) -> list[LitmusOutcome]:
+    """Every ``(policy name, policy)`` x schedule run of ``test``, in
+    order, through the resolver (warm runs are store lookups)."""
+    from repro.store.resolve import resolve_jobs
+
+    schedules = list(schedules) if schedules is not None else default_schedules()
+    return resolve_jobs(
+        [LitmusJob(test, policy, schedule, name, **options)
+         for name, policy in pairs for schedule in schedules],
+        store=store, jobs=1,
+    )
+
+
 def run_schedules(
     test: LitmusTest,
     policy_name: str = "baseline",
     schedules: Iterable[Schedule] | None = None,
-    **kwargs,
+    store=None,
+    **options,
 ) -> list[LitmusOutcome]:
-    """One litmus, one policy, every schedule."""
-    schedules = list(schedules) if schedules is not None else default_schedules()
-    return [
-        run_litmus(
-            test,
-            policy=POLICY_VARIANTS[policy_name],
-            policy_name=policy_name,
-            schedule=schedule,
-            **kwargs,
-        )
-        for schedule in schedules
-    ]
+    """One litmus, one policy, every schedule.
+
+    ``store`` (a :class:`repro.store.ResultStore`) memoizes outcomes;
+    ``options`` are the :class:`LitmusJob` fields ``max_events``,
+    ``coverage`` and ``mutate_system``.
+    """
+    return _resolve_runs(test, [(policy_name, POLICY_VARIANTS[policy_name])],
+                         schedules, store, **options)
 
 
 @dataclass
@@ -375,7 +392,8 @@ def run_differential(
     test: LitmusTest,
     policies: dict[str, DirectoryPolicy] | None = None,
     schedules: Iterable[Schedule] | None = None,
-    **kwargs,
+    store=None,
+    **options,
 ) -> DifferentialReport:
     """Sweep one litmus over every (policy, schedule) pair and demand that
     all completed runs agree on final memory.
@@ -383,39 +401,30 @@ def run_differential(
     The suite's tests order their conflicting writes (spin flags, atomics),
     so final memory is schedule- *and* policy-independent by construction;
     the first completed run is the reference and every divergence is
-    reported as a mismatch.
+    reported as a mismatch.  ``store`` and ``options`` are as for
+    :func:`run_schedules`.
     """
     policies = policies if policies is not None else POLICY_VARIANTS
-    schedules = list(schedules) if schedules is not None else default_schedules()
-    report = DifferentialReport(test.name, [])
+    report = DifferentialReport(test.name, _resolve_runs(
+        test, policies.items(), schedules, store, **options
+    ))
     reference: tuple[str, dict[str, int]] | None = None
-    for policy_name, policy in policies.items():
-        for schedule in schedules:
-            outcome = run_litmus(
-                test,
-                policy=policy,
-                policy_name=policy_name,
-                schedule=schedule,
-                **kwargs,
+    for outcome in report.outcomes:
+        if outcome.final_memory is None or outcome.failure_kind in (
+            "invariant", "spin_timeout", "crash",
+        ):
+            continue
+        label = f"{outcome.policy} @ {outcome.schedule.label()}"
+        if reference is None:
+            reference = (label, outcome.final_memory)
+        elif outcome.final_memory != reference[1]:
+            diffs = {
+                loc: (reference[1].get(loc), outcome.final_memory.get(loc))
+                for loc in sorted(set(reference[1]) | set(outcome.final_memory))
+                if reference[1].get(loc) != outcome.final_memory.get(loc)
+            }
+            report.mismatches.append(
+                f"{test.name}: final memory of {label} diverges from "
+                f"{reference[0]}: {diffs}"
             )
-            report.outcomes.append(outcome)
-            if outcome.final_memory is None or outcome.failure_kind in (
-                "invariant", "spin_timeout", "crash",
-            ):
-                continue
-            label = f"{policy_name} @ {schedule.label()}"
-            if reference is None:
-                reference = (label, outcome.final_memory)
-            elif outcome.final_memory != reference[1]:
-                diffs = {
-                    loc: (reference[1].get(loc), outcome.final_memory.get(loc))
-                    for loc in sorted(
-                        set(reference[1]) | set(outcome.final_memory)
-                    )
-                    if reference[1].get(loc) != outcome.final_memory.get(loc)
-                }
-                report.mismatches.append(
-                    f"{test.name}: final memory of {label} diverges from "
-                    f"{reference[0]}: {diffs}"
-                )
     return report

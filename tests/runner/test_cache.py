@@ -1,11 +1,9 @@
-"""Tests for the persistent result cache: keys, hits, misses, invalidation."""
+"""Tests for content-addressed cell keys and their invalidation."""
 
 from __future__ import annotations
 
-import pytest
-
 from repro.coherence.policies import PRESETS
-from repro.runner import Cell, ResultCache, cell_key, run_cell_inline, workload_token
+from repro.runner import Cell, cell_key, workload_token
 from repro.system.config import SystemConfig
 from repro.workloads.micro import MigratoryCounter
 
@@ -55,74 +53,3 @@ class TestCellKey:
         a = cell_key(small_cell(workload=MigratoryCounter(4)))
         b = cell_key(small_cell(workload=MigratoryCounter(8)))
         assert a != b
-
-
-class TestResultCache:
-    @pytest.fixture
-    def cache(self, tmp_path) -> ResultCache:
-        return ResultCache(tmp_path / "cache")
-
-    def test_miss_then_hit_round_trips_exactly(self, cache):
-        cell = small_cell()
-        key = cell_key(cell)
-        assert cache.get(key) is None
-        result = run_cell_inline(cell)
-        cache.put(key, cell, result)
-        restored = cache.get(key)
-        assert restored == result
-        assert cache.hits == 1 and cache.misses == 1
-
-    def test_disabled_cache_never_stores(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache", enabled=False)
-        cell = small_cell()
-        key = cell_key(cell)
-        cache.put(key, cell, run_cell_inline(cell))
-        assert len(cache) == 0
-        assert cache.get(key) is None
-        assert cache.hits == 0
-
-    def test_clear_removes_everything(self, cache):
-        cell = small_cell()
-        result = run_cell_inline(cell)
-        cache.put(cell_key(cell), cell, result)
-        other = small_cell(workload="tq")
-        cache.put(cell_key(other), other, run_cell_inline(other))
-        assert len(cache) == 2
-        assert cache.clear() == 2
-        assert len(cache) == 0
-        assert cache.get(cell_key(cell)) is None
-
-    def test_corrupt_entry_is_a_miss(self, cache):
-        cell = small_cell()
-        key = cell_key(cell)
-        cache.put(key, cell, run_cell_inline(cell))
-        cache._path(key).write_text("{not json")
-        assert cache.get(key) is None
-
-    def test_truncated_entry_evicted_not_raised(self, cache):
-        """A torn write (e.g. a crash mid-``put`` before the atomic rename
-        existed) must read as a miss, be evicted so it cannot shadow a
-        future good write, and be rewritable."""
-        cell = small_cell()
-        key = cell_key(cell)
-        result = run_cell_inline(cell)
-        cache.put(key, cell, result)
-        path = cache._path(key)
-        text = path.read_text()
-        path.write_text(text[: len(text) // 2])
-        assert cache.get(key) is None
-        assert not path.exists()  # evicted
-        cache.put(key, cell, result)
-        assert cache.get(key) == result
-
-    def test_put_leaves_no_temp_droppings(self, cache):
-        cell = small_cell()
-        cache.put(cell_key(cell), cell, run_cell_inline(cell))
-        leftovers = list(cache.root.rglob("*.tmp"))
-        assert leftovers == []
-
-    def test_code_change_invalidates(self, cache, monkeypatch):
-        cell = small_cell()
-        cache.put(cell_key(cell), cell, run_cell_inline(cell))
-        monkeypatch.setattr("repro.runner.cache.source_digest", lambda: "edited")
-        assert cache.get(cell_key(cell)) is None

@@ -1,5 +1,5 @@
-"""Tests for the process-pool executor: serial/parallel equality, caching,
-retry-on-crash, timeouts, and the matrix/sweep integration."""
+"""Tests for the process-pool executor: serial/parallel equality, store
+reuse, retry-on-crash, timeouts, and the matrix/sweep integration."""
 
 from __future__ import annotations
 
@@ -11,13 +11,8 @@ import pytest
 from repro.analysis.experiments import ExperimentMatrix, run_figure4
 from repro.analysis.sweeps import sweep
 from repro.coherence.policies import PRESETS
-from repro.runner import (
-    Cell,
-    CellError,
-    ResultCache,
-    effective_jobs,
-    run_cells,
-)
+from repro.runner import Cell, CellError, effective_jobs
+from repro.store import ResultStore, resolve_cells
 from repro.system.config import SystemConfig
 from repro.workloads.base import Workload, WorkloadBuild
 from repro.workloads.micro import MigratoryCounter
@@ -71,6 +66,16 @@ class SleepyWorkload(Workload):
         return WorkloadBuild(cpu_programs=[])  # pragma: no cover
 
 
+class BriefSleepWorkload(Workload):
+    """Sleeps 0.8 s: past a 0.5 s timeout, inside one rounded up to 1 s."""
+
+    name = "brief_sleep"
+
+    def build(self, ctx):
+        time.sleep(0.8)
+        return MigratoryCounter(4).build(ctx)
+
+
 class TimeoutOnceWorkload(Workload):
     """Trips the per-cell timeout on the first attempt, succeeds on retry
     (marker file survives the process boundary)."""
@@ -115,40 +120,39 @@ class TestEffectiveJobs:
 class TestSerialParallelEquality:
     def test_pool_results_bit_identical_to_serial(self):
         batch = cells_for(["bs", "tq", "pad"])
-        serial = run_cells(batch, jobs=1)
-        parallel = run_cells(batch, jobs=2)
+        serial = resolve_cells(batch, jobs=1)
+        parallel = resolve_cells(batch, jobs=2)
         assert serial == parallel  # dataclass equality over every field
 
     def test_order_preserved(self):
         batch = cells_for(["bs", "tq", "pad"])
-        results = run_cells(batch, jobs=2)
+        results = resolve_cells(batch, jobs=2)
         assert [r.workload for r in results] == ["bs", "tq", "pad"]
 
 
 class TestCachedExecution:
     def test_warm_run_performs_zero_simulations(self, tmp_path, monkeypatch):
-        cache = ResultCache(tmp_path / "cache")
+        store = ResultStore(tmp_path / "s.sqlite")
         batch = cells_for(["bs", "tq"])
-        cold = run_cells(batch, jobs=2, cache=cache)
-        assert cache.misses == 2 and len(cache) == 2
+        cold = resolve_cells(batch, jobs=2, store=store)
+        assert store.misses == 2 and len(store) == 2
 
         # Any attempt to simulate on the warm run must blow up loudly.
         def boom(*_args, **_kwargs):
             raise AssertionError("warm run simulated a cell")
 
+        monkeypatch.setattr("repro.runner.executor.run_jobs", boom)
         monkeypatch.setattr("repro.runner.executor.run_cell_inline", boom)
-        monkeypatch.setattr("repro.runner.executor.run_inline", boom)
-        monkeypatch.setattr("repro.runner.executor.run_pool", boom)
-        warm_cache = ResultCache(tmp_path / "cache")
-        warm = run_cells(cells_for(["bs", "tq"]), jobs=2, cache=warm_cache)
-        assert warm_cache.hits == 2 and warm_cache.misses == 0
+        warm_store = ResultStore(tmp_path / "s.sqlite")
+        warm = resolve_cells(cells_for(["bs", "tq"]), jobs=2, store=warm_store)
+        assert warm_store.hits == 2 and warm_store.misses == 0
         assert warm == cold
 
     def test_duplicate_cells_simulated_once(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
+        store = ResultStore(tmp_path / "s.sqlite")
         batch = cells_for(["bs", "bs", "bs"])
-        results = run_cells(batch, jobs=1, cache=cache)
-        assert len(cache) == 1  # one simulation backs all three cells
+        results = resolve_cells(batch, jobs=1, store=store)
+        assert len(store) == 1  # one simulation backs all three cells
         assert results[0] == results[1] == results[2]
 
 
@@ -160,7 +164,7 @@ class TestFailureHandling:
             label="crash_always",
         )
         with pytest.raises(CellError, match="crash_always.*2 attempt"):
-            run_cells([cell, *cells_for(["bs"])], jobs=2)
+            resolve_cells([cell, *cells_for(["bs"])], jobs=2)
 
     def test_crash_once_recovers_via_retry(self, tmp_path):
         marker = tmp_path / "crashed.marker"
@@ -170,7 +174,7 @@ class TestFailureHandling:
             label="crash_once",
         )
         lines: list[str] = []
-        results = run_cells(
+        results = resolve_cells(
             [cell, *cells_for(["bs"])], jobs=2, progress=lines.append
         )
         assert marker.exists()
@@ -186,7 +190,18 @@ class TestFailureHandling:
             label="sleepy",
         )
         with pytest.raises(CellError, match="timed out"):
-            run_cells([cell, *cells_for(["bs"])], jobs=2, timeout_s=1)
+            resolve_cells([cell, *cells_for(["bs"])], jobs=2, timeout_s=1)
+
+    @pytest.mark.skipif(not hasattr(__import__("signal"), "setitimer"),
+                        reason="needs setitimer")
+    def test_subsecond_timeout_is_not_rounded_up(self):
+        cell = Cell(
+            workload=BriefSleepWorkload(),
+            config=SystemConfig.small(policy=PRESETS["baseline"]),
+            label="brief_sleep",
+        )
+        with pytest.raises(CellError, match="timed out after 0.5s"):
+            resolve_cells([cell, *cells_for(["bs"])], jobs=2, timeout_s=0.5)
 
     @pytest.mark.skipif(not hasattr(__import__("signal"), "SIGALRM"),
                         reason="needs SIGALRM")
@@ -201,7 +216,7 @@ class TestFailureHandling:
             label="timeout_once",
         )
         lines: list[str] = []
-        results = run_cells(
+        results = resolve_cells(
             [cell, *cells_for(["bs"])], jobs=2, timeout_s=1,
             progress=lines.append,
         )
@@ -218,7 +233,7 @@ class TestFailureHandling:
             label="unpicklable",
         )
         lines: list[str] = []
-        results = run_cells(
+        results = resolve_cells(
             [cell, *cells_for(["bs"])], jobs=2, progress=lines.append
         )
         assert results[0].ok
@@ -232,21 +247,21 @@ class TestMatrixIntegration:
         )
         parallel = ExperimentMatrix(
             config_factory=SystemConfig.small, scale=0.25, jobs=2,
-            cache=ResultCache(tmp_path / "cache"),
+            store=ResultStore(tmp_path / "s.sqlite"),
         )
         fig_serial = run_figure4(serial, benchmarks=["bs", "tq"])
         fig_parallel = run_figure4(parallel, benchmarks=["bs", "tq"])
         assert fig_serial.series == fig_parallel.series
 
         # Warm rerun from a fresh matrix: zero simulations, identical stats.
-        warm_cache = ResultCache(tmp_path / "cache")
+        warm_store = ResultStore(tmp_path / "s.sqlite")
         warm = ExperimentMatrix(
             config_factory=SystemConfig.small, scale=0.25, jobs=2,
-            cache=warm_cache,
+            store=warm_store,
         )
         fig_warm = run_figure4(warm, benchmarks=["bs", "tq"])
         assert fig_warm.series == fig_serial.series
-        assert warm_cache.misses == 0 and warm_cache.hits == 8
+        assert warm_store.misses == 0 and warm_store.hits == 8
 
     def test_run_batch_returns_every_pair(self):
         matrix = ExperimentMatrix(
@@ -275,7 +290,7 @@ class TestSweepIntegration:
         )
         serial = sweep(jobs=1, **kwargs)
         parallel = sweep(
-            jobs=2, cache=ResultCache(tmp_path / "cache"), **kwargs
+            jobs=2, store=ResultStore(tmp_path / "s.sqlite"), **kwargs
         )
         for policy in ("baseline", "sharers"):
             assert serial.results[policy] == parallel.results[policy]
@@ -287,10 +302,10 @@ class TestSweepIntegration:
             policies=["sharers"],
             config_factory=SystemConfig.small,
         )
-        cold_cache = ResultCache(tmp_path / "cache")
-        cold = sweep(jobs=1, cache=cold_cache, **kwargs)
-        assert cold_cache.misses == 2
-        warm_cache = ResultCache(tmp_path / "cache")
-        warm = sweep(jobs=1, cache=warm_cache, **kwargs)
-        assert warm_cache.hits == 2 and warm_cache.misses == 0
+        cold_store = ResultStore(tmp_path / "s.sqlite")
+        cold = sweep(jobs=1, store=cold_store, **kwargs)
+        assert cold_store.misses == 2
+        warm_store = ResultStore(tmp_path / "s.sqlite")
+        warm = sweep(jobs=1, store=warm_store, **kwargs)
+        assert warm_store.hits == 2 and warm_store.misses == 0
         assert warm.results["sharers"] == cold.results["sharers"]

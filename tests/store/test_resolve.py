@@ -1,7 +1,7 @@
-"""Tests for ``resolve_cells``: store-backed warm resolution, in-batch
-dedup, daemon fallback, and the acceptance criterion — a warm re-query of
-the full figure pipeline performs zero simulations and is bit-identical
-to a cold serial run."""
+"""Tests for the one job resolver: store-backed warm resolution and
+inline/pool parity for both job kinds, in-batch dedup, the removed serve
+daemon, and the acceptance criterion — a warm re-query of the full figure pipeline
+performs zero simulations and is bit-identical to a cold serial run."""
 
 from __future__ import annotations
 
@@ -16,8 +16,27 @@ from repro.analysis.experiments import (
 )
 from repro.coherence.policies import PRESETS
 from repro.runner import Cell
-from repro.store import ResultStore, resolve_cells
+from repro.store import ResultStore, resolve_cells, resolve_litmus
 from repro.system.config import SystemConfig
+from repro.verify.litmus import Schedule, get_litmus
+
+#: every function through which the resolver can simulate
+SIMULATING = (
+    "repro.runner.executor.run_jobs",
+    "repro.runner.executor.run_inline",
+    "repro.runner.executor.run_pool",
+    "repro.runner.executor.run_payload",
+    "repro.runner.executor.run_cell_inline",
+    "repro.verify.litmus.harness.run_litmus",
+)
+
+
+def forbid_simulation(monkeypatch) -> None:
+    def boom(*_args, **_kwargs):
+        raise AssertionError("warm pass simulated")
+
+    for target in SIMULATING:
+        monkeypatch.setattr(target, boom)
 
 
 def cells_for(names, policy="baseline", scale=0.25):
@@ -32,6 +51,10 @@ def cells_for(names, policy="baseline", scale=0.25):
     ]
 
 
+def litmus_runs(names, policy="baseline", seed=0):
+    return [(get_litmus(name), policy, Schedule(seed)) for name in names]
+
+
 class TestStoreResolution:
     def test_duplicates_simulated_once(self, tmp_path):
         store = ResultStore(tmp_path / "s.sqlite")
@@ -41,8 +64,7 @@ class TestStoreResolution:
         assert results[0] == results[1] == results[2]
 
     def test_store_and_cacheless_runs_identical(self, tmp_path):
-        batch = cells_for(["bs", "tq"])
-        plain = resolve_cells(batch, jobs=1)
+        plain = resolve_cells(cells_for(["bs", "tq"]), jobs=1)
         stored = resolve_cells(cells_for(["bs", "tq"]),
                                store=ResultStore(tmp_path / "s.sqlite"),
                                jobs=2)
@@ -53,38 +75,39 @@ class TestStoreResolution:
         cold = resolve_cells(cells_for(["bs", "tq"]), store=store, jobs=2)
         assert store.puts == 2
 
-        def boom(*_args, **_kwargs):
-            raise AssertionError("warm run simulated a cell")
-
-        monkeypatch.setattr("repro.runner.executor.run_cell_inline", boom)
-        monkeypatch.setattr("repro.runner.executor.run_inline", boom)
-        monkeypatch.setattr("repro.runner.executor.run_pool", boom)
+        forbid_simulation(monkeypatch)
         warm_store = ResultStore(tmp_path / "s.sqlite")
         warm = resolve_cells(cells_for(["bs", "tq"]), store=warm_store,
                              jobs=2)
         assert warm_store.hits == 2 and warm_store.misses == 0
         assert warm == cold
 
-    def test_unreachable_daemon_falls_back_locally(self, tmp_path):
-        lines: list[str] = []
-        results = resolve_cells(
-            cells_for(["bs"]),
-            store=ResultStore(tmp_path / "s.sqlite"),
-            jobs=1,
-            serve="127.0.0.1:9",  # discard port: nothing listens
-            progress=lines.append,
-        )
-        assert results[0].ok
-        assert any("serve daemon unavailable" in line for line in lines)
+    def test_duplicates_without_store_simulated_once(self, monkeypatch):
+        from repro.runner import executor
 
-    def test_serve_env_is_picked_up(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE", "127.0.0.1:9")
-        lines: list[str] = []
-        results = resolve_cells(cells_for(["bs"]), jobs=1,
-                                store=ResultStore(tmp_path / "s.sqlite"),
-                                progress=lines.append)
-        assert results[0].ok
-        assert any("serve daemon unavailable" in line for line in lines)
+        simulated = []
+        run_cell_inline = executor.run_cell_inline
+
+        def counting(cell):
+            simulated.append(cell.display)
+            return run_cell_inline(cell)
+
+        monkeypatch.setattr("repro.runner.executor.run_cell_inline", counting)
+        results = resolve_cells(cells_for(["bs", "bs", "bs"]), jobs=1)
+        assert simulated == ["bs/baseline"]
+        assert results[0] == results[1] == results[2]
+
+    def test_lone_storeless_cell_computes_no_key(self, monkeypatch):
+        def boom(*_args, **_kwargs):
+            raise AssertionError("a lone store-less cell was keyed")
+
+        monkeypatch.setattr("repro.store.resolve.cell_key", boom)
+        [result] = resolve_cells(cells_for(["bs"]), jobs=1, serve="")
+        assert result.ok
+
+    def test_serve_daemon_is_gone(self):
+        with pytest.raises(ValueError, match="serve daemon was removed"):
+            resolve_cells(cells_for(["bs"]), jobs=1, serve="127.0.0.1:9")
 
 
 class TestFigurePipelineWarmRequery:
@@ -109,12 +132,7 @@ class TestFigurePipelineWarmRequery:
         )
         assert self._pipeline(cold) == reference
 
-        def boom(*_args, **_kwargs):
-            raise AssertionError("warm figure pipeline simulated a cell")
-
-        monkeypatch.setattr("repro.runner.executor.run_cell_inline", boom)
-        monkeypatch.setattr("repro.runner.executor.run_inline", boom)
-        monkeypatch.setattr("repro.runner.executor.run_pool", boom)
+        forbid_simulation(monkeypatch)
         warm_store = ResultStore(tmp_path / "figures.sqlite")
         warm = ExperimentMatrix(
             config_factory=SystemConfig.small, scale=0.25, jobs=2,
@@ -126,21 +144,14 @@ class TestFigurePipelineWarmRequery:
 
 class TestLitmusResolution:
     """``resolve_litmus`` mirrors the cell path for litmus runs: warm
-    lookups, in-batch dedup, pool fan-out, and the fault-injection
-    inline-only mode."""
-
-    def _runs(self, names, policy="baseline", seed=0):
-        from repro.verify.litmus import Schedule, get_litmus
-
-        return [(get_litmus(name), policy, Schedule(seed)) for name in names]
+    lookups, in-batch dedup, pool fan-out, the coverage flag in the key,
+    and the fault-injection (unkeyed) mode."""
 
     def test_store_and_plain_runs_identical(self, tmp_path):
-        from repro.store import resolve_litmus
-
-        plain = resolve_litmus(self._runs(["mp", "sb"]), jobs=1,
+        plain = resolve_litmus(litmus_runs(["mp", "sb"]), jobs=1,
                                coverage=True)
         stored = resolve_litmus(
-            self._runs(["mp", "sb"]),
+            litmus_runs(["mp", "sb"]),
             store=ResultStore(tmp_path / "s.sqlite"), jobs=2, coverage=True,
         )
         assert [r.ok for r in plain] == [r.ok for r in stored]
@@ -148,29 +159,21 @@ class TestLitmusResolution:
         assert [r.ticks for r in plain] == [r.ticks for r in stored]
 
     def test_duplicates_simulated_once(self, tmp_path):
-        from repro.store import resolve_litmus
-
         store = ResultStore(tmp_path / "s.sqlite")
-        results = resolve_litmus(self._runs(["mp", "mp", "mp"]),
+        results = resolve_litmus(litmus_runs(["mp", "mp", "mp"]),
                                  store=store, jobs=1)
         assert store.puts == 1 and len(store) == 1
         assert results[0].ticks == results[1].ticks == results[2].ticks
 
     def test_warm_rerun_zero_simulations(self, tmp_path, monkeypatch):
-        from repro.store import resolve_litmus
-
         store = ResultStore(tmp_path / "s.sqlite")
-        cold = resolve_litmus(self._runs(["mp", "coww"]), store=store,
+        cold = resolve_litmus(litmus_runs(["mp", "coww"]), store=store,
                               jobs=2, coverage=True)
         assert store.puts == 2
 
-        def boom(*_args, **_kwargs):
-            raise AssertionError("warm litmus rerun simulated")
-
-        monkeypatch.setattr("repro.verify.litmus.harness.run_litmus", boom)
-        monkeypatch.setattr("repro.runner.executor.run_litmus_pool", boom)
+        forbid_simulation(monkeypatch)
         warm_store = ResultStore(tmp_path / "s.sqlite")
-        warm = resolve_litmus(self._runs(["mp", "coww"]), store=warm_store,
+        warm = resolve_litmus(litmus_runs(["mp", "coww"]), store=warm_store,
                               jobs=2, coverage=True)
         assert warm_store.misses == 0 and warm_store.hits == 2
         assert [r.ticks for r in warm] == [r.ticks for r in cold]
@@ -179,22 +182,18 @@ class TestLitmusResolution:
     def test_coverage_flag_partitions_the_keyspace(self, tmp_path):
         """A row stored without coverage must not satisfy a coverage
         query — the key includes the flag."""
-        from repro.store import resolve_litmus
-
         store = ResultStore(tmp_path / "s.sqlite")
-        resolve_litmus(self._runs(["mp"]), store=store, jobs=1)
-        resolve_litmus(self._runs(["mp"]), store=store, jobs=1,
+        resolve_litmus(litmus_runs(["mp"]), store=store, jobs=1)
+        resolve_litmus(litmus_runs(["mp"]), store=store, jobs=1,
                        coverage=True)
         assert store.puts == 2 and len(store) == 2
 
     def test_fault_injection_bypasses_the_store(self, tmp_path):
-        from repro.store import resolve_litmus
-
         def mutate(system):
-            pass  # identity fault: exercises the inline-only path
+            pass  # identity fault: exercises the unkeyed inline path
 
         store = ResultStore(tmp_path / "s.sqlite")
-        results = resolve_litmus(self._runs(["mp"]), store=store, jobs=4,
+        results = resolve_litmus(litmus_runs(["mp"]), store=store, jobs=4,
                                  mutate_system=mutate)
         assert results[0].ok
         assert store.puts == 0 and len(store) == 0
@@ -202,9 +201,6 @@ class TestLitmusResolution:
     def test_duplicate_outcomes_carry_their_own_policy_name(self):
         """Two runs that dedup to one key still report the policy each
         caller asked for."""
-        from repro.store import resolve_litmus
-        from repro.verify.litmus import Schedule, get_litmus
-
         test = get_litmus("mp")
         runs = [(test, "baseline", Schedule(0)),
                 (test, "baseline", Schedule(0))]

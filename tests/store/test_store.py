@@ -1,5 +1,5 @@
 """Tests for the SQLite results store: round-trips, corrupt-row
-tolerance, admin operations (stats/gc/export/import/migrate), and
+tolerance, admin operations (stats/gc/export/import), and
 multi-process safety (no torn rows, ever)."""
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from concurrent.futures import ProcessPoolExecutor
 import pytest
 
 from repro.coherence.policies import PRESETS
-from repro.runner import Cell, ResultCache, cell_key, run_cell_inline
+from repro.runner import Cell, cell_key, run_cell_inline
 from repro.store import KIND_CELL, KIND_LITMUS, ResultStore
 from repro.system.config import SystemConfig
 
@@ -168,19 +168,6 @@ class TestAdmin:
         store.clear()
         assert store.import_snapshot(snapshot) == 1
         assert store.get(cell_key(cell)) is not None
-
-    def test_migrate_absorbs_legacy_cache_tree(self, store, tmp_path):
-        cache = ResultCache(tmp_path / "legacy")
-        cell = small_cell()
-        key = cell_key(cell)
-        result = run_cell_inline(cell)
-        cache.put(key, cell, result)
-        (tmp_path / "legacy" / "junk.json").write_text("{broken")
-        assert store.migrate_cache(tmp_path / "legacy") == 1
-        assert store.get(key) == result
-
-    def test_migrate_missing_tree_is_noop(self, store, tmp_path):
-        assert store.migrate_cache(tmp_path / "nope") == 0
 
 
 # -- multi-process safety (module-level helpers: must pickle) ------------

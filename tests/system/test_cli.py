@@ -123,9 +123,9 @@ class TestLitmusCommand:
 
 
 class TestBenchCommand:
-    def test_bench_cold_then_warm(self, tmp_path, capsys):
-        args = ["bench", "--figure", "6", "--scale", "0.25", "--jobs", "2",
-                "--cache-dir", str(tmp_path / "cache")]
+    def test_bench_cold_then_warm(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_STORE_PATH", str(tmp_path / "env.sqlite"))
+        args = ["bench", "--figure", "6", "--scale", "0.25", "--jobs", "2"]
         assert main(args) == 0
         out = capsys.readouterr().out
         assert "Figure 6" in out
@@ -135,11 +135,11 @@ class TestBenchCommand:
         warm = capsys.readouterr().out
         assert "Figure 6" in warm
         assert "0 miss(es)" in warm
+        assert (tmp_path / "env.sqlite").exists()
 
     def test_bench_clear_cache(self, tmp_path, capsys):
-        cache_dir = str(tmp_path / "cache")
         base = ["bench", "--figure", "6", "--scale", "0.25", "--jobs", "1",
-                "--cache-dir", cache_dir]
+                "--store-path", str(tmp_path / "bench.sqlite")]
         assert main(base) == 0
         capsys.readouterr()
         assert main(base + ["--clear-cache"]) == 0
@@ -150,10 +150,10 @@ class TestBenchCommand:
     def test_bench_no_cache(self, tmp_path, capsys):
         assert main(["bench", "--figure", "6", "--scale", "0.25",
                      "--jobs", "1", "--no-cache",
-                     "--cache-dir", str(tmp_path / "cache")]) == 0
+                     "--store-path", str(tmp_path / "bench.sqlite")]) == 0
         out = capsys.readouterr().out
         assert "Figure 6" in out
-        assert not (tmp_path / "cache").exists()
+        assert not (tmp_path / "bench.sqlite").exists()
 
     def test_bench_on_store_cold_then_warm(self, tmp_path, capsys):
         args = ["bench", "--figure", "6", "--scale", "0.25", "--jobs", "2",
@@ -202,18 +202,6 @@ class TestStoreCommand:
         # the imported store serves the same figure with zero misses
         assert main(["bench", "--figure", "6", "--scale", "0.25",
                      "--jobs", "1", "--store-path", fresh]) == 0
-        assert "0 miss(es)" in capsys.readouterr().out
-
-    def test_migrate_legacy_cache(self, tmp_path, capsys):
-        cache_dir = str(tmp_path / "legacy")
-        assert main(["bench", "--figure", "6", "--scale", "0.25",
-                     "--jobs", "1", "--cache-dir", cache_dir]) == 0
-        capsys.readouterr()
-        path = str(tmp_path / "s.sqlite")
-        assert main(["store", "migrate", cache_dir, "--path", path]) == 0
-        assert "migrated" in capsys.readouterr().out
-        assert main(["bench", "--figure", "6", "--scale", "0.25",
-                     "--jobs", "1", "--store-path", path]) == 0
         assert "0 miss(es)" in capsys.readouterr().out
 
     def test_export_without_file_rejected(self, tmp_path, capsys):

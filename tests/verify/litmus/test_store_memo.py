@@ -1,12 +1,12 @@
-"""Litmus outcomes memoized in the results store: a warm
-(test, policy, schedule) triple is a lookup, not a simulation, and
-round-trips the outcome exactly."""
+"""Litmus outcomes memoized in the results store through the job
+resolver: a warm (test, policy, schedule) triple is a lookup, not a
+simulation, and round-trips the outcome exactly."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.store import KIND_LITMUS, ResultStore
+from repro.store import KIND_LITMUS, ResultStore, resolve_litmus
 from repro.verify.litmus import (
     POLICY_VARIANTS,
     Schedule,
@@ -30,9 +30,7 @@ def _forbid_live_runs(monkeypatch):
     def boom(*_args, **_kwargs):
         raise AssertionError("warm litmus run simulated")
 
-    monkeypatch.setattr(
-        "repro.verify.litmus.harness._run_litmus_live", boom
-    )
+    monkeypatch.setattr("repro.verify.litmus.harness.run_litmus", boom)
 
 
 class TestOutcomeRoundTrip:
@@ -43,12 +41,12 @@ class TestOutcomeRoundTrip:
 
 class TestMemoization:
     def test_warm_triple_is_a_lookup(self, store, monkeypatch):
-        test = get_litmus("mp")
-        cold = run_litmus(test, store=store)
+        runs = [(get_litmus("mp"), "baseline", Schedule(0))]
+        cold = resolve_litmus(runs, store=store, jobs=1)
         assert store.puts == 1 and store.stats()["by_kind"] == {"litmus": 1}
 
         _forbid_live_runs(monkeypatch)
-        warm = run_litmus(test, store=store)
+        warm = resolve_litmus(runs, store=store, jobs=1)
         assert warm == cold
         assert store.hits == 1
 
@@ -76,23 +74,29 @@ class TestMemoization:
         assert warm == cold
 
     def test_traced_runs_bypass_the_store(self, store):
+        """Tracing lives only on the per-run primitive, which takes no
+        store, so a stored outcome never carries a trace."""
         test = get_litmus("mp")
-        outcome = run_litmus(test, store=store, trace=True)
-        assert outcome.trace_text is not None
-        assert len(store) == 0
+        assert run_litmus(test, trace=True).trace_text is not None
+        with pytest.raises(TypeError):
+            run_litmus(test, store=store)
+        [stored] = run_schedules(test, schedules=[Schedule(0)], store=store)
+        assert stored.trace_text is None and len(store) == 1
 
     def test_fault_injected_runs_bypass_the_store(self, store):
         test = get_litmus("mp")
-        run_litmus(test, store=store, mutate_system=lambda system: None)
+        run_schedules(test, schedules=[Schedule(0)], store=store,
+                      mutate_system=lambda system: None)
         assert len(store) == 0
 
     def test_corrupt_row_falls_through_to_live_run(self, store):
         test = get_litmus("mp")
-        cold = run_litmus(test, store=store)
+        [cold] = run_schedules(test, schedules=[Schedule(0)], store=store)
         # clobber the stored payload with a wrong shape
         key = litmus_key(test, POLICY_VARIANTS["baseline"], Schedule(0),
                          LITMUS_MAX_EVENTS)
         store.put_row(key, KIND_LITMUS, workload=test.name, config={},
                       result={"not": "an outcome"})
-        rerun = run_litmus(test, store=store)
+        [rerun] = run_schedules(test, schedules=[Schedule(0)], store=store)
         assert rerun == cold
+        assert store.evicted == 1
