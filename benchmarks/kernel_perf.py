@@ -17,6 +17,9 @@ Timed benchmarks plus a machine-speed calibration score:
   output-port serialization and input-arbitration paths.
 - ``figure_slice`` — one real figure-pipeline cell (cedd on the baseline
   policy) timed end-to-end, events/sec taken from the event queue itself.
+- ``paper_build`` — ``build_system(SystemConfig())`` at paper geometry
+  (Table II) on the baseline and ``sharers`` presets, in builds/sec: the
+  construction cost every cell pays before its first event.
 - ``calibration`` — a fixed pure-Python integer loop, used to normalize
   events/sec across machines of different speeds (the CI perf gate
   compares *calibrated* ratios, not absolute numbers).
@@ -29,6 +32,7 @@ at the repo root is the perf-trajectory baseline that CI gates against.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import pathlib
 import sys
@@ -285,7 +289,39 @@ def bench_figure_slice(workload: str = "cedd", policy: str = "baseline",
     }
 
 
+# -- paper-geometry construction ------------------------------------------
+
+
+def bench_paper_build(presets: tuple[str, ...] = ("baseline", "sharers")) -> dict:
+    """Build a paper-geometry system once per preset.
+
+    Each build is timed on its own after a full collection, so freeing the
+    previous system's reference cycles never lands inside the timer.
+    """
+    elapsed = 0.0
+    for name in presets:
+        config = SystemConfig(policy=PRESETS[name])
+        gc.collect()
+        start = time.perf_counter()
+        build_system(config)
+        elapsed += time.perf_counter() - start
+    return {
+        "presets": list(presets),
+        "builds": len(presets),
+        "seconds": elapsed,
+        "builds_per_sec": len(presets) / elapsed,
+    }
+
+
 # -- suite ------------------------------------------------------------------
+
+#: the throughput each benchmark is calibrated and gated on (default
+#: ``events_per_sec``)
+RATE_KEYS = {"paper_build": "builds_per_sec"}
+
+
+def rate_key(name: str) -> str:
+    return RATE_KEYS.get(name, "events_per_sec")
 
 
 def run_suite(quick: bool = False, repeats: int = 3) -> dict:
@@ -329,12 +365,20 @@ def run_suite(quick: bool = False, repeats: int = 3) -> dict:
                 bench_figure_slice, "cedd", "baseline", slice_scale,
                 key="events_per_sec",
             ),
+            "paper_build": best(bench_paper_build, key="builds_per_sec"),
         },
     }
     cal = report["calibration_ops_per_sec"]
     for name, bench in report["benchmarks"].items():
-        bench["calibrated_score"] = bench["events_per_sec"] / cal
+        bench["calibrated_score"] = bench[rate_key(name)] / cal
     return report
+
+
+def format_rate(name: str, bench: dict) -> str:
+    key = rate_key(name)
+    unit = key.removesuffix("_per_sec")
+    return (f"{name:<20} {bench[key]:>12,.1f} {unit}/s "
+            f"(calibrated {bench['calibrated_score']:.4g})")
 
 
 def gate(fresh: dict, baseline: dict, tolerance: float = 0.30) -> list[str]:
@@ -342,7 +386,7 @@ def gate(fresh: dict, baseline: dict, tolerance: float = 0.30) -> list[str]:
 
     Returns a list of human-readable failures (empty = pass).  Scores are
     calibration-normalized so a slower CI machine does not trip the gate;
-    a benchmark fails when its calibrated events/sec drops more than
+    a benchmark fails when its calibrated throughput drops more than
     ``tolerance`` below the baseline's.
     """
     failures: list[str] = []
@@ -360,9 +404,9 @@ def gate(fresh: dict, baseline: dict, tolerance: float = 0.30) -> list[str]:
         floor = base["calibrated_score"] * (1.0 - tolerance)
         if now["calibrated_score"] < floor:
             failures.append(
-                f"{name}: calibrated score {now['calibrated_score']:.4f} "
-                f"< floor {floor:.4f} "
-                f"(baseline {base['calibrated_score']:.4f}, "
+                f"{name}: calibrated score {now['calibrated_score']:.4g} "
+                f"< floor {floor:.4g} "
+                f"(baseline {base['calibrated_score']:.4g}, "
                 f"tolerance {tolerance:.0%})"
             )
     return failures
@@ -384,8 +428,7 @@ def main(argv: list[str] | None = None) -> int:
     report = run_suite(quick=args.quick, repeats=args.repeats)
     pathlib.Path(args.output).write_text(json.dumps(report, indent=1) + "\n")
     for name, bench in report["benchmarks"].items():
-        print(f"{name:<14} {bench['events_per_sec']:>12,.0f} events/s "
-              f"(calibrated {bench['calibrated_score']:.4f})")
+        print(format_rate(name, bench))
     print(f"report written to {args.output}")
 
     if args.gate:

@@ -1,12 +1,12 @@
 """Kernel microbenchmark suite (perf trajectory).
 
-Times the simulation kernel four ways — raw event-queue dispatch, the
-fabric message path (flat and contended), and one real figure-pipeline
-cell — and emits
+Times the simulation kernel — raw event-queue dispatch, pooled memory
+churn, the fabric message path (flat and contended), one real
+figure-pipeline cell, and paper-geometry system construction — and emits
 ``BENCH_kernel.json`` at the repo root (override with ``$REPRO_BENCH_OUT``).
 The committed ``BENCH_kernel.json`` is the perf-trajectory baseline; the CI
 perf-smoke job re-runs this suite and fails on a >30% calibrated
-events/sec regression (see ``benchmarks/kernel_perf.py --gate``).
+throughput regression (see ``benchmarks/kernel_perf.py --gate``).
 
 Quick mode (``REPRO_BENCH_QUICK=1``, used by CI) shrinks the workloads but
 exercises the same code paths.
@@ -23,7 +23,7 @@ import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 
-from kernel_perf import REPO_ROOT, gate, run_suite  # noqa: E402
+from kernel_perf import REPO_ROOT, format_rate, gate, run_suite  # noqa: E402
 
 _QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
 
@@ -36,8 +36,7 @@ def report() -> dict:
     out.write_text(json.dumps(result, indent=1) + "\n")
     print(f"\nkernel perf report written to {out}")
     for name, bench in result["benchmarks"].items():
-        print(f"  {name:<14} {bench['events_per_sec']:>12,.0f} events/s "
-              f"(calibrated {bench['calibrated_score']:.4f})")
+        print(f"  {format_rate(name, bench)}")
     return result
 
 
@@ -71,6 +70,13 @@ def test_figure_slice_runs_and_reports_events(report):
     assert bench["events"] > 1_000
     assert bench["simulated_ticks"] > 0
     assert bench["network_messages"] > 0
+
+
+def test_paper_build_times_both_presets(report):
+    bench = report["benchmarks"]["paper_build"]
+    assert bench["presets"] == ["baseline", "sharers"]
+    assert bench["builds"] == 2
+    assert bench["builds_per_sec"] > 0
 
 
 def test_report_is_gateable(report):

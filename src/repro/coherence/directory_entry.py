@@ -15,10 +15,13 @@ Storage: entry state lives in struct-of-arrays planes inside a
 ``sharer_count`` / ``overflow`` lists indexed by an integer slot — and a
 :class:`DirEntry` is a slim view over one slot, so directories hold one
 plane set instead of one bag-of-attributes object per tracked line.
-Standalone ``DirEntry(...)`` construction (tests, tools) transparently
-allocates from a private single-entry store.  Store slots are recycled
-through a free list by :meth:`DirEntryStore.release`; the per-slot sharer
-``set`` objects are kept and cleared rather than reallocated.
+A store starts empty and grows one slot (planes, view and sharer
+``set``) the first time :meth:`DirEntryStore.alloc` finds no free slot, so
+a directory pays only for the entries it has actually held at once, not
+for its whole capacity.  Slots are recycled through a free list by
+:meth:`DirEntryStore.release`; the per-slot sharer ``set`` objects are
+kept and cleared rather than reallocated.  Standalone ``DirEntry(...)``
+construction (tests, tools) allocates from a private single-slot store.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ class DirEntryStore:
 
     def __init__(
         self,
-        capacity: int = 0,
         track_identities: bool = True,
         pointer_limit: int | None = None,
     ) -> None:
@@ -48,26 +50,24 @@ class DirEntryStore:
         self.overflow: list[bool] = []
         self._free: list[int] = []
         self._views: list["DirEntry"] = []
-        for _ in range(capacity):
-            self._grow()
 
-    def _grow(self) -> int:
-        slot = len(self.owner)
+    def _grow(self, view: "DirEntry") -> "DirEntry":
+        """Append one cleared slot, owned by ``view``."""
+        view._store = self
+        view._slot = len(self.owner)
         self.owner.append(None)
         self.sharers.append(set() if self.track_identities else None)
         self.sharer_count.append(0)
         self.overflow.append(False)
-        self._views.append(DirEntry._over(self, slot))
-        self._free.append(slot)
-        return slot
+        self._views.append(view)
+        return view
 
     def alloc(self) -> "DirEntry":
-        """A cleared entry view; grows the planes when the store is full."""
+        """A cleared entry view: a recycled slot, else a new one."""
         free = self._free
-        if not free:
-            self._grow()
-        slot = free.pop()
-        return self._views[slot]
+        if free:
+            return self._views[free.pop()]
+        return self._grow(DirEntry.__new__(DirEntry))
 
     def release(self, entry: "DirEntry") -> None:
         """Return ``entry``'s slot to the free list, scrubbing its planes.
@@ -96,29 +96,13 @@ class DirEntry:
     """Owner/sharer bookkeeping attached to a directory-cache line.
 
     A view over one :class:`DirEntryStore` slot; the constructor keeps the
-    historical standalone form by allocating a fresh single-entry store.
+    historical standalone form by growing a fresh store's single slot.
     """
 
     __slots__ = ("_store", "_slot")
 
     def __init__(self, track_identities: bool, pointer_limit: int | None = None) -> None:
-        store = DirEntryStore(
-            capacity=1,
-            track_identities=track_identities,
-            pointer_limit=pointer_limit,
-        )
-        store._free.clear()
-        self._store = store
-        self._slot = 0
-        # the store built its own view; rebind it so both resolve here
-        store._views[0] = self
-
-    @classmethod
-    def _over(cls, store: DirEntryStore, slot: int) -> "DirEntry":
-        view = cls.__new__(cls)
-        view._store = store
-        view._slot = slot
-        return view
+        DirEntryStore(track_identities, pointer_limit)._grow(self)
 
     # -- plane accessors ---------------------------------------------------
 

@@ -96,10 +96,9 @@ class PreciseDirectory(DirectoryController):
         num_sets = max(1, policy.dir_entries // policy.dir_assoc)
         ways = min(policy.dir_assoc, policy.dir_entries)
         self.dir_cache = CacheArray(num_sets, ways)
-        # struct-of-arrays entry planes, sized to the directory cache;
+        # struct-of-arrays entry planes, grown as entries are allocated;
         # slots recycle through the store's free list as entries retire.
         self._entry_store = DirEntryStore(
-            capacity=num_sets * ways,
             track_identities=policy.tracks_sharers,
             pointer_limit=policy.sharer_pointer_limit,
         )

@@ -11,10 +11,11 @@ lists (``_addr``, ``_state``, ``_data``, ``_dirty``, ``_meta``, ``_valid``)
 indexed by the flat slot ``set_idx * ways + way`` — rather than one Python
 object per line.  Controllers keep the object-style API: :meth:`lookup` and
 friends hand out a per-slot :class:`_LineView` whose attributes read and
-write the planes, so ``line.state = X`` works exactly as before.  Hot paths
-can skip the view entirely with the index API (:meth:`find`,
-:meth:`find_touch` plus the plane lists), turning lookup/touch/state-update
-into dict-get + list indexing.
+write the planes, so ``line.state = X`` works exactly as before.  A slot's
+view is built the first time it is handed out, so an array costs only its
+planes until lines are used.  Hot paths can skip the view entirely with the
+index API (:meth:`find`, :meth:`find_touch` plus the plane lists), turning
+lookup/touch/state-update into dict-get + list indexing.
 
 Replacement: arrays built with the default :class:`TreePLRU` keep the whole
 per-set tree in one integer (bit ``n`` of ``_plru[set]`` is node ``n`` of
@@ -76,10 +77,10 @@ class CacheLine:
 class _LineView:
     """A live window onto one slot of the array's planes.
 
-    One view per slot, built once with the array; identity is stable, so
-    holding a view across time behaves exactly like holding the old
-    per-way ``CacheLine`` object (it always shows the slot's *current*
-    occupant).
+    At most one view per slot, built the first time the slot is handed
+    out; identity is stable, so holding a view across time behaves exactly
+    like holding the old per-way ``CacheLine`` object (it always shows the
+    slot's *current* occupant).
     """
 
     __slots__ = ("_array", "_slot")
@@ -230,7 +231,7 @@ class CacheArray:
         self._data: list[Any] = [None] * slots
         self._dirty = [False] * slots
         self._meta: list[Any] = [None] * slots
-        self._views = [_LineView(self, slot) for slot in range(slots)]
+        self._views: list[_LineView | None] = [None] * slots
         #: line-aligned address -> flat slot index
         self._index: dict[int, int] = {}
         # replacement state: integer trees for the default TreePLRU,
@@ -242,8 +243,8 @@ class CacheArray:
             self._victim_memo = victim_memo
             self._plru_leaves = leaves
             # per-slot touch masks (indexable straight from the flat slot)
-            self._touch_and = [touch_and[slot % ways] for slot in range(slots)]
-            self._touch_or = [touch_or[slot % ways] for slot in range(slots)]
+            self._touch_and = touch_and * num_sets
+            self._touch_or = touch_or * num_sets
             self._repl: list[ReplacementPolicy] | None = None
         else:
             self._plru = None
@@ -264,9 +265,6 @@ class CacheArray:
         return cls(num_sets, ways, repl)
 
     # -- lookups ----------------------------------------------------------
-
-    def set_index(self, addr: int) -> int:
-        return (addr // LINE_BYTES) % self.num_sets
 
     def find(self, addr: int) -> int:
         """Flat slot index of the valid line holding ``addr``, or -1."""
@@ -301,14 +299,18 @@ class CacheArray:
                 )
             else:
                 self._repl[slot // self.ways].touch(slot % self.ways)
-        return self._views[slot]
+        view = self._views[slot]
+        if view is None:
+            view = self._views[slot] = _LineView(self, slot)
+        return view
 
-    def view(self, slot: int) -> "_LineView":
-        """The live view for a flat slot index (pairs with :meth:`find`)."""
-        return self._views[slot]
-
-    def touch(self, line: "_LineView | CacheLine") -> None:
-        self.touch_slot(line.set_idx * self.ways + line.way)
+    def _view(self, slot: int) -> "_LineView":
+        """The slot's view, built on first use (inlined in :meth:`lookup`,
+        the hot path)."""
+        view = self._views[slot]
+        if view is None:
+            view = self._views[slot] = _LineView(self, slot)
+        return view
 
     def touch_slot(self, slot: int) -> None:
         plru = self._plru
@@ -367,22 +369,22 @@ class CacheArray:
         set_idx = (addr // LINE_BYTES) % self.num_sets
         base = set_idx * self.ways
         valid = self._valid
-        views = self._views
+        view = self._view
         for way in range(self.ways):
             if not valid[base + way]:
-                return views[base + way]
+                return view(base + way)
         if self._plru is not None:
             victim_way = self._fast_victim(set_idx)
         else:
             victim_way = self._repl[set_idx].victim()
         if cost_of is None:
-            return views[base + victim_way]
-        costs = [cost_of(views[base + way]) for way in range(self.ways)]
+            return view(base + victim_way)
+        costs = [cost_of(view(base + way)) for way in range(self.ways)]
         cheapest = min(costs)
         candidates = [way for way, cost in enumerate(costs) if cost == cheapest]
         if victim_way in candidates:
-            return views[base + victim_way]
-        return views[base + preferred_order(self._policy_of(set_idx), candidates)[0]]
+            return view(base + victim_way)
+        return view(base + preferred_order(self._policy_of(set_idx), candidates)[0])
 
     def install(
         self,
@@ -407,7 +409,7 @@ class CacheArray:
             self._dirty[slot] = dirty
             if meta is not None:
                 self._meta[slot] = meta
-            return self._views[slot], None
+            return self._view(slot), None
 
         victim = self.choose_victim(addr)
         slot = victim._slot
@@ -454,15 +456,11 @@ class CacheArray:
     # -- iteration --------------------------------------------------------
 
     def iter_valid(self) -> Iterator["_LineView"]:
-        views = self._views
-        return iter([views[slot] for slot in self._index.values()])
+        view = self._view
+        return iter([view(slot) for slot in self._index.values()])
 
     def occupancy(self) -> int:
         return len(self._index)
-
-    def set_of(self, addr: int) -> list["_LineView"]:
-        base = self.set_index(addr) * self.ways
-        return self._views[base:base + self.ways]
 
     def __contains__(self, addr: int) -> bool:
         return addr in self._index

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.coherence.directory_entry import DirEntry
+from repro.coherence.directory_entry import DirEntry, DirEntryStore
 
 NAMES = [f"l2.{i}" for i in range(8)]
 
@@ -106,3 +107,36 @@ class TestProperties:
             # untracked duplicates cannot be deduped (real limited-pointer
             # hardware has the same conservative over-count)
             assert entry.sharer_count >= distinct
+
+
+class TestStore:
+    def test_standalone_entry_owns_a_single_slot_store(self):
+        entry = DirEntry(track_identities=True, pointer_limit=2)
+        store = entry._store
+        assert len(store.owner) == 1
+        assert len(store) == 1
+        assert store.pointer_limit == 2
+        store.release(entry)
+        assert store.alloc() is entry
+
+    @pytest.mark.parametrize("track_identities, pointer_limit", [
+        (True, None), (True, 1), (False, None),
+    ])
+    def test_released_slot_comes_back_cleared(self, track_identities, pointer_limit):
+        store = DirEntryStore(track_identities, pointer_limit)
+        entry = store.alloc()
+        entry.owner = "l2.0"
+        for name in NAMES[:3]:
+            entry.add_sharer(name)
+        assert entry.sharer_count > 0
+        store.release(entry)
+        reused = store.alloc()
+        assert reused is entry  # the slot and its view are recycled
+        assert len(store.owner) == 1
+        assert reused.owner is None
+        assert reused.sharer_count == 0
+        assert not reused.overflow
+        if track_identities:
+            assert reused.sharers == set()
+        else:
+            assert reused.sharers is None

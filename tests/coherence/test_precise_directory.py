@@ -405,3 +405,48 @@ class TestValidation:
         policy = DirectoryPolicy(sharer_pointer_limit=2)
         with pytest.raises(ValueError, match="requires kind=SHARERS"):
             policy.validate()
+
+
+class TestLazyEntryStorage:
+    """The directory pays only for the entries it actually holds."""
+
+    def test_built_system_holds_no_entry_slots_or_views(self):
+        from repro.system.builder import build_system
+        from repro.system.config import SystemConfig
+
+        system = build_system(SystemConfig(policy=SHARERS))
+        for directory in system.directories:
+            assert len(directory._entry_store.owner) == 0
+            assert all(view is None for view in directory.dir_cache._views)
+
+    def test_slot_count_tracks_peak_live_entries(self, monkeypatch):
+        from repro.coherence.directory_entry import DirEntryStore
+        from repro.verify.litmus import Schedule, get_litmus, run_litmus
+
+        live: dict[int, int] = {}
+        peak: dict[int, int] = {}
+        alloc, release = DirEntryStore.alloc, DirEntryStore.release
+
+        def counting_alloc(store):
+            key = id(store)
+            live[key] = live.get(key, 0) + 1
+            peak[key] = max(peak.get(key, 0), live[key])
+            return alloc(store)
+
+        def counting_release(store, entry):
+            live[id(store)] -= 1
+            release(store, entry)
+
+        monkeypatch.setattr(DirEntryStore, "alloc", counting_alloc)
+        monkeypatch.setattr(DirEntryStore, "release", counting_release)
+        captured = {}
+        outcome = run_litmus(get_litmus("mp"), policy_name="sharers",
+                             schedule=Schedule(0),
+                             mutate_system=lambda s: captured.setdefault("system", s))
+        assert outcome.ok, outcome.describe()
+        for directory in captured["system"].directories:
+            store = directory._entry_store
+            slots = len(store.owner)
+            assert slots == peak.get(id(store), 0)
+            assert len(store) == live.get(id(store), 0)
+            assert 0 < slots < len(directory.dir_cache)

@@ -154,3 +154,57 @@ class TestProperties:
             array.install(addr_of(line_no), state="S")
         for line in array.iter_valid():
             assert array.lookup(line.addr, touch=False) is line
+
+
+class TestLazyViews:
+    @staticmethod
+    def built_views(array: CacheArray) -> int:
+        return sum(view is not None for view in array._views)
+
+    def test_fresh_array_builds_no_views(self):
+        array = CacheArray(64, 8)
+        assert self.built_views(array) == 0
+        array.install(addr_of(1), state="S")
+        assert self.built_views(array) == 1
+
+    def test_view_identity_survives_invalidate_and_reinstall(self):
+        array = CacheArray(num_sets=1, ways=1)
+        line, _ = array.install(addr_of(0), state="S")
+        assert array.lookup(addr_of(0)) is line
+        assert array.lookup(addr_of(0), touch=False) is line
+        assert next(iter(array.iter_valid())) is line
+        array.invalidate(addr_of(0))
+        assert array.lookup(addr_of(0)) is None
+        again, _ = array.install(addr_of(0), state="M")
+        assert again is line  # same slot, same view object
+        assert array.lookup(addr_of(0)) is line
+        assert line.state == "M"
+        other, _ = array.install(addr_of(1), state="E")  # evicts into the slot
+        assert other is line
+        assert line.addr == addr_of(1)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_integer_plru_matches_policy_objects_in_every_set(self, seed):
+        """The repeated per-slot touch masks pick the same victims as one
+        reference Tree-PLRU object per set, in every set (6 ways exercises
+        the non-power-of-two padding leaves)."""
+        import random
+
+        from repro.mem.replacement import TreePLRU
+
+        rng = random.Random(seed)
+        fast = CacheArray(num_sets=3, ways=6)
+        reference = CacheArray(num_sets=3, ways=6, repl=lambda ways: TreePLRU(ways))
+        evictions = 0
+        for _ in range(300):
+            addr = addr_of(rng.randrange(48))
+            if rng.random() < 0.5:
+                _, evicted_fast = fast.install(addr, state="S")
+                _, evicted_ref = reference.install(addr, state="S")
+                assert (evicted_fast is None) == (evicted_ref is None)
+                if evicted_fast is not None:
+                    evictions += 1
+                    assert evicted_fast.addr == evicted_ref.addr
+            else:
+                assert (fast.lookup(addr) is None) == (reference.lookup(addr) is None)
+        assert evictions > 50
