@@ -181,6 +181,14 @@ class Network(Component):
         arbitrated_kinds: tuple[str, ...] = DEFAULT_ARBITRATED_KINDS,
         input_queue_depth: int = 0,
     ) -> None:
+        if link_bytes_per_cycle < 0:
+            raise SimulationError(
+                f"link bandwidth must be >= 0 bytes/cycle, got {link_bytes_per_cycle}"
+            )
+        if input_queue_depth < 0:
+            raise SimulationError(
+                f"input queue depth must be >= 0, got {input_queue_depth}"
+            )
         super().__init__(sim, name, clock)
         self.default_latency_cycles = default_latency_cycles
         self._endpoints: dict[str, Controller] = {}
@@ -198,7 +206,7 @@ class Network(Component):
         # -- contention model (dormant while link_bytes_per_cycle == 0) ----
         self.arbitrated_kinds = tuple(arbitrated_kinds)
         self.arb_weights = dict(arb_weights) if arb_weights else {}
-        self.link_bytes_per_cycle = 0
+        self.link_bytes_per_cycle = link_bytes_per_cycle
         self._ser_memo: dict[int, int] = {}
         #: per-sender output ports (free tick + precomputed stat keys)
         self._out_ports: dict[str, _OutPort] = {}
@@ -214,15 +222,11 @@ class Network(Component):
         self._entry_pool: list[list] = []
         self._grant_pool: list[list] = []
         # -- flow control (dormant while input_queue_depth == 0) -----------
-        self.input_queue_depth = 0
+        self.input_queue_depth = input_queue_depth
         #: endpoint kinds whose input grant engines are currently gated
         self._gated_kinds: set[str] = set()
         #: free list for the bounded path's [out, route, msg] flight records
         self._flight_pool: list[list] = []
-        if link_bytes_per_cycle:
-            self.set_link_bandwidth(link_bytes_per_cycle)
-        if input_queue_depth:
-            self.set_flow_control(input_queue_depth)
 
     # -- wiring -----------------------------------------------------------
 
@@ -239,41 +243,6 @@ class Network(Component):
         self._latency_table[(src_kind, dst_kind)] = cycles
         self._latency_table[(dst_kind, src_kind)] = cycles
         self._routes.clear()
-
-    def set_link_bandwidth(self, bytes_per_cycle: int) -> None:
-        """Enable (or, with 0, disable) the finite-bandwidth link model.
-
-        Must be called before traffic flows (ports and arbiters are created
-        empty); the litmus :class:`~repro.verify.litmus.schedule.Schedule`
-        uses this to explore contended interleavings on a freshly built
-        system.
-        """
-        if bytes_per_cycle < 0:
-            raise SimulationError(
-                f"link bandwidth must be >= 0 bytes/cycle, got {bytes_per_cycle}"
-            )
-        self.link_bytes_per_cycle = bytes_per_cycle
-        self._ser_memo = {}
-        self._routes.clear()
-
-    def set_flow_control(self, input_queue_depth: int) -> None:
-        """Enable (or, with 0, disable) bounded input queues with
-        credit-based back-pressure (see module docstring).
-
-        Only meaningful together with the finite-bandwidth link model;
-        like :meth:`set_link_bandwidth` it must be called before traffic
-        flows (credits are initialized full, queues empty) — the litmus
-        :class:`~repro.verify.litmus.schedule.Schedule` calls it on a
-        freshly built system.
-        """
-        if input_queue_depth < 0:
-            raise SimulationError(
-                f"input queue depth must be >= 0, got {input_queue_depth}"
-            )
-        self.input_queue_depth = input_queue_depth
-        for port in self._in_ports.values():
-            port.capacity = input_queue_depth
-            port.credits = input_queue_depth
 
     def set_kind_gate(self, kind: str, gated: bool) -> None:
         """Gate (or release) the grant engine of every arbitrated input
@@ -304,9 +273,6 @@ class Network(Component):
 
     def endpoints_of_kind(self, kind: str) -> list[str]:
         return [name for name, k in self._kinds.items() if k == kind]
-
-    def kind_of(self, name: str) -> str:
-        return self._kinds[name]
 
     def kinds(self) -> list[str]:
         """Every endpoint kind currently attached, sorted."""
@@ -394,7 +360,7 @@ class Network(Component):
         return route
 
     def _count_message(self, category: str, size_bytes: int, route_key: str) -> None:
-        """The one accounting path for fabric traffic (send and _account).
+        """Count one sent message by category, bytes and route.
 
         Counters stay lazily created (first increment) so ``as_dict()``
         output is identical to the pre-optimization fabric.
@@ -442,21 +408,6 @@ class Network(Component):
             self._send_bounded(msg, route)
             return
         self._send_contended(msg, route)
-
-    def _account(self, msg: Any) -> None:
-        """Count one message without sending it (kept for tests/tools).
-
-        Shares :meth:`_count_message` with :meth:`send` so the two can never
-        drift, and rejects unattached endpoints with the same
-        :class:`SimulationError` that :meth:`send` raises.
-        """
-        src_kind = self._kinds.get(msg.src)
-        if src_kind is None:
-            raise SimulationError(f"unknown network source {msg.src!r} for {msg!r}")
-        dst_kind = self._kinds.get(msg.dst)
-        if dst_kind is None:
-            raise SimulationError(f"unknown network endpoint {msg.dst!r} for {msg!r}")
-        self._count_message(msg.category, msg.size_bytes, f"{src_kind}->{dst_kind}")
 
     # -- contended transport ----------------------------------------------
 

@@ -136,14 +136,6 @@ class SystemConfig:
             "dma": self.arb_weight_dma,
         }
 
-    @property
-    def is_contended(self) -> bool:
-        """True when any contention knob deviates from the pure-latency,
-        flat-channel zero-contention model."""
-        return bool(
-            self.link_bytes_per_cycle or self.mem_banks > 1 or self.mem_row_bytes
-        )
-
     def with_policy(self, policy: DirectoryPolicy) -> "SystemConfig":
         return replace(self, policy=policy)
 

@@ -113,18 +113,27 @@ def litmus_config(policy: DirectoryPolicy,
     """The system every litmus runs on: the scaled-down test config whose
     small caches make evictions (and their races) reachable in a few ops.
 
-    A schedule's ``dir_entries`` knob is folded into the policy here —
-    directory geometry is baked in at build time, so it cannot be applied
-    post-build like the other schedule perturbations.  Tiny directories
-    force directory-cache replacement (the B-state eviction transients)
-    under otherwise ordinary litmus traffic.
+    A schedule's fabric knobs (``link_bytes_per_cycle``,
+    ``input_queue_depth``, ``watchdog_window_cycles``) and its
+    ``dir_entries`` are built into the config here, so they reach the
+    system the one way every other config knob does and
+    :meth:`SystemConfig.validate` checks them.  Tiny directories force
+    directory-cache replacement (the B-state eviction transients) under
+    otherwise ordinary litmus traffic.  Only the per-run perturbations
+    (latency jitter, tie-break) are left to :meth:`Schedule.apply`.
     """
-    if schedule is not None and schedule.dir_entries:
+    schedule = schedule or Schedule(0)
+    if schedule.dir_entries:
         policy = policy.named(
             dir_entries=schedule.dir_entries,
             dir_assoc=min(policy.dir_assoc, schedule.dir_entries),
         )
-    return SystemConfig.small(policy=policy)
+    return SystemConfig.small(
+        policy=policy,
+        link_bytes_per_cycle=schedule.link_bytes_per_cycle,
+        input_queue_depth=schedule.input_queue_depth,
+        watchdog_window_cycles=schedule.watchdog_window_cycles,
+    )
 
 
 def litmus_key(test: LitmusTest, policy: DirectoryPolicy,

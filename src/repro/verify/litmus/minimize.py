@@ -9,10 +9,13 @@ order of payoff:
 3. **schedule** — drop the jitter / tie-break knobs if the failure
    reproduces on a simpler (ideally canonical) schedule.
 
-Every candidate is re-run with :func:`~repro.verify.litmus.harness.run_litmus`
-and accepted only if it fails with the *same failure kind* as the original
-— a shrink may not wander from an invariant violation to, say, the spin
-timeout it caused by deleting a flag store.  Bounded spins
+Levels 1-2 live in :func:`shrink_agents`, the one driver shared with the
+fuzz corpus minimizer (:func:`repro.verify.fuzz.corpus.minimize_entry`);
+only the acceptance predicate differs.  Here every candidate is re-run
+with :func:`~repro.verify.litmus.harness.run_litmus` and accepted only if
+it fails with the *same failure kind* as the original — a shrink may not
+wander from an invariant violation to, say, the spin timeout it caused by
+deleting a flag store.  Bounded spins
 (:data:`~repro.verify.litmus.dsl.MAX_SPIN_ROUNDS`) keep even degenerate
 candidates fast, so a full minimization is hundreds of short runs, not
 hours.
@@ -97,9 +100,12 @@ def _ddmin(items: list, still_fails: Callable[[list], bool],
         start = 0
         while start < len(items):
             candidate = items[:start] + items[start + chunk:]
+            if not candidate:  # dropping everything is the final pass's job
+                start += chunk
+                continue
             if not budget.take():
                 return items
-            if candidate and still_fails(candidate):
+            if still_fails(candidate):
                 items = candidate
                 granularity = max(granularity - 1, 2)
                 reduced = True
@@ -116,40 +122,23 @@ def _ddmin(items: list, still_fails: Callable[[list], bool],
     return items
 
 
-def minimize_failure(
-    test: LitmusTest,
-    policy_name: str,
-    schedule: Schedule,
-    mutate_system: Callable[[object], None] | None = None,
-    max_events: int = LITMUS_MAX_EVENTS,
-    max_runs: int = 400,
-) -> MinimizationResult | None:
-    """Shrink a failing triple; returns None if the original run passes.
+def _has_agents(test: LitmusTest) -> bool:
+    return bool(test.threads or test.gpu_waves or test.dma)
 
-    ``mutate_system`` (the fault-injection hook) is applied to every
-    candidate run, so table-overlay faults shrink like organic ones.
+
+def shrink_agents(test: LitmusTest, keeps: Callable[[LitmusTest], bool],
+                  budget: _Budget) -> LitmusTest:
+    """The shared shrink driver: levels 1-2 plus the empty-slot strip.
+
+    ``keeps`` is the acceptance predicate ("fails the same way" for
+    :func:`minimize_failure`, "still fires every claimed row" for the fuzz
+    corpus); it must hold for ``test`` itself.  Each ``keeps`` call costs
+    one budget unit, and a candidate with no agent left is rejected before
+    any unit is spent.  An exhausted budget returns the current shape.
     """
 
-    def run(candidate: LitmusTest, trace: bool = False) -> LitmusOutcome:
-        return run_litmus(
-            candidate,
-            policy=POLICY_VARIANTS[policy_name],
-            policy_name=policy_name,
-            schedule=schedule,
-            max_events=max_events,
-            trace=trace,
-            mutate_system=mutate_system,
-        )
-
-    first = run(test)
-    if first.ok:
-        return None
-    kind = first.failure_kind
-    budget = _Budget(max_runs)
-
-    def fails(candidate: LitmusTest) -> bool:
-        outcome = run(candidate)
-        return outcome.failure_kind == kind
+    def accept(candidate: LitmusTest) -> bool:
+        return _has_agents(candidate) and budget.take() and keeps(candidate)
 
     current = test
 
@@ -165,101 +154,118 @@ def minimize_failure(
             candidate = current.with_agents(
                 threads, current.gpu_waves, current.dma
             )
-            if budget.take() and fails(candidate):
+            if accept(candidate):
                 current = candidate
                 changed = True
         for index in range(len(current.gpu_waves)):
             waves = [list(s) for s in current.gpu_waves]
             del waves[index]
             candidate = current.with_agents(current.threads, waves, current.dma)
-            if candidate.threads or candidate.gpu_waves or candidate.dma:
-                if budget.take() and fails(candidate):
-                    current = candidate
-                    changed = True
-                    break  # indices shifted; restart the wave scan
+            if accept(candidate):
+                current = candidate
+                changed = True
+                break  # indices shifted; restart the wave scan
         for index in range(len(current.dma)):
             dma = list(current.dma)
             del dma[index]
             candidate = current.with_agents(
                 current.threads, current.gpu_waves, dma
             )
-            if candidate.threads or candidate.gpu_waves or candidate.dma:
-                if budget.take() and fails(candidate):
-                    current = candidate
-                    changed = True
-                    break
+            if accept(candidate):
+                current = candidate
+                changed = True
+                break
 
-    # level 2: ddmin each surviving agent's op list
+    # level 2: ddmin each surviving agent's op list (the slot itself stays,
+    # so no candidate here is agent-less)
     for index in range(len(current.threads)):
         if not current.threads[index]:
             continue
 
-        def fails_with(ops_list: list, slot: int = index) -> bool:
+        def keeps_thread(ops_list: list, slot: int = index) -> bool:
             threads = [list(s) for s in current.threads]
             threads[slot] = list(ops_list)
-            return fails(
+            return keeps(
                 current.with_agents(threads, current.gpu_waves, current.dma)
             )
 
-        shrunk = _ddmin(list(current.threads[index]), fails_with, budget)
+        shrunk = _ddmin(list(current.threads[index]), keeps_thread, budget)
         threads = [list(s) for s in current.threads]
         threads[index] = shrunk
         current = current.with_agents(threads, current.gpu_waves, current.dma)
     for index in range(len(current.gpu_waves)):
 
-        def fails_with(ops_list: list, slot: int = index) -> bool:
+        def keeps_wave(ops_list: list, slot: int = index) -> bool:
             waves = [list(s) for s in current.gpu_waves]
             waves[slot] = list(ops_list)
-            candidate = current.with_agents(current.threads, waves, current.dma)
-            if not (candidate.threads or candidate.gpu_waves or candidate.dma):
-                return False
-            return fails(candidate)
+            return keeps(
+                current.with_agents(current.threads, waves, current.dma)
+            )
 
-        shrunk = _ddmin(list(current.gpu_waves[index]), fails_with, budget)
+        shrunk = _ddmin(list(current.gpu_waves[index]), keeps_wave, budget)
         waves = [list(s) for s in current.gpu_waves]
         waves[index] = shrunk
         current = current.with_agents(current.threads, waves, current.dma)
+
     # drop now-empty waves / trailing empty threads — but agent count is
     # itself a schedule input (it shifts downstream tie-breaks), so only
-    # adopt the stripped form if it still fails the same way
+    # adopt the stripped form if ``keeps`` still holds for it
     stripped = current.with_agents(
         _rstrip_empty(current.threads),
         [wave for wave in current.gpu_waves if wave],
         current.dma,
     )
-    if ((stripped.threads or stripped.gpu_waves or stripped.dma)
-            and stripped.to_json() != current.to_json()
-            and budget.take() and fails(stripped)):
+    if stripped.to_json() != current.to_json() and accept(stripped):
         current = stripped
-    # else: every op shrank away (the failure needs no agent at all, e.g. a
-    # broken init-state postcondition), the strip changed nothing, or the
-    # stripped shape no longer reproduces — keep the verified form
+    return current
+
+
+def minimize_failure(
+    test: LitmusTest,
+    policy_name: str,
+    schedule: Schedule,
+    mutate_system: Callable[[object], None] | None = None,
+    max_events: int = LITMUS_MAX_EVENTS,
+    max_runs: int = 400,
+) -> MinimizationResult | None:
+    """Shrink a failing triple; returns None if the original run passes.
+
+    ``mutate_system`` (the fault-injection hook) is applied to every
+    candidate run, so table-overlay faults shrink like organic ones.
+    """
+
+    def run(candidate: LitmusTest, run_schedule: Schedule,
+            trace: bool = False) -> LitmusOutcome:
+        return run_litmus(
+            candidate,
+            policy=POLICY_VARIANTS[policy_name],
+            policy_name=policy_name,
+            schedule=run_schedule,
+            max_events=max_events,
+            trace=trace,
+            mutate_system=mutate_system,
+        )
+
+    first = run(test, schedule)
+    if first.ok:
+        return None
+    kind = first.failure_kind
+    budget = _Budget(max_runs)
+    # if every op shrinks away (the failure needs no agent at all, e.g. a
+    # broken init-state postcondition) the last verified shape is kept
+    current = shrink_agents(
+        test, lambda candidate: run(candidate, schedule).failure_kind == kind,
+        budget,
+    )
 
     # level 3: simplify the schedule
     final_schedule = schedule
     for simpler in _simpler_schedules(schedule):
-        if budget.take():
-            outcome = run_litmus(
-                current,
-                policy=POLICY_VARIANTS[policy_name],
-                policy_name=policy_name,
-                schedule=simpler,
-                max_events=max_events,
-                mutate_system=mutate_system,
-            )
-            if outcome.failure_kind == kind:
-                final_schedule = simpler
-                break
+        if budget.take() and run(current, simpler).failure_kind == kind:
+            final_schedule = simpler
+            break
 
-    final = run_litmus(
-        current,
-        policy=POLICY_VARIANTS[policy_name],
-        policy_name=policy_name,
-        schedule=final_schedule,
-        max_events=max_events,
-        trace=True,
-        mutate_system=mutate_system,
-    )
+    final = run(current, final_schedule, trace=True)
     return MinimizationResult(
         original=test,
         minimized=current,
@@ -373,5 +379,6 @@ __all__ = [
     "load_artifact",
     "minimize_failure",
     "replay_artifact",
+    "shrink_agents",
     "DmaSpec",
 ]

@@ -2,7 +2,7 @@
 
 One litmus outcome under one arbitrary schedule proves little; the classic
 Ruby-random-tester lineage replays each test under *many* interleavings.  A
-:class:`Schedule` names one deterministic interleaving via three knobs:
+:class:`Schedule` names one deterministic interleaving via its knobs:
 
 - **latency jitter** — every ``(src_kind, dst_kind)`` fabric latency gains
   a seeded 0..``jitter_cycles`` cycles (per direction), skewing request,
@@ -12,15 +12,21 @@ Ruby-random-tester lineage replays each test under *many* interleavings.  A
   seeded-random order instead of FIFO
   (:meth:`EventQueue.set_tie_break`);
 - **link bandwidth** — finite-bandwidth link serialization plus WRR input
-  arbitration at the directory (:meth:`Network.set_link_bandwidth`), so
-  bursts queue instead of overlapping — a whole family of interleavings
-  (back-pressure reordering) latency jitter alone cannot reach;
+  arbitration at the directory, so bursts queue instead of overlapping — a
+  whole family of interleavings (back-pressure reordering) latency jitter
+  alone cannot reach;
 - **bounded queues** — finite input-port queues with credit back-pressure
-  on top of the finite-bandwidth fabric
-  (:meth:`Network.set_flow_control`), so a full downstream port stalls
+  on top of the finite-bandwidth fabric, so a full downstream port stalls
   its senders' output ports and transitively the components behind them;
   combined with a **watchdog window** that arms the deadlock/starvation
-  watchdog, every explored interleaving doubles as a liveness proof.
+  watchdog, every explored interleaving doubles as a liveness proof;
+- **directory entries** — a tiny directory cache that forces
+  directory-cache replacement under ordinary litmus traffic.
+
+Jitter and tie-break perturb a built system (:meth:`Schedule.apply`); the
+other knobs are system configuration, built into the
+:class:`~repro.system.config.SystemConfig` by
+:func:`~repro.verify.litmus.harness.litmus_config`.
 
 All perturbations stay inside the simulator's legal behaviours (latency and
 bandwidth are free parameters; tie order among simultaneous events is
@@ -60,27 +66,22 @@ class Schedule:
         )
 
     def apply(self, system) -> None:
-        """Install this schedule's perturbations on a freshly built system.
+        """Install this schedule's per-run perturbations (latency jitter,
+        tie-break) on a freshly built system.
 
-        Must run before any workload starts (routes are precomputed, ports
-        must start empty, and the tie-break only affects newly scheduled
-        events).  ``dir_entries`` is the exception: directory geometry is
-        baked in at build time, so the harness folds it into the policy
-        *before* :func:`~repro.system.builder.build_system` — ``apply``
-        deliberately ignores it.
+        Must run before any workload starts (routes are precomputed and the
+        tie-break only affects newly scheduled events).  The fabric knobs
+        and ``dir_entries`` are not perturbations of a built system but
+        part of its configuration:
+        :func:`~repro.verify.litmus.harness.litmus_config` builds them into
+        the :class:`~repro.system.config.SystemConfig`.
         """
-        if self.link_bytes_per_cycle:
-            system.network.set_link_bandwidth(self.link_bytes_per_cycle)
-        if self.input_queue_depth:
-            system.network.set_flow_control(self.input_queue_depth)
         if self.jitter_cycles:
             system.network.jitter_latencies(
                 random.Random(self.seed * 2 + 1), self.jitter_cycles
             )
         if self.tie_break:
             system.sim.events.set_tie_break(random.Random(self.seed * 2))
-        if self.watchdog_window_cycles:
-            system.arm_watchdog(self.watchdog_window_cycles)
 
     def label(self) -> str:
         if self.is_canonical:

@@ -265,38 +265,6 @@ class TestLatencyCyclesStrict:
         assert network.latency_cycles("a", "b") == 10
 
 
-class TestAccountMatchesSend:
-    """Regression: ``_account`` drifted from ``send`` — it raised a bare
-    ``KeyError`` for unattached endpoints and bypassed the fast accounting
-    path.  Both now share one helper."""
-
-    def test_account_increments_same_counters_as_send(self, sim, fabric):
-        network, _a, _b = fabric
-        network.send(FakeMsg("a", "b", category="probe", size_bytes=8))
-        sim.run()
-        network._account(FakeMsg("a", "b", category="probe", size_bytes=8))
-        assert network.stats["messages"] == 2
-        assert network.stats["messages.probe"] == 2
-        assert network.stats["bytes"] == 16
-        assert network.stats.child("routes")["l2->dir"] == 2
-
-    def test_account_unknown_source_raises_simulation_error(self, fabric):
-        network, _a, _b = fabric
-        with pytest.raises(SimulationError, match="unknown network source"):
-            network._account(FakeMsg("ghost", "b"))
-
-    def test_account_unknown_destination_raises_simulation_error(self, fabric):
-        network, _a, _b = fabric
-        with pytest.raises(SimulationError, match="unknown network endpoint"):
-            network._account(FakeMsg("a", "nope"))
-
-    def test_account_does_not_deliver(self, sim, fabric):
-        network, _a, b = fabric
-        network._account(FakeMsg("a", "b"))
-        sim.run()
-        assert b.received == []
-
-
 class TestFiniteBandwidth:
     """The ``link_bytes_per_cycle`` serialization model."""
 
@@ -315,10 +283,9 @@ class TestFiniteBandwidth:
         assert "ports" not in network.stats.as_dict()
         assert "arb" not in network.stats.as_dict()
 
-    def test_negative_bandwidth_rejected(self, fabric):
-        network, _a, _b = fabric
+    def test_negative_bandwidth_rejected(self, sim, clock):
         with pytest.raises(SimulationError, match="link bandwidth"):
-            network.set_link_bandwidth(-1)
+            self.make(sim, clock, bpc=-1)
 
     def test_serialization_delays_arrival(self, sim, clock):
         network = self.make(sim, clock, bpc=8, latency=10)
@@ -475,9 +442,8 @@ class TestFlowControl:
         assert not any(key.endswith(".credit_blocks") for key in ports)
 
     def test_negative_queue_depth_rejected(self, sim, clock):
-        network, _sink = self.build(sim, clock, depth=1)
         with pytest.raises(SimulationError, match="input queue depth"):
-            network.set_flow_control(-1)
+            self.build(sim, clock, depth=-1)
 
     def test_occupancy_integral_matches_total_wait(self, sim, clock):
         network = Network(

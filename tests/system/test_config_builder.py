@@ -81,14 +81,12 @@ class TestScaledPresets:
 class TestContendedPreset:
     def test_defaults_are_zero_contention(self):
         config = SystemConfig.benchmark()
-        assert not config.is_contended
         assert config.link_bytes_per_cycle == 0
         assert config.mem_banks == 1
         assert config.mem_row_bytes == 0
 
     def test_contended_layers_the_knob_set(self):
         config = SystemConfig.contended()
-        assert config.is_contended
         for knob, value in SystemConfig.CONTENDED_KNOBS.items():
             assert getattr(config, knob) == value
         # everything else still matches the benchmark preset

@@ -22,7 +22,13 @@ from repro.verify.litmus import (
     replay_artifact,
     run_litmus,
 )
-from repro.verify.litmus.minimize import _Budget, _ddmin
+from repro.verify.litmus.dsl import DmaSpec, LitmusTest
+from repro.verify.litmus.minimize import (
+    _Budget,
+    _ddmin,
+    _has_agents,
+    shrink_agents,
+)
 
 M, O = MoesiState.M, MoesiState.O
 
@@ -220,3 +226,65 @@ class TestDdmin:
     def test_budget_exhaustion_returns_current_best(self):
         shrunk = _ddmin(list(range(32)), lambda xs: 7 in xs, _Budget(3))
         assert 7 in shrunk
+
+
+class TestShrinkAgents:
+    """The shared shrink driver with a pure predicate (no simulation)."""
+
+    @staticmethod
+    def _gpu_only() -> LitmusTest:
+        ops = [("store", "x", 1), ("load", "x", "r"), ("store", "y", 2),
+               ("load", "y", "s")]
+        return LitmusTest("gpu_only", "", {"x": (0, 0), "y": (1, 0)},
+                          gpu_waves=[ops])
+
+    @staticmethod
+    def _dma_only() -> LitmusTest:
+        return LitmusTest("dma_only", "", {"x": (0, 0)},
+                          dma=[DmaSpec("write", "x", value=1),
+                               DmaSpec("read", "x")])
+
+    @staticmethod
+    def _recording(predicate):
+        seen = []
+
+        def keeps(candidate):
+            seen.append(candidate)
+            return predicate(candidate)
+
+        return keeps, seen
+
+    @pytest.mark.parametrize("make", ["_gpu_only", "_dma_only"])
+    def test_keeps_never_sees_an_agentless_candidate(self, make):
+        keeps, seen = self._recording(lambda candidate: True)
+        budget = _Budget(500)
+        shrunk = shrink_agents(getattr(self, make)(), keeps, budget)
+        assert seen
+        assert all(_has_agents(candidate) for candidate in seen)
+        assert _has_agents(shrunk)
+        assert budget.used == len(seen)
+
+    def test_gpu_wave_shrinks_to_the_needed_op(self):
+        keeps, seen = self._recording(
+            lambda candidate: ("store", "y", 2) in candidate.gpu_waves[0]
+        )
+        budget = _Budget(500)
+        shrunk = shrink_agents(self._gpu_only(), keeps, budget)
+        assert shrunk.gpu_waves == [[("store", "y", 2)]]
+        assert budget.used == len(seen)
+
+    def test_dma_only_keeps_one_transfer(self):
+        keeps, seen = self._recording(lambda candidate: True)
+        budget = _Budget(500)
+        shrunk = shrink_agents(self._dma_only(), keeps, budget)
+        assert shrunk.dma == [DmaSpec("read", "x")]
+        assert budget.used == len(seen) == 1
+
+    @pytest.mark.parametrize("make", ["_gpu_only", "_dma_only"])
+    def test_exhausted_budget_returns_shape_unchanged(self, make):
+        test = getattr(self, make)()
+        keeps, seen = self._recording(lambda candidate: True)
+        budget = _Budget(0)
+        shrunk = shrink_agents(test, keeps, budget)
+        assert shrunk.to_json() == test.to_json()
+        assert seen == [] and budget.used == 0

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import pytest
+
+from repro import build_system
 from repro.verify.litmus import (
+    POLICY_VARIANTS,
     SCHEDULE_VARIANTS,
     Schedule,
     bounded_schedules,
@@ -12,6 +16,7 @@ from repro.verify.litmus import (
     run_schedules,
     variant_of,
 )
+from repro.verify.litmus.harness import litmus_config
 from repro.verify.litmus.schedule import (
     DEFAULT_JITTER_CYCLES,
     DEFAULT_SCHEDULE_BANDWIDTH,
@@ -97,21 +102,30 @@ class TestScheduleObjects:
         assert Schedule.from_json(old) == Schedule(3, 4, True, 8)
 
     def test_apply_enables_link_bandwidth(self):
-        from repro import SystemConfig, build_system
-
-        system = build_system(SystemConfig.small())
-        Schedule(1, link_bytes_per_cycle=8).apply(system)
+        """Fabric knobs reach the system through the built config."""
+        system = build_system(litmus_config(
+            POLICY_VARIANTS["baseline"], Schedule(1, link_bytes_per_cycle=8)
+        ))
         assert system.network.link_bytes_per_cycle == 8
 
     def test_apply_enables_flow_control_and_watchdog(self):
-        from repro import SystemConfig, build_system
-
-        system = build_system(SystemConfig.small())
-        Schedule(1, link_bytes_per_cycle=8, input_queue_depth=4,
-                 watchdog_window_cycles=1000.0).apply(system)
+        system = build_system(litmus_config(
+            POLICY_VARIANTS["baseline"],
+            Schedule(1, link_bytes_per_cycle=8, input_queue_depth=4,
+                     watchdog_window_cycles=1000.0),
+        ))
         assert system.network.input_queue_depth == 4
         assert system.sim.watchdog is not None
         assert system.sim.watchdog.window_cycles == 1000.0
+
+    def test_queue_depth_without_bandwidth_rejected_at_build(self):
+        """Bounded queues without the finite-bandwidth fabric are a
+        contradictory config; the build refuses it instead of silently
+        running the flat fabric."""
+        config = litmus_config(POLICY_VARIANTS["baseline"],
+                               Schedule(1, input_queue_depth=4))
+        with pytest.raises(ValueError, match="bounded input queues need"):
+            build_system(config)
 
     def test_labels_are_distinct(self):
         labels = [s.label() for s in default_schedules(8)]
