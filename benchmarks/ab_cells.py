@@ -1,0 +1,204 @@
+"""In-process A/B timing of two checkouts on the same figure cells and litmus runs.
+
+Usage, from the root of the checkout under test::
+
+    python3 benchmarks/ab_cells.py --base ../parent-checkout [--rounds 2]
+
+Two long-lived worker subprocesses, one importing ``repro`` from each
+checkout's ``src``, run the same op alternately: a figure cell (build plus
+run, seed 0) on the flat or the bounded fabric, or one litmus run.  Each
+op runs on both sides back to back, and which side goes first alternates
+from op to op, so slow drift of a noisy host lands on both sides about
+equally.  Per round and in total the tool prints the summed host time per
+group (``flat``, ``bounded``, ``litmus``) and the base/head ratio: above
+1.0 means the head checkout is faster.
+
+Every op's simulated outcome must agree between the two sides (a digest of
+ticks and stats for cells; of failure kind, ticks, registers and final
+memory for litmus runs): a change meant to be a pure speedup that moves a
+simulated result is reported and the tool exits non-zero.
+
+The op list comes from this checkout's ``perfbench/workloads.py`` (the
+same 60 cells per fabric and the same 2208 litmus runs as perfbench).
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+HEAD_ROOT = Path(__file__).resolve().parent.parent
+
+GROUPS = ("flat", "bounded", "litmus")
+
+
+# -- worker side -------------------------------------------------------------
+
+
+def _digest(*parts: object) -> str:
+    return hashlib.sha256(repr(parts).encode()).hexdigest()[:16]
+
+
+def _worker(src: str) -> None:
+    """Serve ops read as JSON lines from stdin; answer on the real stdout."""
+    out = sys.stdout
+    sys.stdout = sys.stderr  # anything the simulator prints stays off the pipe
+    sys.path.insert(0, src)
+    import repro
+    from repro import PRESETS, SystemConfig, build_system, get_workload
+    from repro.verify.litmus import Schedule, get_litmus, run_litmus
+
+    configs = {"flat": SystemConfig.benchmark, "bounded": SystemConfig.bounded}
+    out.write(json.dumps({"repro": repro.__file__}) + "\n")
+    out.flush()
+    for line in sys.stdin:
+        op = json.loads(line)
+        gc.collect()
+        if op["group"] == "litmus":
+            test = get_litmus(op["test"])
+            schedule = Schedule.from_json(op["schedule"])
+            start = time.perf_counter()
+            outcome = run_litmus(test, policy_name=op["policy"], schedule=schedule)
+            seconds = time.perf_counter() - start
+            digest = _digest(outcome.failure_kind, outcome.ticks,
+                             sorted(outcome.regs.items()),
+                             sorted((outcome.final_memory or {}).items()))
+        else:
+            config = configs[op["group"]](policy=PRESETS[op["policy"]])
+            workload = get_workload(op["workload"])
+            start = time.perf_counter()
+            result = build_system(config).run_workload(workload, seed=0)
+            seconds = time.perf_counter() - start
+            digest = _digest(result.ticks, sorted(result.stats.items()))
+        out.write(json.dumps({"seconds": seconds, "digest": digest}) + "\n")
+        out.flush()
+
+
+# -- controller side ---------------------------------------------------------
+
+
+class Worker:
+    """One long-lived worker process bound to one checkout's ``src``."""
+
+    def __init__(self, label: str, root: Path) -> None:
+        src = (root / "src").resolve()
+        if not (src / "repro").is_dir():
+            raise SystemExit(f"ab_cells: no src/repro under {root}")
+        self.label = label
+        env = dict(os.environ, PYTHONPATH=str(src))
+        self.proc = subprocess.Popen(
+            [sys.executable, __file__, "--worker", str(src)],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env,
+        )
+        hello = json.loads(self.proc.stdout.readline())
+        if not Path(hello["repro"]).resolve().is_relative_to(src):
+            raise SystemExit(f"ab_cells: {label} imported {hello['repro']}, not {src}")
+        self.repro = hello["repro"]
+
+    def run(self, op: dict) -> dict:
+        self.proc.stdin.write(json.dumps(op) + "\n")
+        self.proc.stdin.flush()
+        line = self.proc.stdout.readline()
+        if not line:
+            raise SystemExit(f"ab_cells: {self.label} worker died on {op}")
+        return json.loads(line)
+
+    def close(self) -> None:
+        self.proc.stdin.close()
+        self.proc.wait()
+
+
+def build_ops() -> list[dict]:
+    """The perfbench ops of every group, as plain data a worker can run."""
+    sys.path.insert(0, str(HEAD_ROOT / "src"))
+    sys.path.insert(0, str(HEAD_ROOT / "perfbench"))
+    from workloads import FigureWorkload, LitmusWorkload
+
+    from repro import SystemConfig
+
+    ops: list[dict] = []
+    for group in GROUPS:
+        if group == "litmus":
+            ops += [{"group": group, "test": test.name, "policy": policy,
+                     "schedule": schedule.to_json()}
+                    for test, policy, schedule in LitmusWorkload(0).runs]
+        else:
+            pairs = FigureWorkload(group, SystemConfig.benchmark, 0).pairs
+            ops += [{"group": group, "workload": workload, "policy": policy}
+                    for workload, policy in pairs]
+    return ops
+
+
+def run_round(base: Worker, head: Worker, ops: list[dict],
+              flip: bool) -> tuple[dict, list[str]]:
+    """Run every op on both sides, alternating which side goes first."""
+    totals = {group: [0.0, 0.0] for group in GROUPS}
+    mismatches = []
+    for index, op in enumerate(ops):
+        if (index % 2 == 0) != flip:
+            got_base, got_head = base.run(op), head.run(op)
+        else:
+            got_head, got_base = head.run(op), base.run(op)
+        totals[op["group"]][0] += got_base["seconds"]
+        totals[op["group"]][1] += got_head["seconds"]
+        if got_base["digest"] != got_head["digest"]:
+            mismatches.append(json.dumps(op, sort_keys=True))
+    return totals, mismatches
+
+
+def format_totals(title: str, totals: dict, counts: dict) -> str:
+    lines = [f"{title:<8} {'ops':>5} {'base_s':>8} {'head_s':>8} {'base/head':>9}"]
+    for group in GROUPS:
+        base_s, head_s = totals[group]
+        if counts.get(group):
+            lines.append(f"{group:<8} {counts[group]:>5} {base_s:>8.3f} "
+                         f"{head_s:>8.3f} {base_s / head_s:>8.3f}x")
+    return "\n".join(lines)
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", required=True, type=Path,
+                        help="root of the checkout to compare against")
+    parser.add_argument("--rounds", type=int, default=2)
+    args = parser.parse_args(argv)
+
+    ops = build_ops()
+    counts = {group: sum(op["group"] == group for op in ops) for group in GROUPS}
+    base = Worker("base", args.base)
+    head = Worker("head", HEAD_ROOT)
+    print(f"base: {base.repro}\nhead: {head.repro}")
+    grand = {group: [0.0, 0.0] for group in GROUPS}
+    mismatches: list[str] = []
+    try:
+        for round_index in range(args.rounds):
+            totals, bad = run_round(base, head, ops, flip=bool(round_index % 2))
+            mismatches += bad
+            print(format_totals(f"round {round_index + 1}", totals, counts))
+            for group in GROUPS:
+                grand[group][0] += totals[group][0]
+                grand[group][1] += totals[group][1]
+    finally:
+        base.close()
+        head.close()
+    print(format_totals("total", grand, counts))
+    if mismatches:
+        print(f"{len(mismatches)} op(s) simulate differently on base and head:")
+        for op in mismatches[:10]:
+            print(f"  {op}")
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] == ["--worker"]:
+        _worker(sys.argv[2])
+    else:
+        raise SystemExit(main())

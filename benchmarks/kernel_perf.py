@@ -3,10 +3,8 @@
 Timed benchmarks plus a machine-speed calibration score:
 
 - ``event_queue`` — raw :class:`~repro.sim.event_queue.EventQueue`
-  throughput: self-rescheduling callbacks through the inner ``run()`` loop.
-- ``event_queue_calendar`` — the workload shape the calendar queue is built
-  for: many lanes colliding on the same quantized ticks (deep same-tick
-  buckets) plus standing far-future timers exercising the overflow heap.
+  throughput: 64 lanes of self-rescheduling callbacks, all with the same
+  delay, through the inner ``run()`` loop.
 - ``alloc_pooling`` — steady-state banked-memory churn through the pooled
   access/commit records and bound stat counters (the allocation-audit
   test pins that this path allocates ~nothing per access).
@@ -15,6 +13,9 @@ Timed benchmarks plus a machine-speed calibration score:
 - ``network_contended`` — the same ping-pong on a finite-bandwidth fabric
   (8 bytes/cycle, WRR arbitration at the directory port), exercising the
   output-port serialization and input-arbitration paths.
+- ``network_bounded`` — the contended ping-pong under flow control
+  (``input_queue_depth=1``, four messages in flight), so senders park on
+  a full input port and unblock on the hand-off credit.
 - ``figure_slice`` — one real figure-pipeline cell (cedd on the baseline
   policy) timed end-to-end, events/sec taken from the event queue itself.
 - ``paper_build`` — ``build_system(SystemConfig())`` at paper geometry
@@ -57,7 +58,9 @@ from repro.workloads.registry import get_workload  # noqa: E402
 #: v3: calendar event queue became the production kernel;
 #: event_queue_calendar (clustered ticks + far-future timers) and
 #: alloc_pooling (pooled banked-memory churn) added.
-SUITE_VERSION = 3
+#: v4: the binary heap is the only kernel; event_queue_calendar dropped,
+#: network_bounded (credit park/unblock) added.
+SUITE_VERSION = 4
 
 
 # -- calibration -----------------------------------------------------------
@@ -87,46 +90,10 @@ def bench_event_queue(num_events: int = 200_000) -> dict:
         if remaining[0] > 0:
             queue.schedule_after(7, tick)
 
-    # A modest standing population keeps the heap realistically deep.
+    # A modest standing population keeps the heap realistically deep; the
+    # lanes share one delay, so same-tick clusters form as in real runs.
     for lane in range(64):
         queue.schedule(lane + 1, tick)
-    start = time.perf_counter()
-    queue.run()
-    elapsed = time.perf_counter() - start
-    executed = queue.executed_events
-    return {
-        "events": executed,
-        "seconds": elapsed,
-        "events_per_sec": executed / elapsed,
-    }
-
-
-def bench_event_queue_calendar(num_events: int = 200_000) -> dict:
-    """Clustered same-tick scheduling plus standing far-future timers.
-
-    Route tables and clock periods quantize real-system delays onto a small
-    set of tick offsets, so protocol bursts pile many events onto the same
-    tick.  Here 64 lanes all reschedule with the same delay, keeping every
-    bucket 64 deep (one dict probe + list append per event), while 8 timers
-    parked beyond ``FAR_HORIZON`` keep the overflow heap exercised.
-    """
-    queue = EventQueue()
-    remaining = [num_events]
-    far_delay = EventQueue.FAR_HORIZON + 1
-
-    def tick() -> None:
-        remaining[0] -= 1
-        if remaining[0] > 0:
-            queue.schedule_after(8, tick)
-
-    def far_timer() -> None:
-        if remaining[0] > 0:
-            queue.schedule_after(far_delay, far_timer)
-
-    for _ in range(64):
-        queue.schedule(8, tick)
-    for _ in range(8):
-        queue.schedule_after(far_delay, far_timer)
     start = time.perf_counter()
     queue.run()
     elapsed = time.perf_counter() - start
@@ -221,13 +188,15 @@ class _BenchMsg:
         self.size_bytes = 8
 
 
-def _run_ping_pong(num_messages: int, link_bytes_per_cycle: int = 0) -> dict:
+def _run_ping_pong(num_messages: int, link_bytes_per_cycle: int = 0,
+                   input_queue_depth: int = 0, in_flight: int = 1) -> dict:
     sim = Simulator()
     clock = ClockDomain("bench", 1e9)
     network = Network(
         sim, clock, default_latency_cycles=10.0,
         link_bytes_per_cycle=link_bytes_per_cycle,
         arb_weights={"cpu": 4, "gpu": 2, "dma": 1},
+        input_queue_depth=input_queue_depth,
     )
     a = _PingPong(sim, "a", clock, network)
     b = _PingPong(sim, "b", clock, network)
@@ -237,17 +206,24 @@ def _run_ping_pong(num_messages: int, link_bytes_per_cycle: int = 0) -> dict:
     a.budget = num_messages // 2
     b.budget = num_messages - num_messages // 2
     start = time.perf_counter()
-    network.send(_BenchMsg("a", "b"))
+    for _ in range(in_flight):
+        network.send(_BenchMsg("a", "b"))
     sim.events.run()
     elapsed = time.perf_counter() - start
     sent = int(network.stats["messages"])
-    return {
+    report = {
         "messages": sent,
         "events": sim.events.executed_events,
         "seconds": elapsed,
         "messages_per_sec": sent / elapsed,
         "events_per_sec": sim.events.executed_events / elapsed,
     }
+    if input_queue_depth:
+        report["credit_blocks"] = int(sum(
+            value for key, value in network.stats.child("ports").as_dict().items()
+            if key.endswith(".credit_blocks")
+        ))
+    return report
 
 
 def bench_network(num_messages: int = 100_000) -> dict:
@@ -262,6 +238,16 @@ def bench_network_contended(num_messages: int = 100_000) -> dict:
     directory-side message additionally crosses the WRR input port — the
     hot path of the contention model."""
     return _run_ping_pong(num_messages, link_bytes_per_cycle=8)
+
+
+def bench_network_bounded(num_messages: int = 100_000) -> dict:
+    """The contended ping-pong under credit flow control.
+
+    One input-queue slot at the directory port and four messages in
+    flight: the sender's output port keeps parking on the full port and
+    unblocking on the hand-off credit, the bounded fabric's hot path."""
+    return _run_ping_pong(num_messages, link_bytes_per_cycle=8,
+                          input_queue_depth=1, in_flight=4)
 
 
 # -- a real figure-pipeline slice -----------------------------------------
@@ -351,15 +337,15 @@ def run_suite(quick: bool = False, repeats: int = 3) -> dict:
         "calibration_ops_per_sec": calibration_score(),
         "benchmarks": {
             "event_queue": best(bench_event_queue, eq_n, key="events_per_sec"),
-            "event_queue_calendar": best(
-                bench_event_queue_calendar, eq_n, key="events_per_sec",
-            ),
             "alloc_pooling": best(
                 bench_alloc_pooling, mem_n, key="events_per_sec",
             ),
             "network": best(bench_network, net_n, key="messages_per_sec"),
             "network_contended": best(
                 bench_network_contended, net_n, key="messages_per_sec",
+            ),
+            "network_bounded": best(
+                bench_network_bounded, net_n, key="messages_per_sec",
             ),
             "figure_slice": best(
                 bench_figure_slice, "cedd", "baseline", slice_scale,

@@ -1,7 +1,7 @@
 """Kernel microbenchmark suite (perf trajectory).
 
 Times the simulation kernel — raw event-queue dispatch, pooled memory
-churn, the fabric message path (flat and contended), one real
+churn, the fabric message path (flat, contended and bounded), one real
 figure-pipeline cell, and paper-geometry system construction — and emits
 ``BENCH_kernel.json`` at the repo root (override with ``$REPRO_BENCH_OUT``).
 The committed ``BENCH_kernel.json`` is the perf-trajectory baseline; the CI
@@ -61,6 +61,16 @@ def test_contended_network_path_throughput_is_sane(report):
     assert bench["messages_per_sec"] > 5_000
     # port serialization + WRR arbitration add events per message
     # (arrival, grant-completion, delivery, handling) on the dir-bound leg
+    assert bench["events"] > 2 * bench["messages"]
+
+
+def test_bounded_network_path_parks_and_unblocks(report):
+    bench = report["benchmarks"]["network_bounded"]
+    assert bench["messages"] > 0
+    assert bench["messages_per_sec"] > 5_000
+    # one input-queue slot and four messages in flight: senders park on
+    # the full port (and every park ends in an unblock, or the run stalls)
+    assert bench["credit_blocks"] > bench["messages"] // 10
     assert bench["events"] > 2 * bench["messages"]
 
 

@@ -61,7 +61,7 @@ class WrrArbiter:
     """
 
     __slots__ = ("name", "_weights", "_queues", "_order", "_index", "_credit",
-                 "busy", "grants", "enqueued")
+                 "_count", "busy", "grants", "enqueued")
 
     def __init__(self, name: str, weights: dict[str, int] | None = None) -> None:
         self.name = name
@@ -73,6 +73,8 @@ class WrrArbiter:
         #: pointer into ``_order`` and remaining credit of the current class
         self._index = 0
         self._credit = self._weights[self._order[0]] if self._order else 0
+        #: items waiting across every class (kept so pending() is O(1))
+        self._count = 0
         #: port-occupancy flag maintained by the timing layer around us
         self.busy = False
         #: total grants / enqueues (cheap occupancy telemetry)
@@ -99,18 +101,19 @@ class WrrArbiter:
             if len(self._order) == 1:
                 self._credit = self._weights[cls]
         queue.append(item)
+        self._count += 1
         self.enqueued += 1
 
     def pending(self) -> int:
         """Total items waiting across every class."""
-        return sum(len(q) for q in self._queues.values())
+        return self._count
 
     def pending_in(self, cls: str) -> int:
         queue = self._queues.get(cls)
         return len(queue) if queue is not None else 0
 
     def __len__(self) -> int:
-        return self.pending()
+        return self._count
 
     def classes(self) -> Iterable[str]:
         return tuple(self._order)
@@ -125,29 +128,36 @@ class WrrArbiter:
 
         The current class keeps the grant while it has both queued items and
         remaining credit; otherwise the pointer advances (recharging credit)
-        and empty classes are skipped without spending theirs.
+        and empty classes are skipped without spending theirs.  A pick with
+        nothing queued still moves the pointer one class on and recharges
+        it, exactly as a full ``len(order) + 1`` scan over empty queues
+        would: grant order after an idle spell depends on it.
         """
         order = self._order
         if not order:
             return None
-        queues = self._queues
         weights = self._weights
         index = self._index
+        if not self._count:
+            index = (index + 1) % len(order)
+            self._index = index
+            self._credit = weights[order[index]]
+            return None
+        queues = self._queues
         credit = self._credit
-        for _scan in range(len(order) + 1):
+        # something is queued, so at most len(order) + 1 steps find it
+        while True:
             cls = order[index]
             queue = queues[cls]
             if queue and credit > 0:
                 self._index = index
                 self._credit = credit - 1
+                self._count -= 1
                 self.grants += 1
                 return cls, queue.popleft()
             # out of credit or nothing queued: move on, recharge next class
             index = (index + 1) % len(order)
             credit = weights[order[index]]
-        self._index = index
-        self._credit = credit
-        return None
 
     def __repr__(self) -> str:
         depths = {cls: len(q) for cls, q in self._queues.items() if q}

@@ -5,31 +5,22 @@ convention).  Components never touch ticks directly; they schedule through
 their :class:`~repro.sim.clock.ClockDomain`, which converts local cycles to
 ticks.
 
-Two queue implementations live here:
-
-- :class:`EventQueue` — the production kernel: a calendar-style *bucket
-  queue* keyed on absolute integer ticks.  Same-tick events (the common
-  case: route tables and clock periods quantize delays onto a small set of
-  tick offsets, so protocol bursts cluster) share one bucket appended to in
-  O(1); a min-heap orders only the *distinct* occupied ticks, and events
-  beyond a far horizon park in an overflow heap so timers never widen the
-  working set.  Event ordering is bit-identical to a single heap ordered by
-  ``(time, priority, seq)``.
-- :class:`HeapEventQueue` — the classic binary-heap kernel, kept as the
-  reference implementation: the litmus differential suite replays canonical
-  schedules on both queues and asserts identical traces, so any ordering
-  bug in the calendar queue is caught against this oracle.
+The kernel is one binary heap of ``(time, priority, seq, callback, arg)``
+tuples (:class:`EventQueue`).  Events run in ``(time, priority, seq)``
+order: lower priority first among same-tick events, then FIFO by the
+sequence number taken at scheduling time.  That order is the contract every
+golden stat set, the litmus schedule pin and the per-run litmus hashes rest
+on; :meth:`EventQueue.set_tie_break` is the only sanctioned way to permute
+it.  The queue keeps no free lists: the event tuple is the whole record.
 """
 
 from __future__ import annotations
 
 import heapq
-from bisect import insort
 from typing import Any, Callable, Iterable
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
-_heapify = heapq.heapify
 
 
 class SimulationError(RuntimeError):
@@ -47,81 +38,36 @@ _NO_ARG = object()
 
 
 class EventQueue:
-    """A calendar/bucket priority queue of ``(time, priority, seq)`` events.
+    """A binary-heap priority queue of ``(time, priority, seq)`` events.
 
     ``priority`` breaks ties between events scheduled for the same tick
-    (lower runs first); ``sequence`` preserves FIFO order among equals so the
+    (lower runs first); ``seq`` preserves FIFO order among equals so the
     simulation is fully deterministic.
-
-    Structure (see module docstring): ``_buckets`` maps an absolute tick to
-    the list of events due then, stored as ``(-priority, -seq, callback,
-    arg)`` so the list can be kept ascending and drained with O(1) pops off
-    the *end* in ``(priority, seq)`` order.  ``_times`` is a min-heap over
-    the distinct occupied ticks only — with several events per tick the heap
-    shrinks by the clustering factor, and the per-event cost of the common
-    path is one dict probe plus one list append.  Events further than
-    ``FAR_HORIZON`` ticks out go to the ``_far`` overflow heap and migrate
-    into buckets lazily when the near queue catches up.  Drained bucket
-    lists are recycled through a small free list, so steady-state operation
-    allocates no per-event bookkeeping beyond the event tuple itself.
 
     Events come in two shapes: ``callback()`` (the classic closure form) and
     ``callback(arg)`` when an ``arg`` is supplied to :meth:`schedule` /
     :meth:`schedule_after`.  The second form lets hot paths schedule a
-    preallocated bound method plus its payload instead of allocating a fresh
-    closure per event — the dominant per-message cost in the old kernel.
+    bound method plus its payload instead of allocating a fresh closure per
+    event.
 
     *Schedule exploration* (:meth:`set_tie_break`): tests can replace the
     FIFO tie-break among same-``(time, priority)`` events with a seeded
     random permutation, exploring alternative *legal* event orders the
     default schedule never samples.  Every explored schedule is still fully
     deterministic for a given seed.
-
-    *Cancellation* (:meth:`schedule_cancellable` / :meth:`cancel`): the
-    queue supports stale-event handling through pooled ``[callback, arg,
-    alive, generation]`` records.  A cancelled event stays in its bucket as
-    a stub but fires into nothing, its record returning to the free list;
-    generation counters make handles to recycled records inert, and
-    :meth:`reset` scrubs callback/arg references out of every pending and
-    pooled record so no workload object can leak across queue reuse.
     """
 
-    #: events scheduled further out than this park in the overflow heap.
-    #: 2^22 ticks ~= 4.2 us of simulated time: far beyond any route or DRAM
-    #: latency, so only long workload timers ever overflow.
-    FAR_HORIZON = 1 << 22
-
-    #: cap on recycled bucket lists / cancellable records kept around.
-    _POOL_LIMIT = 64
-
     def __init__(self) -> None:
-        #: absolute tick -> ascending list of (-priority, -seq, callback, arg)
-        self._buckets: dict[int, list] = {}
-        #: min-heap over the distinct ticks present in ``_buckets``
-        self._times: list[int] = []
-        #: overflow heap of (when, priority, seq, callback, arg) tuples
-        self._far: list[tuple] = []
-        #: bucket currently being drained by :meth:`run` (None otherwise)
-        self._active: list | None = None
-        #: recycled (empty) bucket lists
-        self._bucket_pool: list[list] = []
-        #: recycled cancellable-event records (slots scrubbed to None)
-        self._cancel_pool: list[list] = []
+        self._heap: list[tuple[int, int, int, Callable, object]] = []
         self._seq = 0
         self.now = 0
         self.executed_events = 0
-        self.cancelled_events = 0
         #: optional RNG permuting same-(time, priority) ordering (see
         #: :meth:`set_tie_break`); None = deterministic FIFO.
         self._tie_break = None
-        #: the cancellable-event trampoline, bound ONCE: attribute access on
-        #: a method creates a fresh bound-method object every time, so both
-        #: scheduling and the identity scan in :meth:`reset` must share this
-        #: single binding (and it saves an allocation per cancellable event).
-        self._trampoline = self._fire_cancellable
 
     def __len__(self) -> int:
-        return sum(map(len, self._buckets.values())) + len(self._far)
+        return len(self._heap)
 
     def set_tie_break(self, rng) -> None:
         """Permute the ordering of same-``(time, priority)`` events.
@@ -136,312 +82,6 @@ class EventQueue:
         This is the litmus suite's schedule-exploration hook; production
         runs never call it and pay only a None-check per scheduled event.
         """
-        self._tie_break = rng
-
-    def schedule(
-        self,
-        when: int,
-        callback: Callable,
-        priority: int = 0,
-        arg: object = _NO_ARG,
-    ) -> None:
-        """Schedule ``callback`` (or ``callback(arg)``) at absolute tick ``when``."""
-        now = self.now
-        if when < now:
-            raise SimulationError(
-                f"cannot schedule event in the past: when={when} < now={now}"
-            )
-        seq = self._seq
-        self._seq = seq + 1
-        if self._tie_break is not None:
-            seq |= self._tie_break.getrandbits(32) << 32
-        if when == now:
-            active = self._active
-            if active is not None:
-                # joining the bucket currently being drained: insert in
-                # (priority, seq) position so it interleaves exactly as the
-                # reference heap would order it.
-                insort(active, (-priority, -seq, callback, arg))
-                return
-        elif when - now > self.FAR_HORIZON:
-            _heappush(self._far, (when, priority, seq, callback, arg))
-            return
-        bucket = self._buckets.get(when)
-        if bucket is None:
-            pool = self._bucket_pool
-            if pool:
-                bucket = pool.pop()
-                bucket.append((-priority, -seq, callback, arg))
-            else:
-                bucket = [(-priority, -seq, callback, arg)]
-            self._buckets[when] = bucket
-            _heappush(self._times, when)
-        else:
-            bucket.append((-priority, -seq, callback, arg))
-
-    def schedule_after(
-        self,
-        delay: int,
-        callback: Callable,
-        priority: int = 0,
-        arg: object = _NO_ARG,
-    ) -> None:
-        """Schedule ``callback`` to run ``delay`` ticks from now.
-
-        Open-coded (rather than delegating to :meth:`schedule`) because this
-        is the kernel's most common scheduling entry point — one call frame
-        per event matters at millions of events per second.
-        """
-        now = self.now
-        when = now + delay
-        if when < now:
-            raise SimulationError(
-                f"cannot schedule event in the past: when={when} < now={now}"
-            )
-        seq = self._seq
-        self._seq = seq + 1
-        if self._tie_break is not None:
-            seq |= self._tie_break.getrandbits(32) << 32
-        if when == now:
-            active = self._active
-            if active is not None:
-                insort(active, (-priority, -seq, callback, arg))
-                return
-        elif delay > self.FAR_HORIZON:
-            _heappush(self._far, (when, priority, seq, callback, arg))
-            return
-        bucket = self._buckets.get(when)
-        if bucket is None:
-            pool = self._bucket_pool
-            if pool:
-                bucket = pool.pop()
-                bucket.append((-priority, -seq, callback, arg))
-            else:
-                bucket = [(-priority, -seq, callback, arg)]
-            self._buckets[when] = bucket
-            _heappush(self._times, when)
-        else:
-            bucket.append((-priority, -seq, callback, arg))
-
-    # -- cancellation ------------------------------------------------------
-
-    def schedule_cancellable(
-        self,
-        when: int,
-        callback: Callable,
-        priority: int = 0,
-        arg: object = _NO_ARG,
-    ) -> tuple:
-        """Like :meth:`schedule`, returning a handle for :meth:`cancel`.
-
-        The ``(callback, arg)`` pair lives in a pooled record; cancelling
-        marks the record stale (the queue slot fires into nothing and is
-        *not* counted in ``executed_events``) and drops both references
-        immediately, so cancelled closures cannot linger until their tick.
-        """
-        pool = self._cancel_pool
-        if pool:
-            record = pool.pop()
-            generation = record[3] + 1
-            record[0] = callback
-            record[1] = arg
-            record[2] = True
-            record[3] = generation
-        else:
-            generation = 0
-            record = [callback, arg, True, 0]
-        self.schedule(when, self._trampoline, priority, record)
-        return (record, generation)
-
-    def cancel(self, handle: tuple) -> bool:
-        """Cancel a pending cancellable event; returns True if it was live.
-
-        Safe against stale handles: once the event has fired (or the queue
-        was :meth:`reset`), the record's generation has moved on and the
-        handle is inert — a recycled record can never be cancelled through
-        an old handle.
-        """
-        record, generation = handle
-        if record[3] == generation and record[2]:
-            record[2] = False
-            record[0] = None
-            record[1] = None
-            self.cancelled_events += 1
-            return True
-        return False
-
-    def _fire_cancellable(self, record: list) -> None:
-        """Queue-slot trampoline for cancellable events (see above)."""
-        callback = record[0]
-        arg = record[1]
-        alive = record[2]
-        record[0] = None
-        record[1] = None
-        record[2] = False
-        if len(self._cancel_pool) < self._POOL_LIMIT:
-            self._cancel_pool.append(record)
-        if alive:
-            if arg is _NO_ARG:
-                callback()
-            else:
-                callback(arg)
-        else:
-            # stale slot: uncount it — cancelled events never "executed"
-            self.executed_events -= 1
-
-    def reset(self) -> None:
-        """Discard all pending events and restore a fresh-queue state.
-
-        Pending *cancellable* records are scrubbed (callback/arg dropped,
-        generation bumped) and returned to the free list, so neither the
-        pool nor any outstanding handle can leak workload objects across a
-        reset — the pool-reuse leak guard in the test suite pins this.
-        Recycled bucket lists are kept; the tie-break RNG is kept (it is a
-        caller-owned knob, cleared with ``set_tie_break(None)``).
-        """
-        trampoline = self._trampoline
-        pool = self._cancel_pool
-        for bucket in self._buckets.values():
-            for item in bucket:
-                if item[2] is trampoline:
-                    self._scrub_record(item[3], pool)
-        for item in self._far:
-            if item[3] is trampoline:
-                self._scrub_record(item[4], pool)
-        self._buckets.clear()
-        self._times.clear()
-        self._far.clear()
-        self._active = None
-        self._seq = 0
-        self.now = 0
-        self.executed_events = 0
-        self.cancelled_events = 0
-
-    @staticmethod
-    def _scrub_record(record: list, pool: list) -> None:
-        record[0] = None
-        record[1] = None
-        record[2] = False
-        record[3] += 1  # invalidate outstanding handles
-        if len(pool) < EventQueue._POOL_LIMIT:
-            pool.append(record)
-
-    # -- execution ---------------------------------------------------------
-
-    def pop_and_run(self) -> None:
-        """Advance time to the next event and run it."""
-        if not self._times and not self._far:
-            raise IndexError("pop from an empty event queue")
-        self.run(max_events=1)
-
-    def run(self, until: int | None = None, max_events: int | None = None) -> None:
-        """Run events until the queue drains, ``until`` ticks, or ``max_events``.
-
-        This is the kernel's inner loop.  Per event the common path is one
-        list pop off the active bucket and the callback itself; per distinct
-        tick it adds one heap pop, one dict delete, and (for multi-event
-        buckets) one C-level sort.  The try/finally keeps ``executed_events``
-        exact and re-registers a partially drained bucket when a callback
-        raises or ``max_events`` stops the loop mid-bucket.
-        """
-        times = self._times
-        buckets = self._buckets
-        far = self._far
-        bucket_pool = self._bucket_pool
-        pool_limit = self._POOL_LIMIT
-        pop = _heappop
-        no_arg = _NO_ARG
-        # -1 == unlimited: ``executed`` (counting up from 0) never hits it.
-        limit = -1 if max_events is None else max_events
-        executed = 0
-        try:
-            while True:
-                if far and (not times or far[0][0] <= times[0]):
-                    # migrate due far-future events into near buckets
-                    threshold = times[0] if times else far[0][0]
-                    while far and far[0][0] <= threshold:
-                        when, priority, seq, callback, arg = pop(far)
-                        bucket = buckets.get(when)
-                        if bucket is None:
-                            buckets[when] = [(-priority, -seq, callback, arg)]
-                            _heappush(times, when)
-                        else:
-                            bucket.append((-priority, -seq, callback, arg))
-                    continue
-                if not times:
-                    return
-                when = times[0]
-                if until is not None and when > until:
-                    self.now = until
-                    return
-                if executed == limit:
-                    return
-                pop(times)
-                bucket = buckets[when]
-                self.now = when
-                if len(bucket) > 1:
-                    bucket.sort()
-                self._active = bucket
-                while bucket:
-                    if executed == limit:
-                        return  # the finally clause re-registers the bucket
-                    item = bucket.pop()
-                    executed += 1
-                    callback = item[2]
-                    arg = item[3]
-                    if arg is no_arg:
-                        callback()
-                    else:
-                        callback(arg)
-                del buckets[when]
-                self._active = None
-                if len(bucket_pool) < pool_limit:
-                    bucket_pool.append(bucket)
-        finally:
-            self.executed_events += executed
-            active = self._active
-            if active is not None:
-                self._active = None
-                if active:
-                    # partially drained (limit hit or callback raised):
-                    # its tick goes back on the heap, the bucket is still
-                    # registered in ``_buckets`` and still sorted.
-                    _heappush(times, self.now)
-                else:
-                    del buckets[self.now]
-
-    def next_time(self) -> int | None:
-        """Tick of the earliest pending event (None when the queue is empty)."""
-        nearest = self._times[0] if self._times else None
-        if self._far:
-            far_time = self._far[0][0]
-            if nearest is None or far_time < nearest:
-                return far_time
-        return nearest
-
-
-class HeapEventQueue:
-    """The classic binary-heap event queue, kept as a reference oracle.
-
-    Semantically identical to :class:`EventQueue` (minus cancellation): a
-    single heap of ``(time, priority, sequence, callback, arg)`` tuples.
-    The litmus differential suite runs canonical schedules on both
-    implementations and asserts bit-identical traces; keep this class's
-    ordering semantics frozen.
-    """
-
-    def __init__(self) -> None:
-        self._heap: list[tuple[int, int, int, Callable, object]] = []
-        self._seq = 0
-        self.now = 0
-        self.executed_events = 0
-        self._tie_break = None
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def set_tie_break(self, rng) -> None:
-        """Same contract as :meth:`EventQueue.set_tie_break`."""
         self._tie_break = rng
 
     def schedule(
@@ -469,8 +109,22 @@ class HeapEventQueue:
         priority: int = 0,
         arg: object = _NO_ARG,
     ) -> None:
-        """Schedule ``callback`` to run ``delay`` ticks from now."""
-        self.schedule(self.now + delay, callback, priority, arg)
+        """Schedule ``callback`` to run ``delay`` ticks from now.
+
+        Open-coded rather than delegating to :meth:`schedule`: this is the
+        kernel's most common scheduling entry point, and one call frame per
+        event is a measurable share of the per-event cost.
+        """
+        if delay < 0:
+            raise SimulationError(
+                "cannot schedule event in the past: "
+                f"when={self.now + delay} < now={self.now}"
+            )
+        seq = self._seq
+        self._seq = seq + 1
+        if self._tie_break is not None:
+            seq |= self._tie_break.getrandbits(32) << 32
+        _heappush(self._heap, (self.now + delay, priority, seq, callback, arg))
 
     def pop_and_run(self) -> None:
         """Advance time to the next event and run it."""
@@ -483,10 +137,16 @@ class HeapEventQueue:
             callback(arg)
 
     def run(self, until: int | None = None, max_events: int | None = None) -> None:
-        """Run events until the queue drains, ``until`` ticks, or ``max_events``."""
+        """Run events until the queue drains, ``until`` ticks, or ``max_events``.
+
+        This is the kernel's inner loop: per event one heap pop and the
+        callback.  The try/finally keeps ``executed_events`` exact when a
+        callback raises.
+        """
         heap = self._heap
         pop = _heappop
         no_arg = _NO_ARG
+        # -1 == unlimited: ``executed`` (counting up from 0) never hits it.
         limit = -1 if max_events is None else max_events
         executed = 0
         try:
@@ -519,20 +179,13 @@ class Simulator:
     returning a truthy description of outstanding work; if the event queue
     drains while some component still has pending work, the run raises
     :class:`DeadlockError` naming the offenders.
-
-    ``queue_class`` selects the event-queue implementation (the calendar
-    :class:`EventQueue` by default); the litmus differential suite swaps in
-    :class:`HeapEventQueue` to cross-check schedules.
     """
 
     #: Default hard cap on executed events, as a runaway-protocol backstop.
     DEFAULT_MAX_EVENTS = 500_000_000
 
-    #: event-queue implementation used when none is passed in
-    queue_class: Callable[[], Any] = EventQueue
-
-    def __init__(self, queue: Any = None) -> None:
-        self.events = queue if queue is not None else self.queue_class()
+    def __init__(self) -> None:
+        self.events = EventQueue()
         self.components: list[Any] = []
         self._finalizers: list[Callable[[], None]] = []
         #: armed liveness checker (see :mod:`repro.sim.watchdog`), if any

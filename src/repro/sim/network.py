@@ -47,6 +47,15 @@ engines can also be *gated* by kind (:meth:`Network.set_kind_gate`) —
 the memory controller uses this to push its own bounded-queue overflow
 back into the fabric.  With ``input_queue_depth = 0`` the contended path
 above runs unchanged (unbounded queues, send-time scheduling).
+
+Per-message work on the contended and bounded paths is kept small: each
+route binds its sender's :class:`_OutPort` when it is built, ``send`` reads
+``msg.size_bytes`` once and carries the serialization delay (``ser``) with
+the message, and the records passed between events are plain tuples --
+output-queue entries ``(route, msg, enqueued_at, ser)``, flights and hops
+``(route, msg, ser)``, arbitration entries ``(enqueued_at, msg, ser)``,
+grants ``(port, msg)`` and credit hand-offs ``(port, out)`` -- with no free
+lists.
 """
 
 from __future__ import annotations
@@ -76,19 +85,23 @@ DEFAULT_ARBITRATED_KINDS = ("dir",)
 class _Route:
     """Precomputed per-``(src, dst)`` transport state (see module docstring)."""
 
-    __slots__ = ("delay_ticks", "deliver", "route_key", "in_port", "arb_class")
+    __slots__ = ("delay_ticks", "deliver", "route_key", "out", "in_port",
+                 "arb_class")
 
     def __init__(
         self,
         delay_ticks: int,
         deliver: Any,
         route_key: str,
+        out: "_OutPort | None" = None,
         in_port: "_InPort | None" = None,
         arb_class: str = "other",
     ) -> None:
         self.delay_ticks = delay_ticks
         self.deliver = deliver
         self.route_key = route_key
+        #: the sender's output port (None on the pure-latency fabric)
+        self.out = out
         #: WRR-arbitrated destination input port (None = direct delivery)
         self.in_port = in_port
         #: sender's traffic class at that port (from the sender's kind)
@@ -144,9 +157,10 @@ class _OutPort:
 
     Without flow control only ``free`` (the next tick the link is idle) is
     used — send-time arithmetic, no events.  Under flow control the port
-    runs event-driven: ``queue`` holds ``(route, msg, enqueued_at)``
-    waiting to serialize, ``busy`` marks an in-progress serialization, and
-    ``blocked`` marks the port parked on a full input port's waiter list.
+    runs event-driven: ``queue`` holds ``(route, msg, enqueued_at, ser)``
+    waiting to serialize (empty whenever the port is idle), ``busy`` marks
+    an in-progress serialization, and ``blocked`` marks the port parked on
+    a full input port's waiter list.
     """
 
     __slots__ = ("name", "free", "queue", "busy", "blocked", "blocked_since",
@@ -214,19 +228,10 @@ class Network(Component):
         self._in_ports: dict[str, _InPort] = {}
         self._port_stats = None
         self._arb_stats = None
-        #: free lists for the contended path's per-hop queue records
-        #: ([port, arb_class, msg] flight records and [enqueued_at, msg] /
-        #: [port, msg] arbitration entries) — reused instead of allocated
-        #: per message hop.
-        self._hop_pool: list[list] = []
-        self._entry_pool: list[list] = []
-        self._grant_pool: list[list] = []
         # -- flow control (dormant while input_queue_depth == 0) -----------
         self.input_queue_depth = input_queue_depth
         #: endpoint kinds whose input grant engines are currently gated
         self._gated_kinds: set[str] = set()
-        #: free list for the bounded path's [out, route, msg] flight records
-        self._flight_pool: list[list] = []
 
     # -- wiring -----------------------------------------------------------
 
@@ -342,33 +347,42 @@ class Network(Component):
         delay = self.clock.cycles_to_ticks(self.latency_cycles(src, dst))
         src_kind = self._kinds[src]
         dst_kind = self._kinds[dst]
-        in_port = None
-        if self.link_bytes_per_cycle and dst_kind in self.arbitrated_kinds:
-            in_port = self._in_ports.get(dst)
-            if in_port is None:
-                in_port = _InPort(
-                    dst, WrrArbiter(dst, dict(self.arb_weights)),
-                    endpoint.deliver, capacity=self.input_queue_depth,
-                )
-                in_port.gated = dst_kind in self._gated_kinds
-                self._in_ports[dst] = in_port
+        out = in_port = None
+        if self.link_bytes_per_cycle:
+            out = self._out_ports.get(src)
+            if out is None:
+                out = self._out_ports[src] = _OutPort(src)
+            if dst_kind in self.arbitrated_kinds:
+                in_port = self._in_ports.get(dst)
+                if in_port is None:
+                    in_port = _InPort(
+                        dst, WrrArbiter(dst, dict(self.arb_weights)),
+                        endpoint.deliver, capacity=self.input_queue_depth,
+                    )
+                    in_port.gated = dst_kind in self._gated_kinds
+                    self._in_ports[dst] = in_port
         route = _Route(
             delay, endpoint.deliver, f"{src_kind}->{dst_kind}",
-            in_port=in_port, arb_class=class_of_kind(src_kind),
+            out=out, in_port=in_port, arb_class=class_of_kind(src_kind),
         )
         self._routes[(src, dst)] = route
         return route
 
-    def _count_message(self, category: str, size_bytes: int, route_key: str) -> None:
-        """Count one sent message by category, bytes and route.
-
-        Counters stay lazily created (first increment) so ``as_dict()``
-        output is identical to the pre-optimization fabric.
-        """
+    def send(self, msg: Any) -> None:
+        """Deliver ``msg`` from ``msg.src`` to ``msg.dst`` after the route latency."""
+        route = self._routes.get((msg.src, msg.dst))
+        if route is None:
+            try:
+                route = self._build_route(msg.src, msg.dst)
+            except SimulationError as exc:
+                raise SimulationError(f"{exc} for {msg!r}") from None
+        size = msg.size_bytes
+        # count by category, bytes and route; counters are created on
+        # first increment, so ``as_dict()`` lists them in first-use order
         counters = self._counters
-        key = _CATEGORY_KEYS.get(category)
+        key = _CATEGORY_KEYS.get(msg.category)
         if key is None:
-            key = _CATEGORY_KEYS.setdefault(category, f"messages.{category}")
+            key = _CATEGORY_KEYS.setdefault(msg.category, f"messages.{msg.category}")
         if "messages" in counters:
             counters["messages"] += 1
         else:
@@ -378,62 +392,58 @@ class Network(Component):
         else:
             self.stats.inc(key)
         if "bytes" in counters:
-            counters["bytes"] += size_bytes
+            counters["bytes"] += size
         else:
-            self.stats.inc("bytes", size_bytes)
+            self.stats.inc("bytes", size)
         route_counters = self._route_counters
         if route_counters is None:
             route_counters = self._route_counters = self.stats.child("routes")._counters
-        if route_key in route_counters:
-            route_counters[route_key] += 1
+        key = route.route_key
+        if key in route_counters:
+            route_counters[key] += 1
         else:
-            self.stats.child("routes").inc(route_key)
-
-    def send(self, msg: Any) -> None:
-        """Deliver ``msg`` from ``msg.src`` to ``msg.dst`` after the route latency."""
-        src = msg.src
-        dst = msg.dst
-        route = self._routes.get((src, dst))
-        if route is None:
-            try:
-                route = self._build_route(src, dst)
-            except SimulationError as exc:
-                raise SimulationError(f"{exc} for {msg!r}") from None
-        self._count_message(msg.category, msg.size_bytes, route.route_key)
-        events = self.sim.events
+            self.stats.child("routes").inc(key)
         if not self.link_bytes_per_cycle:
+            events = self.sim.events
             events.schedule(events.now + route.delay_ticks, route.deliver, 0, msg)
             return
+        ser = self._ser_memo.get(size)
+        if ser is None:
+            ser = self._ser_ticks(size)
         if self.input_queue_depth:
-            self._send_bounded(msg, route)
-            return
-        self._send_contended(msg, route)
+            self._send_bounded(msg, route, ser)
+        else:
+            self._send_contended(msg, route, ser)
+
+    def _stats_of(self, child: str):
+        """The ``ports`` / ``arb`` stat child, created on first use."""
+        if child == "ports":
+            stats = self._port_stats
+            if stats is None:
+                stats = self._port_stats = self.stats.child("ports")
+        else:
+            stats = self._arb_stats
+            if stats is None:
+                stats = self._arb_stats = self.stats.child("arb")
+        return stats
 
     # -- contended transport ----------------------------------------------
 
-    def _send_contended(self, msg: Any, route: _Route) -> None:
+    def _send_contended(self, msg: Any, route: _Route, ser: int) -> None:
         """Finite-bandwidth path: serialize on the sender's output port,
         fly the route latency, then either deliver or join the destination's
         WRR input arbitration.
 
         Port stats use the precomputed :class:`_OutPort` keys and the bound
-        counter dict directly (same lazily-created counters as before), and
-        the in-flight ``[port, arb_class, msg]`` record comes from a free
-        list — the contended fabric allocates no per-hop bookkeeping in
-        steady state.
+        counter dict directly (same lazily-created counters as before).
         """
         events = self.sim.events
         now = events.now
-        ser = self._ser_ticks(msg.size_bytes)
-        port_out = self._out_ports.get(msg.src)
-        if port_out is None:
-            port_out = self._out_ports[msg.src] = _OutPort(msg.src)
+        port_out = route.out
         free = port_out.free
         start = now if free <= now else free
         port_out.free = start + ser
-        stats = self._port_stats
-        if stats is None:
-            stats = self._port_stats = self.stats.child("ports")
+        stats = self._port_stats or self._stats_of("ports")
         counters = stats._counters
         key = port_out.busy_key
         if key in counters:
@@ -453,30 +463,19 @@ class Network(Component):
             else:
                 stats.inc(key)
         arrival = start + ser + route.delay_ticks
-        port = route.in_port
-        if port is None:
+        if route.in_port is None:
             events.schedule(arrival, route.deliver, 0, msg)
         else:
-            pool = self._hop_pool
-            if pool:
-                hop = pool.pop()
-                hop[0] = port
-                hop[1] = route.arb_class
-                hop[2] = msg
-            else:
-                hop = [port, route.arb_class, msg]
-            events.schedule(arrival, self._arb_arrive, 0, hop)
+            events.schedule(arrival, self._arb_arrive, 0, (route, msg, ser))
 
     # -- flow-controlled transport ----------------------------------------
 
-    def _send_bounded(self, msg: Any, route: _Route) -> None:
+    def _send_bounded(self, msg: Any, route: _Route, ser: int) -> None:
         """Flow-controlled path: queue on the sender's event-driven output
         port and start it if idle (see module docstring for the credit
         protocol)."""
-        out = self._out_ports.get(msg.src)
-        if out is None:
-            out = self._out_ports[msg.src] = _OutPort(msg.src)
-        out.queue.append((route, msg, self.sim.events.now))
+        out = route.out
+        out.queue.append((route, msg, self.sim.events.now, ser))
         if not out.busy and not out.blocked:
             self._out_pump(out)
 
@@ -490,18 +489,16 @@ class Network(Component):
         queue = out.queue
         if not queue:
             return
-        route, msg, enqueued_at = queue[0]
+        route, msg, enqueued_at, ser = queue[0]
         port = route.in_port
         if port is not None and port.capacity:
-            if port.credits == 0:
+            if not port.credits:
                 # destination input queue full: park; the queue behind the
                 # head stalls with it (transitive back-pressure)
                 out.blocked = True
                 out.blocked_since = self.sim.events.now
                 port.waiters.append(out)
-                stats = self._port_stats
-                if stats is None:
-                    stats = self._port_stats = self.stats.child("ports")
+                stats = self._port_stats or self._stats_of("ports")
                 counters = stats._counters
                 key = out.blocks_key
                 if key in counters:
@@ -511,18 +508,15 @@ class Network(Component):
                 return
             port.credits -= 1
         queue.popleft()
-        self._out_start(out, route, msg, enqueued_at)
+        self._out_start(out, route, msg, enqueued_at, ser)
 
     def _out_start(self, out: _OutPort, route: _Route, msg: Any,
-                   enqueued_at: int) -> None:
+                   enqueued_at: int, ser: int) -> None:
         """Begin serializing one message (its credit is already paid)."""
         events = self.sim.events
         now = events.now
-        ser = self._ser_ticks(msg.size_bytes)
         out.busy = True
-        stats = self._port_stats
-        if stats is None:
-            stats = self._port_stats = self.stats.child("ports")
+        stats = self._port_stats or self._stats_of("ports")
         counters = stats._counters
         key = out.busy_key
         if key in counters:
@@ -541,51 +535,29 @@ class Network(Component):
                 counters[key] += 1
             else:
                 stats.inc(key)
-        pool = self._flight_pool
-        if pool:
-            flight = pool.pop()
-            flight[0] = out
-            flight[1] = route
-            flight[2] = msg
-        else:
-            flight = [out, route, msg]
-        events.schedule(now + ser, self._out_done, 0, flight)
+        events.schedule(now + ser, self._out_done, 0, (route, msg, ser))
 
-    def _out_done(self, flight: list) -> None:
+    def _out_done(self, flight: tuple) -> None:
         """Serialization finished: launch the latency flight and pump the
         next queued message."""
-        out = flight[0]
-        route = flight[1]
-        msg = flight[2]
-        flight[0] = flight[1] = flight[2] = None
-        self._flight_pool.append(flight)
+        route, msg, ser = flight
+        out = route.out
         out.busy = False
         events = self.sim.events
         arrival = events.now + route.delay_ticks
-        port = route.in_port
-        if port is None:
+        if route.in_port is None:
             events.schedule(arrival, route.deliver, 0, msg)
         else:
-            pool = self._hop_pool
-            if pool:
-                hop = pool.pop()
-                hop[0] = port
-                hop[1] = route.arb_class
-                hop[2] = msg
-            else:
-                hop = [port, route.arb_class, msg]
-            events.schedule(arrival, self._arb_arrive, 0, hop)
-        self._out_pump(out)
+            events.schedule(arrival, self._arb_arrive, 0, flight)
+        if out.queue:
+            self._out_pump(out)
 
-    def _out_unblock(self, wake: list) -> None:
+    def _out_unblock(self, wake: tuple) -> None:
         """A parked output port received a hand-off credit: start its head
         message.  The head cannot have changed while parked (nothing pops
         a blocked port's queue), so the credit pays for exactly the
         message that was refused."""
-        port = wake[0]
-        out = wake[1]
-        wake[0] = wake[1] = None
-        self._grant_pool.append(wake)
+        port, out = wake
         if not out.blocked or not out.queue:
             port.credits += 1  # defensive: waiter vanished, return credit
             return
@@ -599,30 +571,18 @@ class Network(Component):
             else:
                 stats.inc(key, blocked)
         out.blocked = False
-        route, msg, enqueued_at = out.queue.popleft()
-        self._out_start(out, route, msg, enqueued_at)
+        route, msg, enqueued_at, ser = out.queue.popleft()
+        self._out_start(out, route, msg, enqueued_at, ser)
 
-    def _arb_arrive(self, hop: list) -> None:
+    def _arb_arrive(self, hop: tuple) -> None:
         """A message reaches a shared port: enqueue in its class, and start
         the grant engine if the port is idle."""
-        port = hop[0]
-        arb_class = hop[1]
-        msg = hop[2]
-        hop[0] = hop[2] = None
-        self._hop_pool.append(hop)
+        route, msg, ser = hop
+        port = route.in_port
         arb = port.arb
         now = self.sim.events.now
-        pool = self._entry_pool
-        if pool:
-            entry = pool.pop()
-            entry[0] = now
-            entry[1] = msg
-        else:
-            entry = [now, msg]
-        arb.enqueue(arb_class, entry)
-        stats = self._arb_stats
-        if stats is None:
-            stats = self._arb_stats = self.stats.child("arb")
+        arb.enqueue(route.arb_class, (now, msg, ser))
+        stats = self._arb_stats or self._stats_of("arb")
         # occupancy integral: depth * time since the depth last changed
         dt = now - port.last_change
         if dt:
@@ -656,16 +616,10 @@ class Network(Component):
             arb.busy = False
             return
         arb.busy = True
-        arb_class, entry = picked
-        enqueued_at = entry[0]
-        msg = entry[1]
-        entry[1] = None
-        self._entry_pool.append(entry)
+        arb_class, (enqueued_at, msg, ser) = picked
         events = self.sim.events
         now = events.now
-        stats = self._arb_stats
-        if stats is None:
-            stats = self._arb_stats = self.stats.child("arb")
+        stats = self._arb_stats or self._stats_of("arb")
         counters = stats._counters
         # occupancy integral + depth bookkeeping (mirrors _arb_arrive)
         dt = now - port.last_change
@@ -707,35 +661,17 @@ class Network(Component):
             # the grant frees one input-queue slot: hand the credit to the
             # longest-parked sender (as an event, so the grant engine never
             # re-enters sender code), or return it to the pool
-            waiters = port.waiters
-            if waiters:
-                pool = self._grant_pool
-                if pool:
-                    wake = pool.pop()
-                    wake[0] = port
-                    wake[1] = waiters.popleft()
-                else:
-                    wake = [port, waiters.popleft()]
-                events.schedule(now, self._out_unblock, 0, wake)
+            if port.waiters:
+                events.schedule(now, self._out_unblock, 0,
+                                (port, port.waiters.popleft()))
             else:
                 port.credits += 1
-        pool = self._grant_pool
-        if pool:
-            grant = pool.pop()
-            grant[0] = port
-            grant[1] = msg
-        else:
-            grant = [port, msg]
-        events.schedule(now + self._ser_ticks(msg.size_bytes),
-                        self._arb_complete, 0, grant)
+        events.schedule(now + ser, self._arb_complete, 0, (port, msg))
 
-    def _arb_complete(self, grant: list) -> None:
+    def _arb_complete(self, grant: tuple) -> None:
         """The granted message has fully crossed the input port: deliver it
         and grant the next one."""
-        port = grant[0]
-        msg = grant[1]
-        grant[0] = grant[1] = None
-        self._grant_pool.append(grant)
+        port, msg = grant
         port.deliver(msg)
         self._arb_grant(port)
 

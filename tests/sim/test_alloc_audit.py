@@ -1,17 +1,17 @@
 """Allocation audit: the hot fabric path must not allocate per event.
 
-The kernel's free lists (event-queue buckets, network hop/entry/grant
-records, memory access/commit records) and lazily-bound stat counters exist
-so that steady-state simulation performs ~zero *net* heap allocation per
-event.  This audit pins that property with :mod:`tracemalloc`: warm a
-contended ping-pong up until every pool and counter exists, then run two
-orders of magnitude more events and demand the repro-owned heap footprint
+Fabric records are short-lived tuples (event tuples, hop, flight, grant and
+arbitration entries) and stat counters are bound lazily, so steady-state
+simulation performs ~zero *net* heap allocation per event.  This audit pins
+that property with :mod:`tracemalloc`: warm a contended (and, separately, a
+credit-bounded) ping-pong up until every route and counter exists, then run
+an order of magnitude more events and demand the repro-owned heap footprint
 stays flat.
 
 (Net growth is the right metric: CPython recycles tuples and small ints
 through internal free lists, so gross allocation counts are noisy, but any
-per-event *leak* — a record not returned to its pool, a counter created per
-message — shows up as monotone growth here.)
+per-event *leak* — a record kept alive past its message, a counter created
+per message — shows up as monotone growth here.)
 """
 
 from __future__ import annotations
@@ -46,13 +46,14 @@ class _Msg:
         self.size_bytes = 8
 
 
-def _build_fabric():
+def _build_fabric(input_queue_depth: int = 0):
     sim = Simulator()
     clock = ClockDomain("audit", 1e9)
     network = Network(
         sim, clock, default_latency_cycles=10.0,
         link_bytes_per_cycle=8,
         arb_weights={"cpu": 4, "gpu": 2, "dma": 1},
+        input_queue_depth=input_queue_depth,
     )
     a = _Echo(sim, "a", clock, network)
     b = _Echo(sim, "b", clock, network)
@@ -62,14 +63,14 @@ def _build_fabric():
     return sim, network
 
 
-def test_steady_state_fabric_allocates_nothing_per_event():
-    sim, network = _build_fabric()
+def _assert_flat_footprint(input_queue_depth: int) -> Network:
+    sim, network = _build_fabric(input_queue_depth)
     # a few concurrent balls keep the WRR arbiter and output-port queues
-    # genuinely contended (records pooled and reused, not one-deep)
+    # genuinely contended (queues more than one deep)
     for _ in range(4):
         network.send(_Msg("a", "b"))
 
-    # warmup: fill every free list, create every lazy stat counter
+    # warmup: create every lazy stat counter and route
     sim.run_for(2_000_000)
     warm_events = sim.events.executed_events
     assert warm_events > 1_000
@@ -99,13 +100,16 @@ def test_steady_state_fabric_allocates_nothing_per_event():
         f"steady-state fabric grew the heap by {growth} bytes "
         f"over {events} events ({growth / events:.2f} B/event)"
     )
+    return network
 
 
-def test_pools_actually_cycle():
-    """The audit above would pass vacuously if pooling were bypassed and
-    the GC simply kept up; check the free lists really get used."""
-    sim, network = _build_fabric()
-    for _ in range(4):
-        network.send(_Msg("a", "b"))
-    sim.run_for(100_000)
-    assert network._hop_pool or network._entry_pool or network._grant_pool
+def test_steady_state_fabric_allocates_nothing_per_event():
+    _assert_flat_footprint(input_queue_depth=0)
+
+
+def test_steady_state_bounded_fabric_allocates_nothing_per_event():
+    """The credit path too: with one input-queue slot and four messages
+    in flight, senders park and unblock throughout the measured run."""
+    network = _assert_flat_footprint(input_queue_depth=1)
+    ports = network.stats.child("ports")
+    assert ports["a.credit_blocks"] > 1_000

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+from collections import deque
+
 import pytest
 
 from repro.sim.arbiter import (
@@ -120,6 +123,91 @@ class TestClassManagement:
         arb.enqueue("cpu", "b")
         arb.pick()
         assert (arb.enqueued, arb.grants) == (2, 1)
+
+
+class _ReferenceWrr:
+    """A frozen copy of the full-scan WRR arbiter: ``pending()`` sums the
+    class queues and ``pick()`` scans ``len(order) + 1`` classes even when
+    everything is empty.  :class:`WrrArbiter` must stay step-for-step
+    identical to it."""
+
+    def __init__(self, weights: dict[str, int]) -> None:
+        self._weights: dict[str, int] = {}
+        self._queues: dict[str, deque] = {}
+        self._order: list[str] = []
+        for cls, weight in weights.items():
+            self._add_class(cls, weight)
+        self._index = 0
+        self._credit = self._weights[self._order[0]] if self._order else 0
+        self.grants = 0
+
+    def _add_class(self, cls: str, weight: int) -> None:
+        self._weights[cls] = weight
+        self._queues[cls] = deque()
+        self._order.append(cls)
+
+    def enqueue(self, cls: str, item) -> None:
+        queue = self._queues.get(cls)
+        if queue is None:
+            self._add_class(cls, 1)
+            queue = self._queues[cls]
+            if len(self._order) == 1:
+                self._credit = self._weights[cls]
+        queue.append(item)
+
+    def pending(self) -> int:
+        return sum(len(q) for q in self._queues.values())
+
+    def pick(self):
+        order = self._order
+        if not order:
+            return None
+        index = self._index
+        credit = self._credit
+        for _scan in range(len(order) + 1):
+            cls = order[index]
+            queue = self._queues[cls]
+            if queue and credit > 0:
+                self._index = index
+                self._credit = credit - 1
+                self.grants += 1
+                return cls, queue.popleft()
+            index = (index + 1) % len(order)
+            credit = self._weights[order[index]]
+        self._index = index
+        self._credit = credit
+        return None
+
+
+class TestMatchesFullScanReference:
+    """Seeded random enqueue/pick sequences: every pick, the grant
+    pointer, its credit, the grant count and ``pending()`` match the
+    full-scan reference after every step, including picks on an empty
+    arbiter (which still rotate the pointer)."""
+
+    CLASSES = ("cpu", "gpu", "dma", "other")
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_step_for_step(self, seed):
+        rng = random.Random(seed)
+        weights = {cls: rng.randint(1, 4)
+                   for cls in rng.sample(self.CLASSES, rng.randint(0, 3))}
+        arb = WrrArbiter("p", dict(weights))
+        ref = _ReferenceWrr(dict(weights))
+        pick_bias = rng.choice([0.5, 0.6, 0.7])
+        empty_picks = 0
+        for step in range(600):
+            if rng.random() < pick_bias:
+                empty_picks += ref.pending() == 0
+                assert arb.pick() == ref.pick(), f"step {step}"
+            else:
+                cls = rng.choice(self.CLASSES)
+                arb.enqueue(cls, step)
+                ref.enqueue(cls, step)
+            assert (arb._index, arb._credit, arb.grants, arb.pending()) == (
+                ref._index, ref._credit, ref.grants, ref.pending()
+            ), f"step {step}"
+        assert empty_picks > 0  # the idle-rotation path was exercised
 
 
 class TestFrFcfsQueue:

@@ -2,15 +2,13 @@
 
 from __future__ import annotations
 
-import gc
-import weakref
+import random
 
 import pytest
 
 from repro.sim.event_queue import (
     DeadlockError,
     EventQueue,
-    HeapEventQueue,
     SimulationError,
     Simulator,
 )
@@ -106,14 +104,9 @@ class TestEventQueue:
             queue.run()
         assert queue.executed_events == 2  # the raising event still counts
 
-
-class TestCalendarStructure:
-    """Calendar-queue specifics: far-horizon overflow and active-bucket
-    interleaving (ordering must stay bit-identical to the reference heap)."""
-
     def test_far_future_events_run_in_time_order(self):
         queue = EventQueue()
-        far = EventQueue.FAR_HORIZON
+        far = 1 << 40
         order = []
         queue.schedule(far * 3, order.append, arg="c")
         queue.schedule(5, order.append, arg="a")
@@ -123,17 +116,9 @@ class TestCalendarStructure:
         assert order == ["a", "b", "c"]
         assert queue.now == far * 3
 
-    def test_next_time_sees_overflow_events(self):
-        queue = EventQueue()
-        far = EventQueue.FAR_HORIZON
-        queue.schedule(far * 2, lambda: None)
-        assert queue.next_time() == far * 2
-        queue.schedule(9, lambda: None)
-        assert queue.next_time() == 9
-
     def test_far_timer_can_reschedule_near_work(self):
         queue = EventQueue()
-        far = EventQueue.FAR_HORIZON
+        far = 1 << 40
         order = []
 
         def timer():
@@ -145,8 +130,8 @@ class TestCalendarStructure:
         assert order == [("timer", far + 100), ("near", far + 103)]
 
     def test_schedule_at_now_interleaves_by_priority(self):
-        # events joining the bucket currently being drained must interleave
-        # in (priority, seq) position, exactly as the reference heap would.
+        # events scheduled for the current tick from inside a callback
+        # interleave with the tick's pending events in (priority, seq) order
         queue = EventQueue()
         order = []
 
@@ -160,189 +145,32 @@ class TestCalendarStructure:
         queue.run()
         assert order == ["first", "high", "second", "low"]
 
-    def test_matches_heap_oracle_on_random_schedule(self):
-        import random
-
-        def trace(qcls):
-            rng = random.Random(1234)
-            queue = qcls()
-            order = []
-
-            def spawn(label):
-                order.append((queue.now, label))
-                if len(order) < 400:
-                    delay = rng.choice([0, 1, 1, 8, 8, 8, 64, 1 << 23])
-                    queue.schedule_after(
-                        delay, spawn, priority=rng.choice([0, 0, 1]),
-                        arg=len(order),
-                    )
-
-            for lane in range(8):
-                queue.schedule(lane % 3, spawn, arg=-lane)
-            queue.run()
-            return order
-
-        assert trace(EventQueue) == trace(HeapEventQueue)
-
-
-class _Probe:
-    """Weakref-able callable used to detect leaked event references."""
-
-    def __init__(self, log=None, label=None):
-        self.log = log
-        self.label = label
-
-    def __call__(self, arg=None):
-        if self.log is not None:
-            self.log.append(self.label if arg is None else arg)
-
-
-class TestCancellation:
-    def test_uncancelled_event_fires_normally(self):
+    def test_random_schedule_runs_in_time_priority_seq_order(self):
+        # reference model: each event to run is the smallest
+        # (time, priority, scheduling order) key among those pending
+        rng = random.Random(1234)
         queue = EventQueue()
-        fired = []
-        queue.schedule_cancellable(5, fired.append, arg="x")
+        pending = set()
+        count = [0]
+
+        def spawn(key):
+            assert key == min(pending)
+            pending.remove(key)
+            if count[0] < 400:
+                delay = rng.choice([0, 1, 1, 8, 8, 8, 64, 1 << 23])
+                add(queue.now + delay, rng.choice([0, 0, 1]))
+
+        def add(when, priority):
+            key = (when, priority, count[0])
+            count[0] += 1
+            pending.add(key)
+            queue.schedule(when, spawn, priority=priority, arg=key)
+
+        for lane in range(8):
+            add(lane % 3, 0)
         queue.run()
-        assert fired == ["x"]
-        assert queue.executed_events == 1
-        assert queue.cancelled_events == 0
-
-    def test_cancel_prevents_firing(self):
-        queue = EventQueue()
-        fired = []
-        handle = queue.schedule_cancellable(5, fired.append, arg="x")
-        queue.schedule(9, lambda: None)  # keep the run non-trivial
-        assert queue.cancel(handle) is True
-        queue.run()
-        assert fired == []
-        assert queue.cancelled_events == 1
-        # the stale queue slot never counts as an executed event
-        assert queue.executed_events == 1
-
-    def test_cancel_twice_returns_false(self):
-        queue = EventQueue()
-        handle = queue.schedule_cancellable(5, lambda: None)
-        assert queue.cancel(handle) is True
-        assert queue.cancel(handle) is False
-        assert queue.cancelled_events == 1
-        queue.run()
-
-    def test_cancel_after_fire_is_inert(self):
-        queue = EventQueue()
-        fired = []
-        handle = queue.schedule_cancellable(5, fired.append, arg="x")
-        queue.run()
-        assert fired == ["x"]
-        assert queue.cancel(handle) is False
-
-    def test_stale_handle_cannot_cancel_recycled_record(self):
-        queue = EventQueue()
-        fired = []
-        first = queue.schedule_cancellable(1, fired.append, arg="a")
-        queue.run()
-        assert fired == ["a"]
-        second = queue.schedule_cancellable(2, fired.append, arg="b")
-        # the fired record was recycled into the new event; the old handle
-        # must not be able to reach through and cancel it.
-        assert first[0] is second[0]
-        assert queue.cancel(first) is False
-        queue.run()
-        assert fired == ["a", "b"]
-
-    def test_cancel_drops_references_immediately(self):
-        queue = EventQueue()
-        probe = _Probe()
-        ref = weakref.ref(probe)
-        handle = queue.schedule_cancellable(1_000, probe)
-        queue.cancel(handle)
-        del probe, handle
-        gc.collect()
-        # dropped at cancel time, long before the tick would have arrived
-        assert ref() is None
-
-    def test_fired_record_drops_references(self):
-        queue = EventQueue()
-        probe = _Probe()
-        ref = weakref.ref(probe)
-        queue.schedule_cancellable(5, probe)
-        queue.run()
-        del probe
-        gc.collect()
-        assert ref() is None
-
-
-class TestResetPoolLeakGuard:
-    """``reset()`` + pool reuse must not leak workload objects: every
-    pending or pooled record is scrubbed, every outstanding handle is
-    invalidated."""
-
-    def test_reset_scrubs_pending_cancellable_records(self):
-        queue = EventQueue()
-        probe = _Probe()
-        ref = weakref.ref(probe)
-        handle = queue.schedule_cancellable(10, probe, arg=probe)
-        queue.reset()
-        del probe
-        gc.collect()
-        assert ref() is None
-        assert queue.cancel(handle) is False
-
-    def test_reset_scrubs_far_horizon_cancellables(self):
-        queue = EventQueue()
-        probe = _Probe()
-        ref = weakref.ref(probe)
-        handle = queue.schedule_cancellable(
-            EventQueue.FAR_HORIZON * 2, probe,
-        )
-        queue.reset()
-        del probe
-        gc.collect()
-        assert ref() is None
-        assert queue.cancel(handle) is False
-
-    def test_reset_drops_plain_pending_events(self):
-        queue = EventQueue()
-        probe = _Probe()
-        ref = weakref.ref(probe)
-        queue.schedule(10, probe)
-        queue.schedule(EventQueue.FAR_HORIZON * 2, probe)
-        queue.reset()
-        del probe
-        gc.collect()
-        assert ref() is None
-        assert len(queue) == 0
-        assert queue.now == 0
-        assert queue.executed_events == 0
-
-    def test_pool_reuse_after_reset_stays_correct(self):
-        queue = EventQueue()
-        fired = []
-        queue.schedule_cancellable(10, fired.append, arg="doomed")
-        queue.reset()
-        # the scrubbed record is recycled for the next cancellable event
-        handle = queue.schedule_cancellable(3, fired.append, arg="kept")
-        queue.schedule_cancellable(4, fired.append, arg="gone")
-        later = queue.schedule_cancellable(5, fired.append, arg="also-kept")
-        queue.cancel(queue.schedule_cancellable(6, fired.append, arg="no"))
-        assert handle is not None and later is not None
-        queue.run()
-        assert fired == ["kept", "gone", "also-kept"]
-
-    def test_recycled_bucket_lists_hold_no_events(self):
-        queue = EventQueue()
-        for tick in range(1, 20):
-            queue.schedule(tick, lambda: None)
-            queue.schedule(tick, lambda: None)
-        queue.run()
-        assert all(not bucket for bucket in queue._bucket_pool)
-
-    def test_pools_stay_bounded(self):
-        queue = EventQueue()
-        for _ in range(5 * EventQueue._POOL_LIMIT):
-            queue.schedule_cancellable(queue.now + 1, lambda: None)
-            queue.run()
-        assert len(queue._cancel_pool) <= EventQueue._POOL_LIMIT
-        assert len(queue._bucket_pool) <= EventQueue._POOL_LIMIT
+        assert not pending
+        assert queue.executed_events == count[0]
 
 
 class TestTieBreakExploration:
