@@ -12,9 +12,11 @@ The per-transaction state machine is *declared* as a
 ``U`` plus the blocked states named by what the transaction still awaits
 (``B``, ``B_P``, ``B_M``, ``B_PM``, and their ``..U`` unblock variants; see
 :attr:`~repro.coherence.transactions.Transaction.blocked_on`).  Every
-protocol event dispatches through the transaction's
-:class:`~repro.coherence.engine.ProtocolFSM`, which enforces that the state
-reached matches the declared table (see ``repro lint-protocol``).
+protocol event dispatches through
+:meth:`~repro.coherence.engine.TransitionTable.fire` from the state kept in
+:attr:`~repro.coherence.transactions.Transaction.state`; the table enforces
+that the state reached matches its declared rows (see ``repro
+lint-protocol``).
 
 The §III optimizations are policy knobs
 (:class:`~repro.coherence.policies.DirectoryPolicy`) expressed as *table
@@ -24,8 +26,9 @@ overlays* by :func:`build_directory_table`:
   responded while probes are still outstanding — reachable only under this
   overlay.
 - ``clean_victims_to_memory=False`` (§III-B), ``clean_victims_to_llc=False``
-  (§III-B1) and ``llc_writeback`` (§III-C) swap the action bound to the
-  victim-commit transition ``(B, Commit)``.
+  (§III-B1) and ``llc_writeback`` (§III-C) name the overlay on the
+  victim-commit transition ``(B, Commit)``; its one action applies the knobs
+  (:meth:`DirectoryController._write_victim`).
 - ``use_l3_on_wt`` routes GPU write-throughs/atomics into the LLC (an
   action-level knob inside the WT/Atomic commit helpers).
 
@@ -41,7 +44,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
-from repro.coherence.engine import ProtocolError, ProtocolFSM, TransitionTable
+from repro.coherence.engine import ProtocolError, TransitionTable
 from repro.coherence.llc import LastLevelCache
 from repro.coherence.policies import DirectoryPolicy
 from repro.coherence.transactions import Transaction
@@ -123,6 +126,7 @@ OVL_EARLY = "earlyDirtyResp (§III-A)"
 OVL_NO_CLEAN_MEM = "noWBcleanVic (§III-B)"
 OVL_DROP_CLEAN = "noCleanVicToLLC (§III-B1)"
 OVL_LLC_WB = "llcWB (§III-C)"
+OVL_CUSTOM_VIC = "custom victim policy"
 OVL_CONSERVATIVE_VIC = "conservative VicDirty (§VII)"
 
 
@@ -207,7 +211,9 @@ class DirectoryController(Controller):
         self.stats.inc(f"requests.{msg.mtype.value}")
         txn = self._active.get(msg.addr)
         if txn is not None:
-            txn.fsm.fire(msg.mtype.value, self, msg.addr, msg)
+            txn.state = self.fsm_table.fire(
+                txn.state, msg.mtype.value, self, msg.addr, msg
+            )
             return
         limit = self.policy.dir_max_transactions
         if limit is not None and len(self._active) >= limit:
@@ -221,9 +227,10 @@ class DirectoryController(Controller):
     def _start(self, msg: Message) -> None:
         txn = Transaction(msg)
         txn.started_at = self.now
-        txn.fsm = ProtocolFSM(self.fsm_table, "U")
         self._active[msg.addr] = txn
-        txn.fsm.fire(msg.mtype.value, self, msg.addr, txn)
+        txn.state = self.fsm_table.fire(
+            txn.state, msg.mtype.value, self, msg.addr, txn
+        )
 
     def _act_start_request(self, txn: Transaction) -> None:
         self.schedule(self.latency_cycles, self._launch, arg=txn)
@@ -237,7 +244,7 @@ class DirectoryController(Controller):
     # -- transaction launch ------------------------------------------------------
 
     def _launch(self, txn: Transaction) -> None:
-        txn.fsm.fire(EV_LAUNCH, self, txn.addr, txn)
+        txn.state = self.fsm_table.fire(txn.state, EV_LAUNCH, self, txn.addr, txn)
 
     def _act_launch(self, txn: Transaction) -> str:
         if not self.prepare_entry(txn):
@@ -287,7 +294,7 @@ class DirectoryController(Controller):
         self.schedule(self.llc.latency_cycles, self._fire_llc_data, arg=txn)
 
     def _fire_llc_data(self, txn: Transaction) -> None:
-        txn.fsm.fire(EV_LLC_DATA, self, txn.addr, txn)
+        txn.state = self.fsm_table.fire(txn.state, EV_LLC_DATA, self, txn.addr, txn)
 
     def _act_llc_data(self, txn: Transaction) -> str:
         hit, data = self.llc.read(txn.addr)
@@ -304,7 +311,9 @@ class DirectoryController(Controller):
         return self._fig2_next(txn)
 
     def _on_mem_data(self, txn: Transaction, data: LineData) -> None:
-        txn.fsm.fire(EV_MEM_DATA, self, txn.addr, (txn, data))
+        txn.state = self.fsm_table.fire(
+            txn.state, EV_MEM_DATA, self, txn.addr, (txn, data)
+        )
 
     def _act_mem_data(self, ctx: tuple) -> str:
         txn, data = ctx
@@ -335,7 +344,9 @@ class DirectoryController(Controller):
         txn = self._active.get(msg.addr)
         if txn is None or msg.tid != txn.tid:
             raise ProtocolError(f"orphan probe ack {msg!r}")
-        txn.fsm.fire(EV_PROBE_ACK, self, msg.addr, (txn, msg))
+        txn.state = self.fsm_table.fire(
+            txn.state, EV_PROBE_ACK, self, msg.addr, (txn, msg)
+        )
 
     def _act_probe_ack(self, ctx: tuple) -> str:
         txn, msg = ctx
@@ -363,7 +374,7 @@ class DirectoryController(Controller):
         txn = self._active.get(msg.addr)
         if txn is None or msg.tid != txn.tid:
             raise ProtocolError(f"orphan unblock {msg!r}")
-        txn.fsm.fire(EV_UNBLOCK, self, msg.addr, txn)
+        txn.state = self.fsm_table.fire(txn.state, EV_UNBLOCK, self, msg.addr, txn)
 
     def _act_unblock(self, txn: Transaction) -> str:
         txn.awaiting_unblock = False
@@ -575,12 +586,15 @@ class DirectoryController(Controller):
 
     def _fire_victim_commit(self, ctx: tuple) -> None:
         txn = ctx[0]
-        txn.fsm.fire(EV_COMMIT, self, txn.addr, ctx)
+        txn.state = self.fsm_table.fire(txn.state, EV_COMMIT, self, txn.addr, ctx)
 
-    def _finish_victim(self, txn: Transaction, accepted: bool) -> str:
-        """Shared tail of every victim-commit action: ack and complete."""
+    def _act_victim_commit(self, ctx: tuple) -> str:
+        """Write an accepted victim per the §III knobs, then ack and complete."""
+        txn, accepted = ctx
         req = txn.request
-        if not accepted:
+        if accepted:
+            self._write_victim(req)
+        else:
             self.stats.inc("stale_victims_dropped")
         self.network.send(
             Message(MsgType.WB_ACK, self.name, req.requester, txn.addr, tid=txn.tid)
@@ -590,66 +604,8 @@ class DirectoryController(Controller):
         self._maybe_complete(txn)
         return self._fig2_next(txn)
 
-    # victim-commit actions — one per §III policy overlay (selected by
-    # build_directory_table; see _select_victim_commit)
-
-    def _act_victim_commit_baseline(self, ctx: tuple) -> str:
-        """§II-D baseline: every victim writes the LLC and memory."""
-        txn, accepted = ctx
-        if accepted:
-            req = txn.request
-            dirty = req.mtype is MsgType.VIC_DIRTY
-            displaced = self.llc.write_victim(req.addr, req.data, dirty=dirty)
-            if displaced is not None:
-                self._mem_write(displaced.addr, displaced.data)
-            self._mem_write(req.addr, req.data, source=req.requester)
-        return self._finish_victim(*ctx)
-
-    def _act_victim_commit_no_clean_mem(self, ctx: tuple) -> str:
-        """§III-B: clean victims skip the memory write (LLC only)."""
-        txn, accepted = ctx
-        if accepted:
-            req = txn.request
-            dirty = req.mtype is MsgType.VIC_DIRTY
-            displaced = self.llc.write_victim(req.addr, req.data, dirty=dirty)
-            if displaced is not None:
-                self._mem_write(displaced.addr, displaced.data)
-            if dirty:
-                self._mem_write(req.addr, req.data, source=req.requester)
-        return self._finish_victim(*ctx)
-
-    def _act_victim_commit_drop_clean(self, ctx: tuple) -> str:
-        """§III-B1: clean victims are dropped entirely."""
-        txn, accepted = ctx
-        if accepted:
-            req = txn.request
-            if req.mtype is MsgType.VIC_DIRTY:
-                displaced = self.llc.write_victim(req.addr, req.data, dirty=True)
-                if displaced is not None:
-                    self._mem_write(displaced.addr, displaced.data)
-                self._mem_write(req.addr, req.data, source=req.requester)
-        return self._finish_victim(*ctx)
-
-    def _act_victim_commit_llc_only(self, ctx: tuple) -> str:
-        """§III-C llcWB: victims write only the LLC; its dirty bit defers
-        the memory write to the LLC's own eviction."""
-        txn, accepted = ctx
-        if accepted:
-            req = txn.request
-            dirty = req.mtype is MsgType.VIC_DIRTY
-            displaced = self.llc.write_victim(req.addr, req.data, dirty=dirty)
-            if displaced is not None:
-                self._mem_write(displaced.addr, displaced.data)
-        return self._finish_victim(*ctx)
-
-    def _act_victim_commit_generic(self, ctx: tuple) -> str:
-        """Fallback for knob combinations outside the named §III overlays."""
-        txn, accepted = ctx
-        if accepted:
-            self._write_victim(txn.request)
-        return self._finish_victim(*ctx)
-
     def _write_victim(self, req: Message) -> None:
+        """Write a victim to the LLC and/or memory per the §III knobs."""
         dirty = req.mtype is MsgType.VIC_DIRTY
         policy = self.policy
         displaced = None
@@ -776,24 +732,23 @@ def _dispatch_dir_evict(ctl, ctx) -> str:
     return ctl._act_dir_evict(ctx)
 
 
-def _select_victim_commit(policy: DirectoryPolicy):
-    """Map the §III victim-policy knobs to a (action, overlay-name) pair."""
+def _victim_overlay(policy: DirectoryPolicy) -> str | None:
+    """Name the §III overlay the victim-policy knobs select (None for the
+    §II-D baseline); :meth:`DirectoryController._write_victim` applies it."""
     combo = (
         policy.clean_victims_to_llc,
         policy.clean_victims_to_memory,
         policy.llc_writeback,
     )
     if policy.llc_writeback:
-        if policy.clean_victims_to_llc:
-            return DirectoryController._act_victim_commit_llc_only, OVL_LLC_WB
-        return DirectoryController._act_victim_commit_generic, "custom victim policy"
+        return OVL_LLC_WB if policy.clean_victims_to_llc else OVL_CUSTOM_VIC
     if combo == (True, True, False):
-        return DirectoryController._act_victim_commit_baseline, None
+        return None
     if combo == (True, False, False):
-        return DirectoryController._act_victim_commit_no_clean_mem, OVL_NO_CLEAN_MEM
+        return OVL_NO_CLEAN_MEM
     if combo == (False, False, False):
-        return DirectoryController._act_victim_commit_drop_clean, OVL_DROP_CLEAN
-    return DirectoryController._act_victim_commit_generic, "custom victim policy"
+        return OVL_DROP_CLEAN
+    return OVL_CUSTOM_VIC
 
 
 _TABLE_CACHE: dict[tuple, TransitionTable] = {}
@@ -803,15 +758,15 @@ def build_directory_table(policy: DirectoryPolicy, precise: bool) -> TransitionT
     """Build (and cache) the Figure-2 transaction table for a policy.
 
     §III policies select overlays: early_dirty_response adds the
-    ``B_PU``/``B_PMU`` states, the victim knobs swap the ``(B, Commit)``
-    action, and the §VII conservative-VicDirty variant lets a victim commit
+    ``B_PU``/``B_PMU`` states, the victim knobs name the ``(B, Commit)``
+    overlay, and the §VII conservative-VicDirty variant lets a victim commit
     end in ``B_P`` (sharer invalidations in flight).  A precise directory
     additionally handles ``DirEvict`` (entry evictions run as transactions).
     """
     early = policy.early_dirty_response
     conservative_vic = bool(precise and policy.vicdirty_invalidates_sharers)
-    vic_action, vic_overlay = _select_victim_commit(policy)
-    key = (precise, early, conservative_vic, vic_action)
+    vic_overlay = _victim_overlay(policy)
+    key = (precise, early, conservative_vic, vic_overlay)
     cached = _TABLE_CACHE.get(key)
     if cached is not None:
         return cached
@@ -889,7 +844,7 @@ def build_directory_table(policy: DirectoryPolicy, precise: bool) -> TransitionT
 
     # Victim commit (the LLC-latency write point).
     commit_nexts = ("U", "B_P") if conservative_vic else ("U",)
-    table.on("B", EV_COMMIT, commit_nexts, action=vic_action,
+    table.on("B", EV_COMMIT, commit_nexts, action=D._act_victim_commit,
              overlay=OVL_CONSERVATIVE_VIC if conservative_vic else vic_overlay,
              note="write the victim per the §III policy and ack"
                   + ("; B_P = §VII sharer invalidations in flight"

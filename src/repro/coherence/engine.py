@@ -1,4 +1,4 @@
-"""Declarative protocol engine: tables, per-line FSMs, and transition hooks.
+"""Declarative protocol engine: tables and transition hooks.
 
 The paper specifies its protocols as explicit state tables — Figure 2 for
 the stateless directory's transaction states, Table I for the precise
@@ -6,7 +6,7 @@ directory — and gem5's SLICC (the paper's substrate) compiles exactly such
 tables into controllers.  This module is the reproduction's analogue: each
 controller *declares* its protocol as a :class:`TransitionTable`
 (``state × event -> guard / action / next-states``) and dispatches every
-protocol event through a :class:`ProtocolFSM`, which
+protocol event through :meth:`TransitionTable.fire`, which
 
 - looks up the declared transitions for ``(state, event)`` and picks the
   first whose guard passes,
@@ -15,8 +15,13 @@ protocol event through a :class:`ProtocolFSM`, which
 - **verifies the resulting state is one of the declared next-states** —
   undeclared drift raises :class:`ProtocolError` instead of silently
   diverging from the paper's tables,
-- and feeds ``(state, event, next_state)`` to any attached
-  :class:`TransitionHook` (tracing, invariant checking, counters).
+- feeds ``(state, event, next_state)`` to any attached
+  :class:`TransitionHook` (tracing, invariant checking, counters),
+- and returns the next state.  The table holds no per-line state: the
+  caller passes the state it keeps (the cache arrays for CPU and GPU lines,
+  the directory entry for Table I, the directory
+  :class:`~repro.coherence.transactions.Transaction` for Figure 2)
+  and stores the result.
 
 Because the tables are data, they can be *linted* statically
 (:meth:`TransitionTable.unhandled_pairs`,
@@ -186,8 +191,64 @@ class TransitionTable:
         self._map[key] = existing + (transition,)
 
     @staticmethod
-    def _raise_illegal(controller, ctx):  # pragma: no cover - via ProtocolFSM
-        raise AssertionError("illegal transitions are raised by ProtocolFSM")
+    def _raise_illegal(controller, ctx):  # pragma: no cover - via fire()
+        raise AssertionError("illegal transitions are raised by fire()")
+
+    # -- dispatch --------------------------------------------------------------
+
+    def fire(self, state, event: str, owner, addr: int, ctx=None):
+        """Dispatch ``event`` for a line in ``state``: guard-select a
+        transition, run its action, enforce the declared next-states, notify
+        hooks, and return the next state.
+
+        The caller owns the line's state (a cache array, a directory entry,
+        a transaction) and stores the returned state itself.  ``owner`` is
+        the controller the action methods are bound to; it must expose an
+        ``fsm_hooks`` tuple (possibly empty).
+        """
+        transitions = self._map.get((state, event))
+        if not transitions:
+            raise ProtocolError(
+                f"{self.name}: unhandled event {event!r} in state "
+                f"{state_label(state)} (addr={addr:#x})"
+            )
+        for transition in transitions:
+            guard = transition.guard
+            if guard is None or guard(owner, ctx):
+                break
+        else:
+            raise ProtocolError(
+                f"{self.name}: no guard matched for {event!r} in state "
+                f"{state_label(state)} (addr={addr:#x})"
+            )
+        if transition.kind == "illegal":
+            raise ProtocolError(
+                f"{self.name}: illegal event {event!r} in state "
+                f"{state_label(state)} (addr={addr:#x})"
+                + (f": {transition.note}" if transition.note else "")
+            )
+        action = transition.action
+        next_state = action(owner, ctx) if action is not None else None
+        declared = transition.next_states
+        if next_state is None:
+            if len(declared) != 1:
+                raise ProtocolError(
+                    f"{self.name}: {state_label(state)} x {event} has "
+                    f"{len(declared)} declared next states; the action must "
+                    "return one"
+                )
+            next_state = declared[0]
+        elif next_state not in declared:
+            raise ProtocolError(
+                f"{self.name}: {state_label(state)} x {event} reached "
+                f"undeclared state {state_label(next_state)} (declared: "
+                f"{[state_label(s) for s in declared]}, addr={addr:#x})"
+            )
+        hooks = owner.fsm_hooks
+        if hooks:
+            for hook in hooks:
+                hook.on_transition(owner, addr, state, event, next_state, self)
+        return next_state
 
     # -- queries ---------------------------------------------------------------
 
@@ -281,77 +342,6 @@ class TransitionTable:
 
     def __repr__(self) -> str:
         return f"TransitionTable({self.name!r}, {len(self._map)} pairs)"
-
-
-class ProtocolFSM:
-    """Per-line protocol state machine dispatching through a table.
-
-    Sits on the per-event hot path (one instance per in-flight directory
-    transaction / per resident cache line), hence ``__slots__``.
-    """
-
-    __slots__ = ("table", "state")
-
-    def __init__(self, table: TransitionTable, state: object) -> None:
-        self.table = table
-        self.state = state
-
-    def fire(self, event: str, owner, addr: int, ctx=None):
-        """Dispatch ``event``: guard-select a transition, run its action,
-        enforce the declared next-states, advance, and notify hooks.
-
-        ``owner`` is the controller the action methods are bound to; it must
-        expose an ``fsm_hooks`` tuple (possibly empty).
-        """
-        state = self.state
-        table = self.table
-        transitions = table._map.get((state, event))
-        if not transitions:
-            raise ProtocolError(
-                f"{table.name}: unhandled event {event!r} in state "
-                f"{state_label(state)} (addr={addr:#x})"
-            )
-        for transition in transitions:
-            guard = transition.guard
-            if guard is None or guard(owner, ctx):
-                break
-        else:
-            raise ProtocolError(
-                f"{self.table.name}: no guard matched for {event!r} in state "
-                f"{state_label(state)} (addr={addr:#x})"
-            )
-        if transition.kind == "illegal":
-            raise ProtocolError(
-                f"{self.table.name}: illegal event {event!r} in state "
-                f"{state_label(state)} (addr={addr:#x})"
-                + (f": {transition.note}" if transition.note else "")
-            )
-        action = transition.action
-        next_state = action(owner, ctx) if action is not None else None
-        declared = transition.next_states
-        if next_state is None:
-            if len(declared) != 1:
-                raise ProtocolError(
-                    f"{self.table.name}: {state_label(state)} x {event} has "
-                    f"{len(declared)} declared next states; the action must "
-                    "return one"
-                )
-            next_state = declared[0]
-        elif next_state not in declared:
-            raise ProtocolError(
-                f"{self.table.name}: {state_label(state)} x {event} reached "
-                f"undeclared state {state_label(next_state)} (declared: "
-                f"{[state_label(s) for s in declared]}, addr={addr:#x})"
-            )
-        self.state = next_state
-        hooks = owner.fsm_hooks
-        if hooks:
-            for hook in hooks:
-                hook.on_transition(owner, addr, state, event, next_state, table)
-        return next_state
-
-    def __repr__(self) -> str:
-        return f"ProtocolFSM({self.table.name}, {state_label(self.state)})"
 
 
 class TransitionHook:

@@ -14,11 +14,8 @@ memory write to the LLC's own eviction of that line.
 
 from __future__ import annotations
 
-from typing import Callable
-
 from repro.mem.block import LineData
 from repro.mem.cache_array import CacheArray
-from repro.mem.replacement import ReplacementPolicy, TreePLRU
 from repro.sim.stats import StatGroup
 
 
@@ -49,9 +46,8 @@ class LastLevelCache:
         assoc: int = 16,
         writeback: bool = False,
         latency_cycles: float = 20.0,
-        repl: Callable[[int], ReplacementPolicy] = TreePLRU,
     ) -> None:
-        self.array = CacheArray.from_geometry(size_bytes, assoc, repl=repl)
+        self.array = CacheArray.from_geometry(size_bytes, assoc)
         self.writeback = writeback
         self.latency_cycles = latency_cycles
         self.stats = StatGroup("llc")

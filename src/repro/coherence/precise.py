@@ -33,7 +33,7 @@ from repro.coherence.directory import (
     build_directory_table,
 )
 from repro.coherence.directory_entry import DirEntry, DirEntryStore
-from repro.coherence.engine import ProtocolFSM, TransitionTable
+from repro.coherence.engine import TransitionTable
 from repro.coherence.llc import LastLevelCache
 from repro.coherence.policies import DirectoryPolicy
 from repro.coherence.transactions import Transaction
@@ -189,19 +189,18 @@ class PreciseDirectory(DirectoryController):
         evict_req = Message(MsgType.PROBE, self.name, self.name, victim.addr)
         evict_txn = Transaction(evict_req, is_eviction=True)
         evict_txn.started_at = self.now
-        evict_txn.fsm = ProtocolFSM(self.fsm_table, "U")
         self._active[victim.addr] = evict_txn
         evict_txn.on_complete = lambda: self.relaunch(then)
-        evict_txn.fsm.fire(EV_DIR_EVICT, self, victim.addr, (evict_txn, victim))
+        evict_txn.state = self.fsm_table.fire(
+            evict_txn.state, EV_DIR_EVICT, self, victim.addr, (evict_txn, victim)
+        )
 
     def _act_dir_evict(self, ctx: tuple) -> str:
         evict_txn, victim = ctx
         # targets must be computed before Table I's S/O -> B flip (the
         # owner is only probed while the entry still shows O)
         targets = self._holder_targets(victim, include_owner=True)
-        ProtocolFSM(self.table1, victim.state).fire(
-            EV_DIR_EVICT, self, victim.addr, victim
-        )
+        self.table1.fire(victim.state, EV_DIR_EVICT, self, victim.addr, victim)
         self.stats.inc("backward_invalidations", len(targets))
         if targets:
             evict_txn.on_all_acks = lambda: self._finish_eviction(evict_txn, victim)
@@ -211,8 +210,8 @@ class PreciseDirectory(DirectoryController):
         return self._fig2_next(evict_txn)
 
     def _finish_eviction(self, evict_txn: Transaction, victim: CacheLine) -> None:
-        ProtocolFSM(self.table1, DirState.B).fire(
-            EV_EVICT_DONE, self, victim.addr, (evict_txn, victim)
+        self.table1.fire(
+            DirState.B, EV_EVICT_DONE, self, victim.addr, (evict_txn, victim)
         )
         evict_txn.responded = True
         self._maybe_complete(evict_txn)
@@ -345,16 +344,14 @@ class PreciseDirectory(DirectoryController):
     def update_state_after_response(self, txn: Transaction) -> None:
         """Fire the Table I transition for the completed request.
 
-        The FSM starts from :attr:`~Transaction.prior_state` — the stable
+        Dispatch starts from :attr:`~Transaction.prior_state` — the stable
         state recorded when the transaction launched (the line is blocked in
         between, so nothing else can move it) — and each action reports the
         resulting stable state, which the engine checks against Table I's
         declared next-states.
         """
         prior: DirState = txn.prior_state  # type: ignore[assignment]
-        ProtocolFSM(self.table1, prior).fire(
-            txn.request.mtype.value, self, txn.addr, txn
-        )
+        self.table1.fire(prior, txn.request.mtype.value, self, txn.addr, txn)
 
     # -- Table I actions (return the resulting stable state) --------------------
 

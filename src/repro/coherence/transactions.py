@@ -26,7 +26,7 @@ class Transaction:
         "tid",
         "addr",
         "request",
-        "fsm",
+        "state",
         "pending_acks",
         "mem_outstanding",
         "dirty_data",
@@ -50,9 +50,8 @@ class Transaction:
         self.tid = next(_tid_counter)
         self.addr = request.addr
         self.request = request
-        #: per-transaction ProtocolFSM over the directory's Figure-2 table;
-        #: installed by the directory when the transaction starts.
-        self.fsm = None
+        #: Figure-2 state, advanced by the directory's table on every event
+        self.state = "U"
         self.pending_acks = 0
         self.mem_outstanding = False
         #: dirty data collected from a probe ack (the most recent wins —

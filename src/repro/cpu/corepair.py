@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 from repro.coherence.banking import DirectoryMap, as_directory_map
-from repro.coherence.engine import ProtocolFSM, TransitionTable
+from repro.coherence.engine import TransitionTable
 from repro.mem.address import line_addr, word_index
 from repro.mem.block import LineData
 from repro.mem.cache_array import CacheArray
@@ -175,35 +175,16 @@ class CorePair(Controller):
         self.l2_latency = l2_latency
         self._mshrs: dict[int, _Mshr] = {}
         self._vic_pending: dict[int, _PendingVictim] = {}
-        #: per-line MOESI FSMs; lines at rest in I carry no entry
-        self._fsms: dict[int, ProtocolFSM] = {}
         #: the MOESI table this instance dispatches through.  Normally the
         #: shared module table; tests overlay a mutated copy here (before
         #: any traffic) to inject protocol faults for the litmus minimizer.
+        #: Each fire starts from the state read from the L2 array or the
+        #: victim buffer, the authoritative copy.
         self.moesi_table: TransitionTable = _COREPAIR_TABLE
 
     def fsm_tables(self):
         """The declared tables this controller dispatches through."""
         return (self.moesi_table,)
-
-    # -- protocol FSM ----------------------------------------------------------
-
-    def _fire(self, line: int, event: str, prev, ctx=None):
-        """Dispatch one MOESI event for ``line`` through the declared table.
-
-        ``prev`` is the line's current state as derived from the L2 array /
-        victim buffer — the authoritative source — so the FSM can never
-        drift from the arrays it shadows.
-        """
-        fsm = self._fsms.get(line)
-        if fsm is None:
-            fsm = self._fsms[line] = ProtocolFSM(self.moesi_table, prev)
-        else:
-            fsm.state = prev
-        nxt = fsm.fire(event, self, line, ctx)
-        if nxt is MoesiState.I:
-            del self._fsms[line]
-        return nxt
 
     # -- core-facing interface -------------------------------------------------
 
@@ -282,7 +263,8 @@ class CorePair(Controller):
                 return
             again.data = again.data.with_word(word_index(request.addr), request.value)
             if again.state is not MoesiState.M:
-                self._fire(line, EV_STORE, again.state, again)  # silent E->M
+                # silent E->M
+                self.moesi_table.fire(again.state, EV_STORE, self, line, again)
             callback(None)
 
         self.schedule(latency, finish)
@@ -311,7 +293,8 @@ class CorePair(Controller):
             )
             again.data = new_data
             if again.state is not MoesiState.M:
-                self._fire(line, EV_STORE, again.state, again)  # silent E->M
+                # silent E->M
+                self.moesi_table.fire(again.state, EV_STORE, self, line, again)
             callback(old)
 
         self.schedule(latency, finish)
@@ -382,7 +365,7 @@ class CorePair(Controller):
         if msg.state is None or msg.state is MoesiState.I:
             raise CorePairError(f"{self.name}: bad granted state in {msg!r}")
         prev = MoesiState.I if existing is None else existing.state
-        self._fire(line, EV_FILL, prev, (line, msg.state, data))
+        self.moesi_table.fire(prev, EV_FILL, self, line, (line, msg.state, data))
         self.network.send(Message.unblock(self.name, msg.src, line, msg.tid))
         for slot, request, callback in mshr.waiters:
             self._execute(slot, request, callback)
@@ -403,7 +386,9 @@ class CorePair(Controller):
                         f"{self.name}: L2 set exhausted by outstanding misses"
                     )
                 snapshot = self.l2.invalidate(victim.addr)
-                self._fire(snapshot.addr, EV_EVICT, snapshot.state, snapshot)
+                self.moesi_table.fire(
+                    snapshot.state, EV_EVICT, self, snapshot.addr, snapshot
+                )
         self.l2.install(line, state=state, data=data, dirty=state.is_dirty)
 
     def _act_evict(self, snapshot) -> str:
@@ -427,7 +412,9 @@ class CorePair(Controller):
         pending = self._vic_pending.get(msg.addr)
         if pending is None:
             raise CorePairError(f"{self.name}: WB ack without pending victim: {msg!r}")
-        self._fire(msg.addr, EV_WB_ACK, VIC_PENDING, (msg.addr, pending))
+        self.moesi_table.fire(
+            VIC_PENDING, EV_WB_ACK, self, msg.addr, (msg.addr, pending)
+        )
 
     def _act_wb_ack(self, ctx: tuple) -> MoesiState:
         addr, pending = ctx
@@ -446,11 +433,11 @@ class CorePair(Controller):
         line = msg.addr
         pending = self._vic_pending.get(line)
         if pending is not None:
-            self._fire(line, event, VIC_PENDING, (msg, pending))
+            self.moesi_table.fire(VIC_PENDING, event, self, line, (msg, pending))
             return
         cached = self.l2.lookup(line, touch=False)
         prev = MoesiState.I if cached is None else cached.state
-        self._fire(line, event, prev, (msg, cached))
+        self.moesi_table.fire(prev, event, self, line, (msg, cached))
 
     def _act_probe_vic(self, ctx: tuple) -> str:
         # Vic in flight: forward the data so the directory never depends

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 from repro.coherence.banking import DirectoryMap, as_directory_map
-from repro.coherence.engine import ProtocolFSM, TransitionTable
+from repro.coherence.engine import TransitionTable
 from repro.mem.block import LineData
 from repro.mem.cache_array import CacheArray
 from repro.protocol.atomics import AtomicOp, apply_atomic
@@ -138,27 +138,10 @@ class TccController(Controller):
         self._atomic_pending: dict[int, deque[Callable[[int], None]]] = {}
         #: FIFO of in-flight fences: [outstanding bank acks, callback]
         self._flush_pending: list[list] = []
-        #: per-line VI FSMs; lines at rest in I carry no entry
-        self._fsms: dict[int, ProtocolFSM] = {}
 
     def fsm_tables(self):
         """The declared tables this controller dispatches through."""
         return (_TCC_TABLE,)
-
-    # -- protocol FSM ----------------------------------------------------------
-
-    def _fire(self, line: int, event: str, prev, ctx=None):
-        """Dispatch one VI event for ``line``; ``prev`` is derived from the
-        array (the authoritative source) so the FSM can never drift."""
-        fsm = self._fsms.get(line)
-        if fsm is None:
-            fsm = self._fsms[line] = ProtocolFSM(_TCC_TABLE, prev)
-        else:
-            fsm.state = prev
-        nxt = fsm.fire(event, self, line, ctx)
-        if nxt is ViState.I:
-            del self._fsms[line]
-        return nxt
 
     # -- CU-facing interface ----------------------------------------------------
 
@@ -274,7 +257,7 @@ class TccController(Controller):
         carried: dict[int, int] | None = None
         if self.array.lookup(line, touch=False) is not None:
             ctx: dict = {"line": line}
-            self._fire(line, EV_SLC_BYPASS, ViState.V, ctx)
+            _TCC_TABLE.fire(ViState.V, EV_SLC_BYPASS, self, line, ctx)
             carried = ctx.get("carried")
         self._atomic_pending.setdefault(line, deque()).append(callback)
         self.network.send(
@@ -317,7 +300,9 @@ class TccController(Controller):
         if self.writeback:
             for cached in self.array.iter_valid():
                 if cached.dirty:
-                    self._fire(cached.addr, EV_FLUSH_LINE, ViState.V, cached)
+                    _TCC_TABLE.fire(
+                        ViState.V, EV_FLUSH_LINE, self, cached.addr, cached
+                    )
         self.drain(callback)
 
     def _act_flush_line(self, cached) -> None:
@@ -352,7 +337,7 @@ class TccController(Controller):
     def invalidate_all(self) -> None:
         """Drop every line (clean or dirty) — full-cache invalidate."""
         for cached in list(self.array.iter_valid()):
-            self._fire(cached.addr, EV_INV_ALL, ViState.V, cached)
+            _TCC_TABLE.fire(ViState.V, EV_INV_ALL, self, cached.addr, cached)
 
     def _act_inv_all(self, cached) -> ViState:
         if cached.dirty:
@@ -408,7 +393,7 @@ class TccController(Controller):
 
     def _install(self, line: int, data: LineData) -> None:
         prev = ViState.I if self.array.lookup(line) is None else ViState.V
-        self._fire(line, EV_FILL, prev, (line, data))
+        _TCC_TABLE.fire(prev, EV_FILL, self, line, (line, data))
 
     def _act_fill(self, ctx: tuple) -> ViState:
         line, data = ctx
@@ -419,13 +404,9 @@ class TccController(Controller):
         victim = self.array.choose_victim(line)
         if victim.valid and victim.dirty:
             # Capacity eviction of a dirty line: write back its dirty words.
-            self._fire(victim.addr, EV_EVICT, ViState.V, victim.addr)
-        _, displaced = self.array.install(line, state=ViState.V, data=data,
-                                          dirty=False)
-        if displaced is not None:
-            # Clean capacity displacement: silent (no protocol event), but
-            # the displaced line's FSM bookkeeping must not leak.
-            self._fsms.pop(displaced.addr, None)
+            _TCC_TABLE.fire(ViState.V, EV_EVICT, self, victim.addr, victim.addr)
+        # a clean capacity displacement is silent (no protocol event)
+        self.array.install(line, state=ViState.V, data=data, dirty=False)
         return ViState.V
 
     def _act_evict(self, addr: int) -> ViState:
@@ -487,7 +468,7 @@ class TccController(Controller):
             raise TccError(f"{self.name}: bad probe {msg!r}")
         cached = self.array.lookup(msg.addr, touch=False)
         prev = ViState.I if cached is None else ViState.V
-        self._fire(msg.addr, event, prev, (msg, cached))
+        _TCC_TABLE.fire(prev, event, self, msg.addr, (msg, cached))
 
     def _act_probe_inv(self, ctx: tuple) -> ViState:
         msg, cached = ctx

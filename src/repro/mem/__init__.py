@@ -11,7 +11,7 @@ from repro.mem.address import (
 from repro.mem.block import LineData
 from repro.mem.cache_array import CacheArray, CacheLine
 from repro.mem.main_memory import MainMemory
-from repro.mem.replacement import LRU, ReplacementPolicy, StateAwarePLRU, TreePLRU
+from repro.mem.replacement import TreePLRU
 
 __all__ = [
     "BYTES_PER_WORD",
@@ -19,10 +19,7 @@ __all__ = [
     "CacheLine",
     "LINE_BYTES",
     "LineData",
-    "LRU",
     "MainMemory",
-    "ReplacementPolicy",
-    "StateAwarePLRU",
     "TreePLRU",
     "WORDS_PER_LINE",
     "line_addr",

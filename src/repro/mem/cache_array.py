@@ -17,14 +17,13 @@ planes until lines are used.  Hot paths can skip the view entirely with the
 index API (:meth:`find`, :meth:`find_touch` plus the plane lists), turning
 lookup/touch/state-update into dict-get + list indexing.
 
-Replacement: arrays built with the default :class:`TreePLRU` keep the whole
-per-set tree in one integer (bit ``n`` of ``_plru[set]`` is node ``n`` of
-the tree) — ``touch`` is a single masked or using per-way masks precomputed
-from the reference implementation, and ``victim`` is a memoized
-``bits -> (way, bits_after)`` table populated by running the reference walk,
-so the chosen victims (including the non-power-of-two padding-leaf retries,
-which mutate the tree) are bit-identical to the object policies.  Any other
-replacement policy falls back to one policy object per set, as before.
+Replacement is Tree-PLRU (Table II).  Each set's tree lives in one integer
+(bit ``n`` of ``_plru[set]`` is node ``n`` of the tree) — ``touch`` is a
+single masked or using per-way masks precomputed from the reference
+:class:`TreePLRU`, and ``victim`` is a memoized ``bits -> (way, bits_after)``
+table populated by running the reference walk, so the chosen victims
+(including the non-power-of-two padding-leaf retries, which mutate the tree)
+are bit-identical to the reference.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from typing import Any, Callable, Iterator
 
 from repro.mem.address import LINE_BYTES
 from repro.mem.block import LineData
-from repro.mem.replacement import ReplacementPolicy, TreePLRU, preferred_order
+from repro.mem.replacement import TreePLRU, preferred_order
 
 
 class CacheLine:
@@ -207,18 +206,13 @@ def _plru_geometry(ways: int) -> tuple[list[int], list[int], dict[int, tuple[int
 
 
 class CacheArray:
-    """A ``num_sets`` x ``ways`` array with pluggable replacement.
+    """A ``num_sets`` x ``ways`` array with Tree-PLRU replacement.
 
     Addresses passed in must already be line-aligned; the set index is
     ``(addr / 64) mod num_sets`` and the full line address doubles as tag.
     """
 
-    def __init__(
-        self,
-        num_sets: int,
-        ways: int,
-        repl: Callable[[int], ReplacementPolicy] = TreePLRU,
-    ) -> None:
+    def __init__(self, num_sets: int, ways: int) -> None:
         if num_sets < 1 or ways < 1:
             raise ValueError(f"bad geometry: {num_sets} sets x {ways} ways")
         self.num_sets = num_sets
@@ -234,21 +228,14 @@ class CacheArray:
         self._views: list[_LineView | None] = [None] * slots
         #: line-aligned address -> flat slot index
         self._index: dict[int, int] = {}
-        # replacement state: integer trees for the default TreePLRU,
-        # one policy object per set otherwise.
-        self._repl_factory = repl
-        if repl is TreePLRU:
-            touch_and, touch_or, victim_memo, leaves = _plru_geometry(ways)
-            self._plru: list[int] | None = [0] * num_sets
-            self._victim_memo = victim_memo
-            self._plru_leaves = leaves
-            # per-slot touch masks (indexable straight from the flat slot)
-            self._touch_and = touch_and * num_sets
-            self._touch_or = touch_or * num_sets
-            self._repl: list[ReplacementPolicy] | None = None
-        else:
-            self._plru = None
-            self._repl = [repl(ways) for _ in range(num_sets)]
+        # replacement state: one integer Tree-PLRU per set
+        touch_and, touch_or, victim_memo, leaves = _plru_geometry(ways)
+        self._plru = [0] * num_sets
+        self._victim_memo = victim_memo
+        self._plru_leaves = leaves
+        # per-slot touch masks (indexable straight from the flat slot)
+        self._touch_and = touch_and * num_sets
+        self._touch_or = touch_or * num_sets
 
     @classmethod
     def from_geometry(
@@ -256,13 +243,12 @@ class CacheArray:
         size_bytes: int,
         assoc: int,
         line_bytes: int = LINE_BYTES,
-        repl: Callable[[int], ReplacementPolicy] = TreePLRU,
     ) -> "CacheArray":
         """Build from a (size, associativity) pair as in Table II."""
         lines = max(1, size_bytes // line_bytes)
         ways = min(assoc, lines)
         num_sets = max(1, lines // ways)
-        return cls(num_sets, ways, repl)
+        return cls(num_sets, ways)
 
     # -- lookups ----------------------------------------------------------
 
@@ -278,11 +264,8 @@ class CacheArray:
         if slot is None:
             return -1
         plru = self._plru
-        if plru is not None:
-            set_idx = slot // self.ways
-            plru[set_idx] = (plru[set_idx] & self._touch_and[slot]) | self._touch_or[slot]
-        else:
-            self._repl[slot // self.ways].touch(slot % self.ways)
+        set_idx = slot // self.ways
+        plru[set_idx] = (plru[set_idx] & self._touch_and[slot]) | self._touch_or[slot]
         return slot
 
     def lookup(self, addr: int, touch: bool = True) -> "_LineView | None":
@@ -292,13 +275,8 @@ class CacheArray:
             return None
         if touch:
             plru = self._plru
-            if plru is not None:
-                set_idx = slot // self.ways
-                plru[set_idx] = (
-                    (plru[set_idx] & self._touch_and[slot]) | self._touch_or[slot]
-                )
-            else:
-                self._repl[slot // self.ways].touch(slot % self.ways)
+            set_idx = slot // self.ways
+            plru[set_idx] = (plru[set_idx] & self._touch_and[slot]) | self._touch_or[slot]
         view = self._views[slot]
         if view is None:
             view = self._views[slot] = _LineView(self, slot)
@@ -314,11 +292,8 @@ class CacheArray:
 
     def touch_slot(self, slot: int) -> None:
         plru = self._plru
-        if plru is not None:
-            set_idx = slot // self.ways
-            plru[set_idx] = (plru[set_idx] & self._touch_and[slot]) | self._touch_or[slot]
-        else:
-            self._repl[slot // self.ways].touch(slot % self.ways)
+        set_idx = slot // self.ways
+        plru[set_idx] = (plru[set_idx] & self._touch_and[slot]) | self._touch_or[slot]
 
     # -- replacement internals --------------------------------------------
 
@@ -342,27 +317,18 @@ class CacheArray:
             plru[set_idx] = after
         return way
 
-    def _policy_of(self, set_idx: int) -> ReplacementPolicy:
-        """A policy object mirroring ``set_idx``'s current replacement state
-        (for the cost-ranked victim path's ``preferred_order``)."""
-        if self._plru is None:
-            return self._repl[set_idx]
-        probe = TreePLRU(self.ways)
-        probe._bits = _int_to_bits(self._plru[set_idx], self._plru_leaves)
-        return probe
-
     # -- allocation -------------------------------------------------------
 
     def choose_victim(
         self, addr: int, cost_of: Callable[["_LineView"], Any] | None = None
     ) -> "_LineView":
         """The line to overwrite when installing ``addr``: an invalid way if
-        any, else the replacement policy's pick.  Does not modify the line
-        planes (the Tree-PLRU walk itself may rotate padding bits, exactly
-        as the reference policy does).
+        any, else the Tree-PLRU pick.  Does not modify the line planes (the
+        Tree-PLRU walk itself may rotate padding bits, exactly as the
+        reference policy does).
 
         ``cost_of`` optionally ranks valid lines by eviction cost (lower is
-        cheaper); the replacement policy only breaks ties among the cheapest.
+        cheaper); Tree-PLRU only breaks ties among the cheapest.
         This hook implements the paper's §VII state-aware directory
         replacement.
         """
@@ -373,10 +339,7 @@ class CacheArray:
         for way in range(self.ways):
             if not valid[base + way]:
                 return view(base + way)
-        if self._plru is not None:
-            victim_way = self._fast_victim(set_idx)
-        else:
-            victim_way = self._repl[set_idx].victim()
+        victim_way = self._fast_victim(set_idx)
         if cost_of is None:
             return view(base + victim_way)
         costs = [cost_of(view(base + way)) for way in range(self.ways)]
@@ -384,7 +347,9 @@ class CacheArray:
         candidates = [way for way, cost in enumerate(costs) if cost == cheapest]
         if victim_way in candidates:
             return view(base + victim_way)
-        return view(base + preferred_order(self._policy_of(set_idx), candidates)[0])
+        tree = TreePLRU(self.ways)
+        tree._bits = _int_to_bits(self._plru[set_idx], self._plru_leaves)
+        return view(base + preferred_order(tree, candidates)[0])
 
     def install(
         self,

@@ -1,49 +1,20 @@
-"""Replacement policies for set-associative structures.
+"""Tree-PLRU replacement, the policy of every cache in Table II.
 
-The paper's caches use Tree-PLRU (Table II).  Its future-work section (§VII)
-proposes a directory replacement policy that avoids victimizing lines with
-many sharers or in modified states; :class:`StateAwarePLRU` implements that
-idea — victims are chosen by a caller-supplied cost key, with Tree-PLRU
-breaking ties — and is benchmarked in the ablation suite.
+:class:`TreePLRU` is the reference walk over an explicit bit list.
+:class:`~repro.mem.cache_array.CacheArray` keeps each set's tree in one
+integer and derives its touch masks and victim table from this class, so the
+two cannot disagree.  §VII's state-aware directory replacement is a cost key
+over the same tree: ``CacheArray.choose_victim(cost_of=...)`` filters to the
+cheapest ways and ranks them with :func:`preferred_order`.
 """
 
 from __future__ import annotations
 
 import copy
-from typing import Callable, Iterable
+from typing import Iterable
 
 
-class ReplacementPolicy:
-    """Per-set replacement state.  One instance per cache set."""
-
-    def __init__(self, ways: int) -> None:
-        self.ways = ways
-
-    def touch(self, way: int) -> None:
-        """Record an access to ``way``."""
-        raise NotImplementedError
-
-    def victim(self) -> int:
-        """Choose the way to replace."""
-        raise NotImplementedError
-
-
-class LRU(ReplacementPolicy):
-    """Exact least-recently-used."""
-
-    def __init__(self, ways: int) -> None:
-        super().__init__(ways)
-        self._order = list(range(ways))  # least recent first
-
-    def touch(self, way: int) -> None:
-        self._order.remove(way)
-        self._order.append(way)
-
-    def victim(self) -> int:
-        return self._order[0]
-
-
-class TreePLRU(ReplacementPolicy):
+class TreePLRU:
     """Tree pseudo-LRU over the next power of two of ``ways``.
 
     Internal nodes hold one bit each: 0 means "the LRU side is the left
@@ -54,7 +25,7 @@ class TreePLRU(ReplacementPolicy):
     """
 
     def __init__(self, ways: int) -> None:
-        super().__init__(ways)
+        self.ways = ways
         self._leaves = 1
         while self._leaves < ways:
             self._leaves *= 2
@@ -62,6 +33,7 @@ class TreePLRU(ReplacementPolicy):
         self._bits = [0] * self._leaves
 
     def touch(self, way: int) -> None:
+        """Record an access to ``way``."""
         node = 1
         span = self._leaves
         base = 0
@@ -77,6 +49,7 @@ class TreePLRU(ReplacementPolicy):
         # leaf reached; nothing stored at leaves
 
     def victim(self) -> int:
+        """Choose the way to replace."""
         for _attempt in range(self._leaves):
             node = 1
             span = self._leaves
@@ -95,97 +68,25 @@ class TreePLRU(ReplacementPolicy):
         raise RuntimeError("TreePLRU failed to find a victim")  # pragma: no cover
 
 
-class StateAwarePLRU(TreePLRU):
-    """Tree-PLRU that first filters candidates by a replacement cost key.
-
-    ``cost_of(way)`` returns an orderable cost (lower = cheaper to evict,
-    e.g. unmodified lines with fewest sharers).  Among the minimum-cost ways
-    the PLRU walk's preference decides.  This is the §VII future-work
-    directory replacement policy.
-    """
-
-    def __init__(self, ways: int, cost_of: Callable[[int], tuple | int] | None = None) -> None:
-        super().__init__(ways)
-        self.cost_of = cost_of
-
-    def victim(self) -> int:
-        if self.cost_of is None:
-            return super().victim()
-        costs = [self.cost_of(way) for way in range(self.ways)]
-        cheapest = min(costs)
-        candidates = [way for way, cost in enumerate(costs) if cost == cheapest]
-        if len(candidates) == 1:
-            return candidates[0]
-        plru_choice = super().victim()
-        if plru_choice in candidates:
-            return plru_choice
-        # Fall back to the candidate the PLRU bits consider least recent:
-        # walk candidates in PLRU preference order by repeatedly victimizing.
-        return preferred_order(self, candidates)[0]
-
-
-def policy_factory(name: str) -> Callable[[int], ReplacementPolicy]:
-    """Look up a replacement-policy constructor by name."""
-    table: dict[str, Callable[[int], ReplacementPolicy]] = {
-        "lru": LRU,
-        "tree_plru": TreePLRU,
-        "state_aware_plru": StateAwarePLRU,
-    }
-    try:
-        return table[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown replacement policy {name!r}; choose from {sorted(table)}"
-        ) from None
-
-
-def _enumerate_preference(clone: ReplacementPolicy) -> list[int]:
-    """Drain ``clone``'s full victim preference by repeated victimize+touch.
-
-    Each round asks for the victim, records it, and touches it (making it
-    most-recent) so the next round surfaces the next-preferred way.  The
-    caller must pass a disposable copy — the walk mutates the policy state.
-    """
-    ranking: list[int] = []
-    remaining = set(range(clone.ways))
-    leaves = getattr(clone, "_leaves", clone.ways)
-    guard = 4 * leaves * leaves + 16
-    while remaining:
-        guard -= 1
-        if guard < 0:  # pragma: no cover - defensive against bad policies
-            raise RuntimeError(
-                f"replacement policy {clone!r} did not yield all ways"
-            )
-        victim = clone.victim()
-        if victim in remaining:
-            ranking.append(victim)
-            remaining.discard(victim)
-        clone.touch(victim)
-    return ranking
-
-
-def preferred_order(
-    policy: ReplacementPolicy, ways: Iterable[int] | None = None
-) -> list[int]:
+def preferred_order(policy: TreePLRU, ways: Iterable[int] | None = None) -> list[int]:
     """Rank ``ways`` (default: all of them) from most- to least-preferred
     victim, without disturbing the live policy state.
 
-    For :class:`StateAwarePLRU` with a cost function the ranking is by
-    ``(cost, PLRU recency)``; for every other policy it is the pure
-    recency order obtained by repeatedly victimizing a copy.
+    The ranking comes from repeatedly victimizing and touching a copy: each
+    round surfaces the next-preferred way.
     """
     requested = list(range(policy.ways)) if ways is None else list(ways)
     invalid = [way for way in requested if not 0 <= way < policy.ways]
     if invalid:
         raise ValueError(f"ways out of range for {policy.ways}-way policy: {invalid}")
-    if isinstance(policy, StateAwarePLRU) and policy.cost_of is not None:
-        # Cost-based victims never surface expensive ways, so enumerate the
-        # underlying tree instead and order by (cost, PLRU preference).
-        tree = TreePLRU(policy.ways)
-        tree._bits = list(policy._bits)
-        plru_rank = {way: r for r, way in enumerate(_enumerate_preference(tree))}
-        return sorted(requested, key=lambda way: (policy.cost_of(way), plru_rank[way]))
-    rank = {
-        way: r for r, way in enumerate(_enumerate_preference(copy.deepcopy(policy)))
-    }
+    clone = copy.deepcopy(policy)
+    ranking: list[int] = []
+    remaining = set(range(policy.ways))
+    while remaining:
+        victim = clone.victim()
+        if victim in remaining:
+            ranking.append(victim)
+            remaining.discard(victim)
+        clone.touch(victim)
+    rank = {way: r for r, way in enumerate(ranking)}
     return sorted(requested, key=lambda way: rank[way])

@@ -13,7 +13,6 @@ import pytest
 
 from repro.coherence.engine import (
     ProtocolError,
-    ProtocolFSM,
     RecordingHook,
     TransitionStats,
     TransitionTable,
@@ -110,49 +109,50 @@ class TestLint:
 
 
 class TestProtocolFSM:
+    """Dispatch through :meth:`TransitionTable.fire`: the caller passes the
+    line's state and stores the returned next state."""
+
     def test_fire_advances_and_returns_next(self):
-        fsm = ProtocolFSM(drain_table(), "Idle")
-        assert fsm.fire("pump", Owner(), 0x40) == "Busy"
-        assert fsm.state == "Busy"
-        assert fsm.fire("drain", Owner(), 0x40) == "Idle"
+        table = drain_table()
+        state = table.fire("Idle", "pump", Owner(), 0x40)
+        assert state == "Busy"
+        assert table.fire(state, "drain", Owner(), 0x40) == "Idle"
 
     def test_illegal_pair_raises(self):
-        fsm = ProtocolFSM(drain_table(), "Idle")
         with pytest.raises(ProtocolError, match="nothing to drain"):
-            fsm.fire("drain", Owner(), 0x40)
+            drain_table().fire("Idle", "drain", Owner(), 0x40)
 
     def test_undeclared_pair_raises(self):
         table = TransitionTable("t", ("A",), ("e", "f"), "A")
         table.on("A", "e", "A")
         with pytest.raises(ProtocolError, match="unhandled event"):
-            ProtocolFSM(table, "A").fire("f", Owner(), 0)
+            table.fire("A", "f", Owner(), 0)
 
     def test_guards_select_in_declaration_order(self):
         table = TransitionTable("t", ("A", "B", "C"), ("e",), "A")
-        table.on("A", "e", "B", guard=lambda owner, ctx: ctx == "b")
-        table.on("A", "e", "C", guard=lambda owner, ctx: ctx == "c")
-        fsm = ProtocolFSM(table, "A")
-        assert fsm.fire("e", Owner(), 0, ctx="c") == "C"
-        fsm.state = "A"
-        assert fsm.fire("e", Owner(), 0, ctx="b") == "B"
+        table.on("A", "e", "B", guard=lambda owner, ctx: ctx in ("b", "bc"))
+        table.on("A", "e", "C", guard=lambda owner, ctx: ctx in ("c", "bc"))
+        assert table.fire("A", "e", Owner(), 0, ctx="c") == "C"
+        assert table.fire("A", "e", Owner(), 0, ctx="b") == "B"
+        assert table.fire("A", "e", Owner(), 0, ctx="bc") == "B"  # first wins
 
     def test_no_guard_match_raises(self):
         table = TransitionTable("t", ("A", "B"), ("e",), "A")
         table.on("A", "e", "B", guard=lambda owner, ctx: False)
         with pytest.raises(ProtocolError, match="no guard matched"):
-            ProtocolFSM(table, "A").fire("e", Owner(), 0)
+            table.fire("A", "e", Owner(), 0)
 
     def test_action_result_must_be_declared(self):
         table = TransitionTable("t", ("A", "B", "C"), ("e",), "A")
         table.on("A", "e", ("B",), action=lambda owner, ctx: "C")
         with pytest.raises(ProtocolError, match="undeclared state"):
-            ProtocolFSM(table, "A").fire("e", Owner(), 0)
+            table.fire("A", "e", Owner(), 0)
 
     def test_action_returning_none_needs_single_next(self):
         table = TransitionTable("t", ("A", "B", "C"), ("e",), "A")
         table.on("A", "e", ("B", "C"), action=lambda owner, ctx: None)
         with pytest.raises(ProtocolError, match="must\nreturn one|must return one"):
-            ProtocolFSM(table, "A").fire("e", Owner(), 0)
+            table.fire("A", "e", Owner(), 0)
 
     def test_action_receives_owner_and_ctx(self):
         seen = []
@@ -160,7 +160,7 @@ class TestProtocolFSM:
         table.on("A", "e", "A",
                  action=lambda owner, ctx: seen.append((owner, ctx)) or "A")
         owner = Owner()
-        ProtocolFSM(table, "A").fire("e", owner, 0, ctx={"k": 1})
+        table.fire("A", "e", owner, 0, ctx={"k": 1})
         assert seen == [(owner, {"k": 1})]
 
 
@@ -169,9 +169,9 @@ class TestHooks:
         owner = Owner("dir0")
         hook = RecordingHook()
         owner.add_fsm_hook(hook)
-        fsm = ProtocolFSM(drain_table(), "Idle")
-        fsm.fire("pump", owner, 0x80)
-        fsm.fire("drain", owner, 0x80)
+        table = drain_table()
+        state = table.fire("Idle", "pump", owner, 0x80)
+        table.fire(state, "drain", owner, 0x80)
         assert hook.records == [
             ("dir0", 0x80, "Idle", "pump", "Busy"),
             ("dir0", 0x80, "Busy", "drain", "Idle"),
@@ -185,10 +185,10 @@ class TestHooks:
         owner = Owner("dir0")
         stats = TransitionStats()
         owner.add_fsm_hook(stats)
-        fsm = ProtocolFSM(drain_table(), "Idle")
-        fsm.fire("pump", owner, 0)
-        fsm.fire("drain", owner, 0)
-        fsm.fire("pump", owner, 0)
+        table = drain_table()
+        state = "Idle"
+        for event in ("pump", "drain", "pump"):
+            state = table.fire(state, event, owner, 0)
         assert stats.stats["dir0.Idle.pump"] == 2
         assert stats.stats["dir0.Busy.drain"] == 1
 
@@ -197,8 +197,16 @@ class TestHooks:
         first, second = RecordingHook(), RecordingHook()
         owner.add_fsm_hook(first)
         owner.add_fsm_hook(second)
-        ProtocolFSM(drain_table(), "Idle").fire("pump", owner, 0)
+        drain_table().fire("Idle", "pump", owner, 0)
         assert len(first.records) == len(second.records) == 1
+
+    def test_hooks_do_not_run_when_dispatch_raises(self):
+        owner = Owner()
+        hook = RecordingHook()
+        owner.add_fsm_hook(hook)
+        with pytest.raises(ProtocolError):
+            drain_table().fire("Idle", "drain", owner, 0)
+        assert hook.records == []
 
 
 class TestStateLabel:

@@ -107,50 +107,54 @@ class TestGrants:
         assert h.l2s[0].last_response().data.word(0) == 99
 
 
+#: policy -> overlay on (B, Commit), then per victim type: LLC holds the
+#: line, LLC dirty bit, memory writes.  Only a write-back LLC keeps dirty
+#: bits; the custom row is a knob combination outside the named overlays.
+VICTIM_POLICY_TABLE = {
+    "baseline": (PRESETS["baseline"], None, {
+        MsgType.VIC_CLEAN: (True, False, 1),
+        MsgType.VIC_DIRTY: (True, False, 1),
+    }),
+    "noWBcleanVic": (PRESETS["noWBcleanVic"], "noWBcleanVic (§III-B)", {
+        MsgType.VIC_CLEAN: (True, False, 0),
+        MsgType.VIC_DIRTY: (True, False, 1),
+    }),
+    "noCleanVicToLLC": (PRESETS["noCleanVicToLLC"], "noCleanVicToLLC (§III-B1)", {
+        MsgType.VIC_CLEAN: (False, False, 0),
+        MsgType.VIC_DIRTY: (True, False, 1),
+    }),
+    "llcWB": (PRESETS["llcWB"], "llcWB (§III-C)", {
+        MsgType.VIC_CLEAN: (True, False, 0),
+        MsgType.VIC_DIRTY: (True, True, 0),
+    }),
+    "custom": (
+        DirectoryPolicy(clean_victims_to_llc=False, clean_victims_to_memory=True),
+        "custom victim policy", {
+            MsgType.VIC_CLEAN: (False, False, 1),
+            MsgType.VIC_DIRTY: (True, False, 1),
+        },
+    ),
+}
+
+
 class TestVictimPolicies:
-    def test_baseline_writes_clean_victim_to_llc_and_memory(self):
-        h = DirHarness()
-        h.l2s[0].request(MsgType.VIC_CLEAN, ADDR, data=line_with(5))
+    @pytest.mark.parametrize("mtype", [MsgType.VIC_CLEAN, MsgType.VIC_DIRTY],
+                             ids=["clean", "dirty"])
+    @pytest.mark.parametrize("name", list(VICTIM_POLICY_TABLE))
+    def test_commit(self, name, mtype):
+        policy, overlay, rows = VICTIM_POLICY_TABLE[name]
+        in_llc, llc_dirty, mem_writes = rows[mtype]
+        h = DirHarness(policy=policy)
+        (commit,) = h.directory.fsm_table.lookup("B", "Commit")
+        assert commit.overlay == overlay
+        h.l2s[0].request(mtype, ADDR, data=line_with(5))
         h.run()
-        assert h.llc.holds(ADDR)
-        assert h.mem_writes == 1
         assert h.l2s[0].last_response().mtype is MsgType.WB_ACK
-
-    def test_baseline_writes_dirty_victim_to_llc_and_memory(self):
-        h = DirHarness()
-        h.l2s[0].request(MsgType.VIC_DIRTY, ADDR, data=line_with(5))
-        h.run()
-        assert h.llc.holds(ADDR)
-        assert h.mem_writes == 1
-        assert h.memory.peek(ADDR).word(0) == 5
-
-    def test_no_wb_clean_vic_skips_memory(self):
-        h = DirHarness(policy=PRESETS["noWBcleanVic"])
-        h.l2s[0].request(MsgType.VIC_CLEAN, ADDR, data=line_with(5))
-        h.run()
-        assert h.llc.holds(ADDR)
-        assert h.mem_writes == 0
-
-    def test_no_wb_clean_vic_still_writes_dirty_to_memory(self):
-        h = DirHarness(policy=PRESETS["noWBcleanVic"])
-        h.l2s[0].request(MsgType.VIC_DIRTY, ADDR, data=line_with(5))
-        h.run()
-        assert h.mem_writes == 1
-
-    def test_b1_drops_clean_victims_entirely(self):
-        h = DirHarness(policy=PRESETS["noCleanVicToLLC"])
-        h.l2s[0].request(MsgType.VIC_CLEAN, ADDR, data=line_with(5))
-        h.run()
-        assert not h.llc.holds(ADDR)
-        assert h.mem_writes == 0
-
-    def test_llcwb_dirty_victim_only_writes_llc(self):
-        h = DirHarness(policy=PRESETS["llcWB"])
-        h.l2s[0].request(MsgType.VIC_DIRTY, ADDR, data=line_with(5))
-        h.run()
-        assert h.llc.holds(ADDR)
-        assert h.llc.is_dirty(ADDR)
-        assert h.mem_writes == 0
+        assert h.llc.holds(ADDR) is in_llc
+        assert h.llc.is_dirty(ADDR) is llc_dirty
+        assert h.mem_writes == mem_writes
+        if mem_writes:
+            assert h.memory.peek(ADDR).word(0) == 5
 
     def test_llcwb_dirty_llc_eviction_writes_memory(self):
         """Filling a 1-set LLC with dirty victims forces deferred writes."""

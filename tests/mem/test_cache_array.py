@@ -97,9 +97,8 @@ class TestLookupInstall:
 
 class TestReplacementIntegration:
     def test_lru_order_respected_within_set(self):
-        from repro.mem.replacement import LRU
-
-        array = CacheArray(num_sets=1, ways=2, repl=LRU)
+        """Two-way Tree-PLRU is exact LRU."""
+        array = CacheArray(num_sets=1, ways=2)
         array.install(addr_of(0), state="S")
         array.install(addr_of(1), state="S")
         array.lookup(addr_of(0))  # make line 0 most recent
@@ -193,18 +192,29 @@ class TestLazyViews:
         from repro.mem.replacement import TreePLRU
 
         rng = random.Random(seed)
-        fast = CacheArray(num_sets=3, ways=6)
-        reference = CacheArray(num_sets=3, ways=6, repl=lambda ways: TreePLRU(ways))
+        num_sets, ways = 3, 6
+        fast = CacheArray(num_sets=num_sets, ways=ways)
+        trees = [TreePLRU(ways) for _ in range(num_sets)]
+        resident: list[list[int | None]] = [[None] * ways for _ in range(num_sets)]
         evictions = 0
         for _ in range(300):
             addr = addr_of(rng.randrange(48))
+            set_idx = (addr // 64) % num_sets
+            tree, lines = trees[set_idx], resident[set_idx]
+            way = lines.index(addr) if addr in lines else None
             if rng.random() < 0.5:
-                _, evicted_fast = fast.install(addr, state="S")
-                _, evicted_ref = reference.install(addr, state="S")
-                assert (evicted_fast is None) == (evicted_ref is None)
-                if evicted_fast is not None:
+                _, evicted = fast.install(addr, state="S")
+                expected = None
+                if way is None:
+                    way = lines.index(None) if None in lines else tree.victim()
+                    expected, lines[way] = lines[way], addr
+                tree.touch(way)
+                assert (evicted is None) == (expected is None)
+                if evicted is not None:
                     evictions += 1
-                    assert evicted_fast.addr == evicted_ref.addr
+                    assert evicted.addr == expected
             else:
-                assert (fast.lookup(addr) is None) == (reference.lookup(addr) is None)
+                assert (fast.lookup(addr) is None) == (way is None)
+                if way is not None:
+                    tree.touch(way)
         assert evictions > 50

@@ -1,4 +1,4 @@
-"""Tests for replacement policies."""
+"""Tests for Tree-PLRU replacement and §VII's cost-keyed victim choice."""
 
 from __future__ import annotations
 
@@ -6,23 +6,24 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.mem.replacement import LRU, StateAwarePLRU, TreePLRU, policy_factory
+from repro.mem.cache_array import CacheArray
+from repro.mem.replacement import TreePLRU, preferred_order
 
 
-class TestLRU:
-    def test_initial_victim_is_way_zero(self):
-        assert LRU(4).victim() == 0
+def full_set(ways: int, expensive=()) -> tuple[CacheArray, TreePLRU]:
+    """A one-set array with every way filled in order (way ``w`` holds line
+    ``w``; expensive ways hold state "O", the rest "S"), plus a reference
+    TreePLRU touched the same way."""
+    array = CacheArray(num_sets=1, ways=ways)
+    mirror = TreePLRU(ways)
+    for way in range(ways):
+        array.install(way * 64, state="O" if way in expensive else "S")
+        mirror.touch(way)
+    return array, mirror
 
-    def test_victim_is_least_recently_touched(self):
-        policy = LRU(4)
-        for way in (0, 1, 2, 3, 0, 1):
-            policy.touch(way)
-        assert policy.victim() == 2
 
-    def test_single_way(self):
-        policy = LRU(1)
-        policy.touch(0)
-        assert policy.victim() == 0
+def owned_is_expensive(line) -> int:
+    return 1 if line.state == "O" else 0
 
 
 class TestTreePLRU:
@@ -70,30 +71,24 @@ class TestTreePLRU:
 
 
 class TestStateAwarePLRU:
+    """§VII state-aware replacement: ``choose_victim(cost_of=...)`` keeps
+    the cheapest ways and lets Tree-PLRU pick among them."""
+
     def test_prefers_cheapest_cost(self):
         costs = {0: 5, 1: 1, 2: 5, 3: 5}
-        policy = StateAwarePLRU(4, cost_of=lambda way: costs[way])
-        assert policy.victim() == 1
+        array, _ = full_set(4)
+        victim = array.choose_victim(4 * 64, cost_of=lambda line: costs[line.way])
+        assert victim.way == 1
 
     def test_ties_broken_by_plru(self):
-        policy = StateAwarePLRU(4, cost_of=lambda way: 0)
-        policy.touch(0)
-        victim = policy.victim()
-        assert victim != 0
+        array, _ = full_set(4)
+        array.lookup(0)  # way 0 most recent
+        victim = array.choose_victim(4 * 64, cost_of=lambda line: 0)
+        assert victim.way != 0
 
     def test_no_cost_function_falls_back_to_plru(self):
-        policy = StateAwarePLRU(4)
-        assert policy.victim() == 0
-
-
-class TestPolicyFactory:
-    def test_known_names(self):
-        assert policy_factory("lru") is LRU
-        assert policy_factory("tree_plru") is TreePLRU
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(ValueError, match="unknown replacement policy"):
-            policy_factory("random")
+        array, mirror = full_set(4)
+        assert array.choose_victim(4 * 64).way == mirror.victim()
 
 
 class RefTreePLRU:
@@ -183,28 +178,23 @@ class TestTreePLRUDifferential:
 
 class TestPreferredOrder:
     def test_lru_order_is_exact_recency(self):
-        from repro.mem.replacement import preferred_order
-
-        policy = LRU(4)
-        for way in (2, 0, 3, 1):
+        """Two-way Tree-PLRU is exact LRU, so its order is recency."""
+        policy = TreePLRU(2)
+        for way in (1, 0):
             policy.touch(way)
-        assert preferred_order(policy) == [2, 0, 3, 1]
+        assert preferred_order(policy) == [1, 0]
 
     def test_regression_not_just_current_victim_first(self):
         """The old implementation only pulled the current victim to the
         front, leaving the rest in input order."""
-        from repro.mem.replacement import preferred_order
-
-        policy = LRU(4)
+        policy = TreePLRU(4)
         for way in (3, 2, 1, 0):
             policy.touch(way)
-        # true preference is reverse touch order; old code returned [3,1,2,0]
-        # for input [1, 2, 3, 0] (victim first, remainder untouched).
-        assert preferred_order(policy, [1, 2, 3, 0]) == [3, 2, 1, 0]
+        # true preference is [3, 1, 2, 0]; old code returned [3, 2, 1, 0]
+        # for input [2, 1, 3, 0] (victim first, remainder untouched).
+        assert preferred_order(policy, [2, 1, 3, 0]) == [3, 1, 2, 0]
 
     def test_tree_plru_first_is_victim_and_full_permutation(self):
-        from repro.mem.replacement import preferred_order
-
         policy = TreePLRU(8)
         for way in (0, 3, 5, 1):
             policy.touch(way)
@@ -214,8 +204,6 @@ class TestPreferredOrder:
         assert order.index(1) > order.index(2)  # recently touched ranks later
 
     def test_does_not_disturb_live_state(self):
-        from repro.mem.replacement import preferred_order
-
         policy = TreePLRU(4)
         policy.touch(2)
         before = list(policy._bits)
@@ -223,72 +211,57 @@ class TestPreferredOrder:
         assert policy._bits == before
 
     def test_subset_filtering(self):
-        from repro.mem.replacement import preferred_order
-
-        policy = LRU(4)
+        policy = TreePLRU(4)
         for way in (1, 0, 3, 2):
             policy.touch(way)
-        assert preferred_order(policy, [3, 0]) == [0, 3]
+        assert preferred_order(policy) == [1, 3, 0, 2]
+        assert preferred_order(policy, [0, 3]) == [3, 0]
 
     def test_out_of_range_way_rejected(self):
-        from repro.mem.replacement import preferred_order
-
         with pytest.raises(ValueError, match="out of range"):
-            preferred_order(LRU(4), [0, 4])
-
-    def test_state_aware_ranking_orders_by_cost_then_recency(self):
-        from repro.mem.replacement import preferred_order
-
-        costs = {0: 1, 1: 0, 2: 1, 3: 0}
-        policy = StateAwarePLRU(4, cost_of=lambda way: costs[way])
-        order = preferred_order(policy)
-        assert sorted(order) == [0, 1, 2, 3]
-        assert {order[0], order[1]} == {1, 3}  # cheap ways first
-        assert {order[2], order[3]} == {0, 2}
+            preferred_order(TreePLRU(4), [0, 4])
 
 
 class TestStateAwareFallback:
+    """When Tree-PLRU's own victim is expensive, ``choose_victim`` falls
+    back to the cheap way Tree-PLRU prefers most."""
+
     def test_fallback_uses_plru_preference_not_lowest_index(self):
         """Regression: when the raw PLRU choice is not a minimum-cost
         candidate, the victim must be the PLRU-preferred candidate, not
         simply the lowest way index."""
-        policy = StateAwarePLRU(4, cost_of=lambda way: 1 if way == 0 else 0)
-        policy.touch(3)
+        array, mirror = full_set(4, expensive={0})
         # raw PLRU choice is way 0 (expensive); PLRU preference among the
-        # cheap candidates {1, 2, 3} is way 2, but the old code returned 1.
-        assert policy.victim() == 2
+        # cheap candidates {1, 2, 3} is way 2, not the lowest index 1.
+        assert mirror.victim() == 0
+        assert preferred_order(mirror, [1, 2, 3]) == [2, 1, 3]
+        assert array.choose_victim(4 * 64, cost_of=owned_is_expensive).way == 2
 
     def test_fallback_is_stateless(self):
-        policy = StateAwarePLRU(4, cost_of=lambda way: 1 if way == 0 else 0)
-        policy.touch(3)
-        assert policy.victim() == policy.victim()
+        array, _ = full_set(4, expensive={0})
+        first = array.choose_victim(4 * 64, cost_of=owned_is_expensive)
+        again = array.choose_victim(4 * 64, cost_of=owned_is_expensive)
+        assert first is again
+        assert array.occupancy() == 4
 
     def test_fallback_matches_preferred_order(self):
         import random
 
-        from repro.mem.replacement import preferred_order
-
         rng = random.Random(99)
+        fallbacks = 0
         for _trial in range(25):
             ways = rng.choice([4, 6, 8])
             expensive = set(rng.sample(range(ways), rng.randrange(1, ways - 1)))
-            policy = StateAwarePLRU(
-                ways, cost_of=lambda way, e=expensive: 1 if way in e else 0
-            )
+            array, mirror = full_set(ways, expensive)
             for _touch in range(rng.randrange(0, 12)):
-                policy.touch(rng.randrange(ways))
-            victim = policy.victim()
+                way = rng.randrange(ways)
+                array.lookup(way * 64)
+                mirror.touch(way)
+            victim = array.choose_victim(ways * 64, cost_of=owned_is_expensive).way
+            # the array's walk rotates padding bits like the reference's
+            fallbacks += mirror.victim() in expensive
             assert victim not in expensive
             assert victim == preferred_order(
-                policy, [w for w in range(ways) if w not in expensive]
+                mirror, [w for w in range(ways) if w not in expensive]
             )[0]
-
-
-class TestStateAwareFactoryRegistration:
-    def test_registered_in_policy_factory(self):
-        assert policy_factory("state_aware_plru") is StateAwarePLRU
-
-    def test_constructible_through_factory(self):
-        policy = policy_factory("state_aware_plru")(8)
-        assert isinstance(policy, StateAwarePLRU)
-        assert policy.victim() == 0
+        assert fallbacks > 0

@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.coherence.directory_entry import DirEntry
-from repro.coherence.engine import ProtocolFSM, Transition, TransitionTable
+from repro.coherence.engine import Transition
 from repro.coherence.transactions import Transaction
 from repro.mem.block import LineData
 from repro.mem.cache_array import CacheLine
@@ -20,21 +20,19 @@ from repro.protocol.types import MsgType
 from repro.sim.stats import StatGroup
 
 HOT_CLASSES = [Message, Transaction, CacheLine, DirEntry, LineData, StatGroup,
-               ProtocolFSM, Transition]
+               Transition]
 
 
 def _instance(cls):
     if cls is Message:
         return Message(MsgType.RDBLK, "a", "b", 0x40)
     if cls is Transaction:
+        # one per in-flight directory request; carries its Figure-2 state
         return Transaction(Message(MsgType.RDBLK, "a", "b", 0x40))
     if cls is DirEntry:
         return DirEntry(track_identities=True)
     if cls is StatGroup:
         return StatGroup("g")
-    if cls is ProtocolFSM:
-        # one FSM per in-flight transaction / resident M-O-E-S line
-        return ProtocolFSM(TransitionTable("t", ("A",), ("e",), "A"), "A")
     if cls is Transition:
         return Transition("A", "e", ("A",), None, None, "handled", "", None)
     return cls()
