@@ -68,13 +68,6 @@ __all__ = [
 ]
 
 
-def _apply_words(data: LineData, updates: dict[int, int] | None) -> LineData:
-    if updates:
-        for index, value in updates.items():
-            data = data.with_word(index, value)
-    return data
-
-
 @dataclass
 class RequestPlan:
     """What a request needs before the directory can respond."""
@@ -435,7 +428,7 @@ class DirectoryController(Controller):
         elif mtype is MsgType.DMA_RD:
             if data is None:
                 raise ProtocolError(f"DMA read without data for {txn!r}")
-            data = _apply_words(data, txn.partial_updates)
+            data = data.merged(txn.partial_updates)
             resp = Message(MsgType.DMA_RESP, self.name, req.requester, txn.addr,
                            data=data, tid=txn.tid)
             self.network.send(resp)
@@ -470,7 +463,7 @@ class DirectoryController(Controller):
         self._mark_superseded_victims(txn)
         if req.data is not None:
             self._system_write(
-                txn.addr, _apply_words(req.data, txn.partial_updates),
+                txn.addr, req.data.merged(txn.partial_updates),
                 source=req.requester,
             )
         elif req.word_updates:
@@ -480,8 +473,8 @@ class DirectoryController(Controller):
                 # words in the rest of the line are not lost.  Word-granular
                 # dirty data from probed VI caches merges the same way, with
                 # the committing WT winning overlaps.
-                merged = _apply_words(txn.dirty_data, txn.partial_updates)
-                merged = _apply_words(merged, req.word_updates)
+                merged = txn.dirty_data.merged(txn.partial_updates)
+                merged = merged.merged(req.word_updates)
                 self._system_write(txn.addr, merged, source=req.requester)
             else:
                 combined = dict(txn.partial_updates)
@@ -500,10 +493,9 @@ class DirectoryController(Controller):
         req = txn.request
         if base is None:
             raise ProtocolError(f"atomic without base data: {txn!r}")
-        base = _apply_words(base, txn.partial_updates)
         # dirty words the requesting TCC carried along when it bypassed
-        # (invalidated) its own modified copy
-        base = _apply_words(base, req.word_updates)
+        # (invalidated) its own modified copy ride in req.word_updates
+        base = base.merged(txn.partial_updates).merged(req.word_updates)
         self._mark_superseded_victims(txn)
         new_data, old_value = apply_atomic(
             base, req.word, req.atomic_op, req.operand, req.compare

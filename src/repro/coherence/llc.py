@@ -143,10 +143,7 @@ class LastLevelCache:
         existing = self.array.lookup(addr)
         if existing is None:
             return False
-        data = existing.data
-        for index, value in updates.items():
-            data = data.with_word(index, value)
-        existing.data = data
+        existing.data = existing.data.merged(updates)
         if self.writeback:
             existing.dirty = existing.dirty or dirty
         self.stats.inc("wt_writes")

@@ -12,7 +12,10 @@ evicted.  Owner tracking alone enables:
 
 Sharer tracking additionally narrows invalidations from broadcasts to
 multicasts over the tracked sharer list (full-map by default, or a
-limited-pointer list with broadcast-on-overflow).
+limited-pointer list with broadcast-on-overflow).  Each tracked line carries
+one :class:`~repro.coherence.directory_entry.DirEntry`, built when the line
+is allocated; its sharers are a bitmask over :meth:`all_cache_names`, so a
+multicast probes its targets in broadcast order.
 
 The directory is itself a set-associative cache of entries; allocating into
 a full set evicts a victim entry with back-invalidations to its tracked
@@ -32,7 +35,7 @@ from repro.coherence.directory import (
     RequestPlan,
     build_directory_table,
 )
-from repro.coherence.directory_entry import DirEntry, DirEntryStore
+from repro.coherence.directory_entry import DirEntry
 from repro.coherence.engine import TransitionTable
 from repro.coherence.llc import LastLevelCache
 from repro.coherence.policies import DirectoryPolicy
@@ -96,12 +99,9 @@ class PreciseDirectory(DirectoryController):
         num_sets = max(1, policy.dir_entries // policy.dir_assoc)
         ways = min(policy.dir_assoc, policy.dir_entries)
         self.dir_cache = CacheArray(num_sets, ways)
-        # struct-of-arrays entry planes, grown as entries are allocated;
-        # slots recycle through the store's free list as entries retire.
-        self._entry_store = DirEntryStore(
-            track_identities=policy.tracks_sharers,
-            pointer_limit=policy.sharer_pointer_limit,
-        )
+        # name -> sharer bit, shared by every entry; built on the first
+        # allocation, once the caches have attached to the network
+        self._sharer_bits: dict[str, int] | None = None
 
     def fsm_tables(self):
         """Both declared tables: Figure-2 transactions and Table I entries."""
@@ -110,7 +110,15 @@ class PreciseDirectory(DirectoryController):
     # -- entry helpers --------------------------------------------------------
 
     def _new_entry(self) -> DirEntry:
-        return self._entry_store.alloc()
+        policy = self.policy
+        if not policy.tracks_sharers:
+            return DirEntry(None)
+        bits = self._sharer_bits
+        if bits is None:
+            bits = self._sharer_bits = {
+                name: 1 << index for index, name in enumerate(self.all_cache_names())
+            }
+        return DirEntry(bits, policy.sharer_pointer_limit)
 
     def entry_line(self, addr: int, touch: bool = False) -> CacheLine | None:
         return self.dir_cache.lookup(addr, touch=touch)
@@ -128,7 +136,7 @@ class PreciseDirectory(DirectoryController):
             targets.append(entry.owner)
         if entry.sharer_count > 0 or entry.overflow:
             if entry.multicast_possible:
-                targets.extend(entry.sharers)  # type: ignore[arg-type]
+                targets.extend(entry.sharer_names())
             else:
                 targets = list(dict.fromkeys(targets + self.all_cache_names()))
         return targets
@@ -252,9 +260,8 @@ class PreciseDirectory(DirectoryController):
                 (state is DirState.O and entry.owner == req.requester)
                 or (
                     state is DirState.S
-                    and entry.tracks_identities
-                    and not entry.overflow
-                    and req.requester in (entry.sharers or ())
+                    and entry.multicast_possible
+                    and entry.is_sharer(req.requester)
                 )
             )
         )
@@ -533,10 +540,7 @@ class PreciseDirectory(DirectoryController):
 
     def _drop_entry(self, line: CacheLine | None) -> None:
         if line is not None:
-            entry = line.meta
             self.dir_cache.invalidate(line.addr)
-            if entry is not None:
-                self._entry_store.release(entry)
 
     # -- introspection for verification ---------------------------------------------------
 

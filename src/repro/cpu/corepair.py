@@ -358,10 +358,8 @@ class CorePair(Controller):
             raise CorePairError(
                 f"{self.name}: data-less response but no local copy: {msg!r}"
             )
-        if msg.word_updates:
-            # word-granular dirty data forwarded by probed VI caches
-            for index, value in msg.word_updates.items():
-                data = data.with_word(index, value)
+        # word-granular dirty data forwarded by probed VI caches
+        data = data.merged(msg.word_updates)
         if msg.state is None or msg.state is MoesiState.I:
             raise CorePairError(f"{self.name}: bad granted state in {msg!r}")
         prev = MoesiState.I if existing is None else existing.state

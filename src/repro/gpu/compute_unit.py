@@ -20,7 +20,7 @@ from repro.gpu.sqc import SqcCache
 from repro.gpu.tcc import TccController
 from repro.gpu.tcc_group import TccGroup
 from repro.mem.address import line_addr, word_index
-from repro.mem.block import LineData
+from repro.mem.block import LineData, mark_dirty
 from repro.mem.cache_array import CacheArray
 from repro.protocol.types import ViState
 from repro.sim.clock import ClockDomain
@@ -152,7 +152,7 @@ class ComputeUnit(Component):
         cached = self.tcp.lookup(line)
         if self.tcp_writeback:
             if cached is not None:
-                self._tcp_dirty_words(cached, updates)
+                mark_dirty(cached, updates)
                 self.schedule(self.tcp_latency, callback)
                 return
 
@@ -161,26 +161,15 @@ class ComputeUnit(Component):
                 self._tcp_install(line, data)
                 filled = self.tcp.lookup(line)
                 assert filled is not None
-                self._tcp_dirty_words(filled, updates)
+                mark_dirty(filled, updates)
                 callback()
 
             self.tcc.of(line).fetch(line, on_fill)
             return
         # Write-through, no write-allocate: update a present copy, forward.
         if cached is not None:
-            cached.data = _apply(cached.data, updates)
+            cached.data = cached.data.merged(updates)
         self.tcc.of(line).write(line, updates, callback)
-
-    @staticmethod
-    def _tcp_dirty_words(cached, updates: dict[int, int]) -> None:
-        """Apply a store, tracking which words this TCP dirtied so flushes
-        and evictions write back only those (never clobbering other
-        agents' words in falsely-shared lines)."""
-        cached.data = _apply(cached.data, updates)
-        cached.dirty = True
-        if cached.meta is None:
-            cached.meta = set()
-        cached.meta.update(updates.keys())
 
     def _tcp_install(self, line: int, data: LineData) -> None:
         existing = self.tcp.lookup(line)
@@ -191,11 +180,8 @@ class ComputeUnit(Component):
         if victim.valid and victim.dirty:
             self.stats.inc("tcp_dirty_evictions")
             snapshot = self.tcp.invalidate(victim.addr)
-            words = snapshot.meta or set(range(len(snapshot.data.words)))
             self.tcc.of(snapshot.addr).write(
-                snapshot.addr,
-                {w: snapshot.data.word(w) for w in words},
-                lambda: None,
+                snapshot.addr, snapshot.data.pick(snapshot.meta), lambda: None
             )
         self.tcp.install(line, state=ViState.V, data=data, dirty=False)
 
@@ -217,13 +203,11 @@ class ComputeUnit(Component):
                 callback()
 
         for cached in dirty:
-            words = cached.meta or set(range(len(cached.data.words)))
+            updates = cached.data.pick(cached.meta)
             cached.dirty = False
             cached.meta = None
             self.stats.inc("tcp_flush_writebacks")
-            self.tcc.of(cached.addr).write(
-                cached.addr, {w: cached.data.word(w) for w in words}, one_done
-            )
+            self.tcc.of(cached.addr).write(cached.addr, updates, one_done)
 
     def tcp_invalidate_all(self) -> None:
         for cached in list(self.tcp.iter_valid()):
@@ -369,9 +353,3 @@ class Wavefront:
                 self.cu.tcc.drain(lambda: self._advance(None))  # all banks
 
         self.cu.tcp_flush(after_tcp)
-
-
-def _apply(data: LineData, updates: dict[int, int]) -> LineData:
-    for index, value in updates.items():
-        data = data.with_word(index, value)
-    return data

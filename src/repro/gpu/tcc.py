@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Callable
 
 from repro.coherence.banking import DirectoryMap, as_directory_map
 from repro.coherence.engine import TransitionTable
-from repro.mem.block import LineData
+from repro.mem.block import LineData, mark_dirty
 from repro.mem.cache_array import CacheArray
 from repro.protocol.atomics import AtomicOp, apply_atomic
 from repro.protocol.messages import Message
@@ -191,7 +191,7 @@ class TccController(Controller):
             else:
                 cached = self.array.lookup(line)
                 if cached is not None:
-                    cached.data = _apply(cached.data, updates)
+                    cached.data = cached.data.merged(updates)
                 self._send_wt(line, word_updates=dict(updates))
                 callback()
 
@@ -202,7 +202,7 @@ class TccController(Controller):
     ) -> None:
         cached = self.array.lookup(line)
         if cached is not None:
-            self._dirty_words(cached, updates)
+            mark_dirty(cached, updates)
             callback()
             return
         # Fetch-on-write: allocate the full line, then apply.
@@ -211,21 +211,10 @@ class TccController(Controller):
             if filled is None:  # probed away between fill and apply: refetch
                 self._write_back_mode(line, updates, callback)
                 return
-            self._dirty_words(filled, updates)
+            mark_dirty(filled, updates)
             callback()
 
         self.fetch(line, on_fill)
-
-    @staticmethod
-    def _dirty_words(cached, updates: dict[int, int]) -> None:
-        """Apply a store and track exactly which words this cache dirtied —
-        the word-granular analogue of gem5 VIPER's byte masks, needed so
-        write-backs and probe forwards never clobber other agents' words."""
-        cached.data = _apply(cached.data, updates)
-        cached.dirty = True
-        if cached.meta is None:
-            cached.meta = set()
-        cached.meta.update(updates.keys())
 
     def atomic(
         self,
@@ -280,7 +269,7 @@ class TccController(Controller):
             return
         new_data, old = apply_atomic(cached.data, word, op, operand, compare)
         if self.writeback:
-            self._dirty_words(cached, {word: new_data.word(word)})
+            mark_dirty(cached, {word: new_data.word(word)})
         else:
             cached.data = new_data
             self._send_wt(line, word_updates={word: new_data.word(word)})
@@ -310,11 +299,7 @@ class TccController(Controller):
         # keep tracking the TCC (streaming-WT semantics, is_writeback=False);
         # only capacity evictions relinquish the line.
         self.stats.inc("flush_writebacks")
-        words = cached.meta or set(range(len(cached.data.words)))
-        self._send_wt(
-            cached.addr,
-            word_updates={w: cached.data.word(w) for w in words},
-        )
+        self._send_wt(cached.addr, word_updates=cached.data.pick(cached.meta))
         cached.dirty = False
         cached.meta = None
         return None  # stays V
@@ -412,10 +397,8 @@ class TccController(Controller):
     def _act_evict(self, addr: int) -> ViState:
         self.stats.inc("dirty_evictions")
         snapshot = self.array.invalidate(addr)
-        words = snapshot.meta or set(range(len(snapshot.data.words)))
         self._send_wt(
-            snapshot.addr,
-            word_updates={w: snapshot.data.word(w) for w in words},
+            snapshot.addr, word_updates=snapshot.data.pick(snapshot.meta),
             is_writeback=True,
         )
         return ViState.I
@@ -424,7 +407,7 @@ class TccController(Controller):
         snapshot = self.array.invalidate(ctx["line"])
         if snapshot.dirty and snapshot.meta:
             # carry our dirty words along so the bypass does not lose them
-            carried = {w: snapshot.data.word(w) for w in snapshot.meta}
+            carried = snapshot.data.pick(snapshot.meta)
             self.stats.inc("dirty_words_carried_on_bypass", len(carried))
             ctx["carried"] = carried
         return ViState.I
@@ -478,7 +461,7 @@ class TccController(Controller):
             # its word-granular dirty mask must not be lost under false
             # sharing: the modified words ride in the ack (the gem5
             # byte-mask equivalent; see DESIGN.md).
-            forwarded = {w: cached.data.word(w) for w in cached.meta}
+            forwarded = cached.data.pick(cached.meta)
             self.stats.inc("dirty_words_forwarded_on_probe", len(forwarded))
         self.array.invalidate(msg.addr)
         self.network.send(
@@ -520,12 +503,6 @@ class TccController(Controller):
         if self._flush_pending:
             parts.append("flush in flight")
         return ", ".join(parts) or None
-
-
-def _apply(data: LineData, updates: dict[int, int]) -> LineData:
-    for index, value in updates.items():
-        data = data.with_word(index, value)
-    return data
 
 
 #: shared by every TCC (immutable once built; built here because the rows

@@ -311,7 +311,8 @@ class MainMemory(Component):
         else:
             self.stats.inc("writes")
         if self._banked:
-            self._apply_words(addr, updates)  # issue-order commit
+            # issue-order commit
+            self._store[addr] = self._store.get(addr, ZERO_LINE).merged(updates)
             self._enqueue("w", addr, callback, source)
             return
         start = self._claim_channel()
@@ -327,16 +328,9 @@ class MainMemory(Component):
         rec[1] = rec[2] = None
         self._rec_pool.append(rec)
         self._outstanding -= 1
-        self._apply_words(addr, updates)
+        self._store[addr] = self._store.get(addr, ZERO_LINE).merged(updates)
         if callback is not None:
             callback()
-
-    def _apply_words(self, addr: int, updates: dict[int, int]) -> None:
-        line = self._store.get(addr, ZERO_LINE)
-        words = list(line.words)
-        for index, value in updates.items():
-            words[index] = value
-        self._store[addr] = LineData(words)
 
     # -- banked channel ----------------------------------------------------
 

@@ -162,6 +162,11 @@ class SystemConfig:
                 "bounded input queues need the finite-bandwidth link model "
                 "(link_bytes_per_cycle > 0)"
             )
+        if self.arbitrate_tcc_ports and not self.link_bytes_per_cycle:
+            raise ValueError(
+                "TCC port arbitration needs the finite-bandwidth link model "
+                "(link_bytes_per_cycle > 0)"
+            )
         if self.mem_queue_depth < 0:
             raise ValueError("mem_queue_depth must be >= 0 (0 = unbounded)")
         if self.mem_queue_depth and not (self.mem_banks > 1 or self.mem_row_bytes):

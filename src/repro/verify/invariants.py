@@ -145,15 +145,15 @@ class CoherenceMonitor(TransitionHook):
             return []  # mid-eviction; nothing stable to assert
         states = self._l2_states(addr)
         holders = {n: s for n, s in states.items() if s is not MoesiState.I}
-        tcc_holds = any(
-            tcc.array.lookup(addr, touch=False) is not None
-            for tcc in self._tccs()
-        )
+        tcc_holders = [
+            tcc.name for tcc in self._tccs()
+            if tcc.array.lookup(addr, touch=False) is not None
+        ]
         problems = []
         if state is DirState.I:
             if holders:
                 problems.append(f"dir=I but L2 copies exist: {sorted(holders)}")
-            if tcc_holds:
+            if tcc_holders:
                 problems.append("dir=I but the TCC holds the line")
         elif state is DirState.S:
             bad = [n for n, s in holders.items() if s is not MoesiState.S]
@@ -181,19 +181,25 @@ class CoherenceMonitor(TransitionHook):
             if extra_exclusive:
                 problems.append(f"dir=O but non-owner M/E copies: {extra_exclusive}")
         if state in (DirState.S, DirState.O) and entry is not None:
-            problems.extend(self._check_tracking(addr, entry, holders))
+            problems.extend(self._check_tracking(entry, holders, tcc_holders))
         return problems
 
-    def _check_tracking(self, addr: int, entry, holders: dict[str, MoesiState]) -> list[str]:
-        if entry.sharers is None or entry.overflow:
+    def _check_tracking(self, entry, l2_holders, tcc_holders) -> list[str]:
+        """Every L2 or TCC holder must be a tracked sharer or the owner —
+        a holder outside the list is a copy a multicast would miss."""
+        if not entry.multicast_possible:
             return []  # owner-only mode / overflow: identities unknown
-        tracked = set(entry.sharers)
+        tracked = entry.sharer_names()
         if entry.owner is not None:
-            tracked.add(entry.owner)
-        untracked = [name for name in holders if name not in tracked]
-        if untracked:
-            return [f"untracked L2 holders {untracked} (tracked: {sorted(tracked)})"]
-        return []
+            tracked.append(entry.owner)
+        problems = []
+        for kind, holders in (("L2", l2_holders), ("TCC", tcc_holders)):
+            untracked = [name for name in holders if name not in tracked]
+            if untracked:
+                problems.append(
+                    f"untracked {kind} holders {untracked} (tracked: {tracked})"
+                )
+        return problems
 
     def _corepair(self, name: str):
         for corepair in self.system.corepairs:

@@ -220,7 +220,7 @@ class ConsistentCaches:
         if state is DirState.O:
             assert entry.owner == golden.owner, (entry, golden)
         if state in (DirState.S, DirState.O) and entry.sharers is not None:
-            assert entry.sharers == golden.sharers, (entry, golden)
+            assert set(entry.sharer_names()) == golden.sharers, (entry, golden)
 
 
 ACTIONS = st.tuples(

@@ -133,6 +133,20 @@ class TestMulticast:
         assert h.l2s[3].probes_seen(ADDR) == []
         assert h.tcc.probes_seen(ADDR) == []
 
+    def test_multicast_targets_follow_broadcast_order(self):
+        """Multicast probes go out in all_cache_names() order, whatever
+        order the sharers joined in (not a hash-seeded set order)."""
+        h = DirHarness(policy=SHARERS)
+        directory = h.directory
+        line, _ = directory.dir_cache.install(
+            ADDR, state=DirState.S, meta=directory._new_entry()
+        )
+        for name in ("tcc0", "l2.1", "l2.0"):
+            line.meta.add_sharer(name)
+        broadcast = directory.all_cache_names()
+        assert broadcast == ["l2.0", "l2.1", "tcc0"]
+        assert directory._holder_targets(line, include_owner=False) == broadcast
+
     def test_owner_mode_broadcasts_invalidation_to_shared_line(self):
         h = DirHarness(policy=OWNER, num_l2s=4)
         h.l2s[0].request(MsgType.RDBLKS, ADDR)
@@ -305,7 +319,7 @@ class TestStateUpdates:
         h.run()
         assert dir_state(h) is DirState.S
         entry = dir_entry(h)
-        assert entry.sharers == {"tcc0"}
+        assert set(entry.sharer_names()) == {"tcc0"}
 
     def test_tcc_writeback_wt_frees_entry(self):
         h = DirHarness(policy=SHARERS)
@@ -416,37 +430,5 @@ class TestLazyEntryStorage:
 
         system = build_system(SystemConfig(policy=SHARERS))
         for directory in system.directories:
-            assert len(directory._entry_store.owner) == 0
+            assert directory._sharer_bits is None  # built on first entry
             assert all(view is None for view in directory.dir_cache._views)
-
-    def test_slot_count_tracks_peak_live_entries(self, monkeypatch):
-        from repro.coherence.directory_entry import DirEntryStore
-        from repro.verify.litmus import Schedule, get_litmus, run_litmus
-
-        live: dict[int, int] = {}
-        peak: dict[int, int] = {}
-        alloc, release = DirEntryStore.alloc, DirEntryStore.release
-
-        def counting_alloc(store):
-            key = id(store)
-            live[key] = live.get(key, 0) + 1
-            peak[key] = max(peak.get(key, 0), live[key])
-            return alloc(store)
-
-        def counting_release(store, entry):
-            live[id(store)] -= 1
-            release(store, entry)
-
-        monkeypatch.setattr(DirEntryStore, "alloc", counting_alloc)
-        monkeypatch.setattr(DirEntryStore, "release", counting_release)
-        captured = {}
-        outcome = run_litmus(get_litmus("mp"), policy_name="sharers",
-                             schedule=Schedule(0),
-                             mutate_system=lambda s: captured.setdefault("system", s))
-        assert outcome.ok, outcome.describe()
-        for directory in captured["system"].directories:
-            store = directory._entry_store
-            slots = len(store.owner)
-            assert slots == peak.get(id(store), 0)
-            assert len(store) == live.get(id(store), 0)
-            assert 0 < slots < len(directory.dir_cache)

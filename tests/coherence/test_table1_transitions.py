@@ -63,7 +63,7 @@ class TestFromI:
         h.run()
         state, entry = snapshot(h)
         assert state is DirState.S
-        assert entry.sharers == {"l2.0"}
+        assert set(entry.sharer_names()) == {"l2.0"}
 
     def test_rdblkm_allocates_o_modified(self):
         h = make()
@@ -80,7 +80,7 @@ class TestFromI:
         h.run()
         state, entry = snapshot(h)
         assert state is DirState.S
-        assert entry.sharers == {"tcc0"}
+        assert set(entry.sharer_names()) == {"tcc0"}
 
     def test_wt_does_not_allocate(self):
         h = make()
@@ -110,7 +110,7 @@ class TestFromS:
         h.run()
         state, entry = snapshot(h)
         assert state is DirState.S
-        assert entry.sharers == {"l2.0", "l2.1"}
+        assert set(entry.sharer_names()) == {"l2.0", "l2.1"}
         # forced S without assessing exclusivity (Table I note)
         assert h.l2s[1].last_response().state is MoesiState.S
 
@@ -133,7 +133,7 @@ class TestFromS:
         h.run()
         state, entry = snapshot(h)
         assert state is DirState.S
-        assert entry.sharers == {"l2.1"}
+        assert set(entry.sharer_names()) == {"l2.1"}
 
     def test_vicdirty_in_s_is_illegal_hence_dropped_as_stale(self):
         """Table I: 'Missing transitions, such as VicDirty when cache line
@@ -153,7 +153,7 @@ class TestFromS:
         h.run()
         state, entry = snapshot(h)
         assert state is DirState.S
-        assert entry.sharers == {"l2.0", "tcc0"}
+        assert set(entry.sharer_names()) == {"l2.0", "tcc0"}
 
     def test_atomic_invalidates_sharers_and_frees(self):
         h = make()
@@ -174,7 +174,7 @@ class TestFromO:
         state, entry = snapshot(h)
         assert state is DirState.O
         assert entry.owner == "l2.0"
-        assert entry.sharers == {"l2.1"}
+        assert set(entry.sharer_names()) == {"l2.1"}
         assert h.l2s[1].last_response().state is MoesiState.S
 
     def test_rdblk_clean_e_owner_downgrades_to_s(self):
@@ -189,7 +189,7 @@ class TestFromO:
         state, entry = snapshot(h)
         assert state is DirState.S
         assert entry.owner is None
-        assert entry.sharers == {"l2.0", "l2.1"}
+        assert set(entry.sharer_names()) == {"l2.0", "l2.1"}
 
     def test_rdblk_vanished_owner_regrants_exclusive(self):
         """The owner's ack reports no copy (victim in flight): the
@@ -234,7 +234,7 @@ class TestFromO:
         h.run()
         state, entry = snapshot(h)
         assert state is DirState.O
-        assert "l2.1" in entry.sharers
+        assert "l2.1" in entry.sharer_names()
         assert h.l2s[1].last_response().state is MoesiState.S
 
     def test_wt_invalidates_owner_and_frees(self):

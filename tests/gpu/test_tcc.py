@@ -130,6 +130,18 @@ class TestWriteBackMode:
         cached = h.tcc.array.lookup(ADDR, touch=False)
         assert cached is not None and not cached.dirty
 
+    def test_flush_writes_back_the_words_of_every_store(self):
+        h = GpuHarness(tcc_writeback=True)
+        h.directory.script[ADDR] = DirScript(MoesiState.S, line_with(5))
+        h.tcc.write(ADDR, {3: 7}, lambda: None)
+        h.run()
+        h.tcc.write(ADDR, {9: 1, 3: 8}, lambda: None)
+        h.run()
+        h.tcc.flush(lambda: None)
+        h.run()
+        wts = h.directory.requests_of(MsgType.WT)
+        assert [wt.word_updates for wt in wts] == [{3: 8, 9: 1}]
+
     def test_dirty_eviction_writes_back(self):
         h = GpuHarness(tcc_writeback=True, tcc_geometry=(128, 2))
         # dirty two lines in the same (single) set, then fetch a third

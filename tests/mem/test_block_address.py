@@ -13,7 +13,8 @@ from repro.mem.address import (
     make_addr,
     word_index,
 )
-from repro.mem.block import ZERO_LINE, LineData
+from repro.mem.block import ZERO_LINE, LineData, mark_dirty
+from repro.mem.cache_array import CacheLine
 
 
 class TestAddress:
@@ -77,6 +78,30 @@ class TestLineData:
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
             LineData([1, 2, 3])
+
+    def test_merged_without_updates_is_the_same_line(self):
+        line = ZERO_LINE.with_word(2, 4)
+        assert line.merged(None) is line
+        assert line.merged({}) is line
+
+    def test_merged_writes_only_the_given_words(self):
+        line = ZERO_LINE.with_word(0, 1).merged({3: 7, 15: 9})
+        assert line == LineData([1, 0, 0, 7] + [0] * 11 + [9])
+
+    def test_pick_zero_mask_is_the_whole_line(self):
+        line = LineData(range(WORDS_PER_LINE))
+        assert line.pick(0) == {i: i for i in range(WORDS_PER_LINE)}
+        assert line.pick((1 << 2) | (1 << 11)) == {2: 2, 11: 11}
+
+    def test_mark_dirty_accumulates_the_word_mask(self):
+        cached = CacheLine()
+        cached.data = ZERO_LINE.with_word(1, 5)
+        mark_dirty(cached, {3: 7})
+        mark_dirty(cached, {9: 1, 3: 8})
+        assert cached.dirty
+        assert cached.meta == (1 << 3) | (1 << 9)
+        assert cached.data.pick(cached.meta) == {3: 8, 9: 1}
+        assert cached.data.word(1) == 5  # untouched words survive
 
     def test_repr_shows_nonzero_words(self):
         line = ZERO_LINE.with_word(2, 7)

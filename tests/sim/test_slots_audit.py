@@ -30,7 +30,7 @@ def _instance(cls):
         # one per in-flight directory request; carries its Figure-2 state
         return Transaction(Message(MsgType.RDBLK, "a", "b", 0x40))
     if cls is DirEntry:
-        return DirEntry(track_identities=True)
+        return DirEntry({"l2.0": 1})
     if cls is StatGroup:
         return StatGroup("g")
     if cls is Transition:

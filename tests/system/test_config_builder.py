@@ -76,6 +76,9 @@ class TestScaledPresets:
             SystemConfig(mem_banks=0).validate()
         with pytest.raises(ValueError, match="mem_row_bytes"):
             SystemConfig(mem_row_bytes=-64).validate()
+        with pytest.raises(ValueError, match="TCC port arbitration"):
+            SystemConfig(arbitrate_tcc_ports=True).validate()
+        SystemConfig(arbitrate_tcc_ports=True, link_bytes_per_cycle=8).validate()
 
 
 class TestContendedPreset:

@@ -144,16 +144,17 @@ def _policy():
 
 def _flow_control(config):
     """Layer randomized flow-control knobs onto a base config, constrained
-    to the combinations ``validate()`` accepts: bounded input queues need
-    the finite-bandwidth links, bounded bank queues need the banked
-    controller, and FR-FCFS needs the open-row model."""
+    to the combinations ``validate()`` accepts: bounded input queues and
+    TCC port arbitration need the finite-bandwidth links, bounded bank
+    queues need the banked controller, and FR-FCFS needs the open-row
+    model."""
     import dataclasses
 
     banked = config.mem_banks > 1 or config.mem_row_bytes > 0
     return st.tuples(
         st.sampled_from([0, 1, 4]) if config.link_bytes_per_cycle
         else st.just(0),
-        st.booleans(),
+        st.booleans() if config.link_bytes_per_cycle else st.just(False),
         st.sampled_from([0, 2, 8]) if banked else st.just(0),
         st.sampled_from(["fifo", "frfcfs"]) if config.mem_row_bytes
         else st.just("fifo"),

@@ -12,7 +12,7 @@ import pytest
 from repro import SystemConfig, build_system
 from repro.coherence.policies import PRESETS
 from repro.mem.block import ZERO_LINE
-from repro.protocol.types import DirState, MoesiState
+from repro.protocol.types import DirState, MoesiState, ViState
 from repro.verify.invariants import CoherenceMonitor, InvariantViolation
 
 ADDR = 0x8000
@@ -102,6 +102,23 @@ class TestDirectoryInvariants:
         system.corepairs[0].l2.install(ADDR, state=MoesiState.S, data=ZERO_LINE)
         system.corepairs[1].l2.install(ADDR, state=MoesiState.S, data=ZERO_LINE)
         with pytest.raises(InvariantViolation, match="untracked L2 holders"):
+            monitor.check_line(ADDR)
+
+    def test_untracked_tcc_holder_flagged(self):
+        """A TCC copy the sharer list misses is one a multicast
+        invalidation would leave behind."""
+        system, monitor = make_system()
+        directory, tcc = system.directory, system.tcc
+        line, _ = directory.dir_cache.install(
+            ADDR, state=DirState.S, meta=directory._new_entry()
+        )
+        line.meta.add_sharer(system.corepairs[0].name)
+        line.meta.add_sharer(tcc.name)
+        system.corepairs[0].l2.install(ADDR, state=MoesiState.S, data=ZERO_LINE)
+        tcc.array.install(ADDR, state=ViState.V, data=ZERO_LINE)
+        assert monitor.check_line(ADDR) == []
+        line.meta.remove_sharer(tcc.name)
+        with pytest.raises(InvariantViolation, match="untracked TCC holders"):
             monitor.check_line(ADDR)
 
     def test_b_state_is_skipped(self):
