@@ -5,9 +5,9 @@ Timed benchmarks plus a machine-speed calibration score:
 - ``event_queue`` — raw :class:`~repro.sim.event_queue.EventQueue`
   throughput: 64 lanes of self-rescheduling callbacks, all with the same
   delay, through the inner ``run()`` loop.
-- ``alloc_pooling`` — steady-state banked-memory churn through the pooled
-  access/commit records and bound stat counters (the allocation-audit
-  test pins that this path allocates ~nothing per access).
+- ``alloc_pooling`` — steady-state banked-memory churn: one fresh access
+  record per read or write and stat counters bound at construction (the
+  name is kept so committed ``BENCH_kernel.json`` baselines still match).
 - ``network`` — two controllers ping-ponging messages across the star
   fabric, exercising ``Network.send``, route accounting, and delivery.
 - ``network_contended`` — the same ping-pong on a finite-bandwidth fabric
@@ -105,15 +105,15 @@ def bench_event_queue(num_events: int = 200_000) -> dict:
     }
 
 
-# -- pooled banked-memory churn ---------------------------------------------
+# -- banked-memory churn -----------------------------------------------------
 
 
 def bench_alloc_pooling(num_accesses: int = 60_000) -> dict:
-    """Steady-state banked-memory read/write churn through the free lists.
+    """Steady-state banked-memory read/write churn.
 
     Four independent streams (two traffic classes across four banks) chase
-    their own reads and writes back-to-back, so every access reuses a pooled
-    ``_Access`` record, a pooled commit record, and bound stat counters.
+    their own reads and writes back-to-back; every access builds a fresh
+    ``_Access`` record and increments counters bound at construction.
     """
     sim = Simulator()
     clock = ClockDomain("bench", 1e9)

@@ -131,8 +131,8 @@ class TccController(Controller):
         self._latency_ticks = clock.cycles_to_ticks(latency_cycles)
         self.writeback = writeback
         self._mshrs: dict[int, _Mshr] = {}
-        #: WT acks awaited, FIFO per address.
-        self._wt_pending: dict[int, deque[Callable[[], None]]] = {}
+        #: WT acks awaited per address.
+        self._wt_pending: dict[int, int] = {}
         self._wt_outstanding = 0
         self._drain_waiters: list[Callable[[], None]] = []
         self._atomic_pending: dict[int, deque[Callable[[int], None]]] = {}
@@ -335,18 +335,16 @@ class TccController(Controller):
     def _send_wt(
         self,
         line: int,
-        word_updates: dict[int, int] | None = None,
-        data: LineData | None = None,
+        word_updates: dict[int, int],
         is_writeback: bool = False,
-        on_ack: Callable[[], None] | None = None,
     ) -> None:
         self._wt_outstanding += 1
-        self._wt_pending.setdefault(line, deque()).append(on_ack or (lambda: None))
+        self._wt_pending[line] = self._wt_pending.get(line, 0) + 1
         self.network.send(
             Message.request(
                 MsgType.WT, self.name, self.dir_map.bank_of(line), line,
                 RequesterKind.TCC,
-                data=data, word_updates=word_updates, is_writeback=is_writeback,
+                word_updates=word_updates, is_writeback=is_writeback,
             )
         )
 
@@ -413,14 +411,14 @@ class TccController(Controller):
         return ViState.I
 
     def _on_wt_ack(self, msg: Message) -> None:
-        queue = self._wt_pending.get(msg.addr)
-        if not queue:
+        pending = self._wt_pending.get(msg.addr)
+        if not pending:
             raise TccError(f"{self.name}: WT ack without pending WT: {msg!r}")
-        on_ack = queue.popleft()
-        if not queue:
+        if pending == 1:
             del self._wt_pending[msg.addr]
+        else:
+            self._wt_pending[msg.addr] = pending - 1
         self._wt_outstanding -= 1
-        on_ack()
         if self._wt_outstanding == 0 and self._drain_waiters:
             waiters, self._drain_waiters = self._drain_waiters, []
             for waiter in waiters:

@@ -76,11 +76,8 @@ class _Bank:
 
 
 class _Access:
-    """One queued bank access (read, write, or masked write).
-
-    Instances recycle through :attr:`MainMemory._access_pool` — the banked
-    path allocates no per-access bookkeeping in steady state.
-    """
+    """One queued bank access (read, write, or masked write); each access
+    is a fresh record."""
 
     __slots__ = ("kind", "addr", "callback", "enqueued_at", "cls")
 
@@ -172,14 +169,11 @@ class MainMemory(Component):
         #: from the network's endpoint kinds); None classifies everything
         #: as "other".
         self._classifier: Callable[[str], str] | None = None
-        # free lists for per-access records (flat [addr, callback, payload]
-        # commit records and banked _Access objects) plus bound stat
-        # handles; all counters/child groups stay lazily created.
-        self._rec_pool: list[list] = []
-        self._access_pool: list[_Access] = []
+        #: own counters and the ``banks``/``classes`` children's, bound once
+        #: (an empty child adds no key to ``as_dict()``)
         self._counters = self.stats._counters
-        self._bank_counters: dict[str, int | float] | None = None
-        self._class_counters: dict[str, int | float] | None = None
+        self._bank_counters = self.stats.child("banks")._counters
+        self._class_counters = self.stats.child("classes")._counters
 
     def set_classifier(self, classifier: Callable[[str], str] | None) -> None:
         """Install the requester-name -> traffic-class mapping used by the
@@ -210,22 +204,8 @@ class MainMemory(Component):
         self._channel_free = start + self.clock.cycles_to_ticks(self.gap_cycles)
         wait = start - self.now
         if wait:
-            counters = self._counters
-            if "channel_wait_ticks" in counters:
-                counters["channel_wait_ticks"] += wait
-            else:
-                self.stats.inc("channel_wait_ticks", wait)
+            self._counters["channel_wait_ticks"] += wait
         return start
-
-    def _take_rec(self, addr: int, callback, payload) -> list:
-        pool = self._rec_pool
-        if pool:
-            rec = pool.pop()
-            rec[0] = addr
-            rec[1] = callback
-            rec[2] = payload
-            return rec
-        return [addr, callback, payload]
 
     def read(
         self,
@@ -238,11 +218,7 @@ class MainMemory(Component):
         ``source`` (a network endpoint name) selects the WRR traffic class
         in banked mode and is ignored by the flat channel.
         """
-        counters = self._counters
-        if "reads" in counters:
-            counters["reads"] += 1
-        else:
-            self.stats.inc("reads")
+        self._counters["reads"] += 1
         if self._banked:
             self._enqueue("r", addr, callback, source)
             return
@@ -250,14 +226,11 @@ class MainMemory(Component):
         finish = start + self.clock.cycles_to_ticks(self.latency_cycles)
         self._outstanding += 1
         self.sim.events.schedule(
-            finish, self._complete_read, 0, self._take_rec(addr, callback, None)
+            finish, self._complete_read, 0, (addr, callback)
         )
 
-    def _complete_read(self, rec: list) -> None:
-        addr = rec[0]
-        callback = rec[1]
-        rec[1] = None
-        self._rec_pool.append(rec)
+    def _complete_read(self, rec: tuple) -> None:
+        addr, callback = rec
         self._outstanding -= 1
         callback(self._store.get(addr, ZERO_LINE))
 
@@ -270,31 +243,7 @@ class MainMemory(Component):
     ) -> None:
         """Timed write; the store is updated when the access starts (ordered
         channel, so a later read cannot pass it)."""
-        counters = self._counters
-        if "writes" in counters:
-            counters["writes"] += 1
-        else:
-            self.stats.inc("writes")
-        if self._banked:
-            self._store[addr] = data  # issue-order commit (see module doc)
-            self._enqueue("w", addr, callback, source)
-            return
-        start = self._claim_channel()
-        self._outstanding += 1
-        self.sim.events.schedule(
-            start, self._commit_write, 0, self._take_rec(addr, callback, data)
-        )
-
-    def _commit_write(self, rec: list) -> None:
-        addr = rec[0]
-        callback = rec[1]
-        data = rec[2]
-        rec[1] = rec[2] = None
-        self._rec_pool.append(rec)
-        self._outstanding -= 1
-        self._store[addr] = data
-        if callback is not None:
-            callback()
+        self._write(addr, data, None, callback, source)
 
     def write_words(
         self,
@@ -305,30 +254,32 @@ class MainMemory(Component):
     ) -> None:
         """Timed partial-line write (byte-enable style): only the given
         words are updated, read-modify applied atomically at commit time."""
-        counters = self._counters
-        if "writes" in counters:
-            counters["writes"] += 1
-        else:
-            self.stats.inc("writes")
+        self._write(addr, None, updates, callback, source)
+
+    def _write(self, addr: int, data: LineData | None,
+               updates: dict[int, int] | None, callback, source) -> None:
+        """Shared body of :meth:`write` (``data``) and :meth:`write_words`
+        (``data`` None, ``updates`` merged into the line at commit)."""
+        self._counters["writes"] += 1
         if self._banked:
-            # issue-order commit
-            self._store[addr] = self._store.get(addr, ZERO_LINE).merged(updates)
+            # issue-order commit (see module doc)
+            if data is None:
+                data = self._store.get(addr, ZERO_LINE).merged(updates)
+            self._store[addr] = data
             self._enqueue("w", addr, callback, source)
             return
         start = self._claim_channel()
         self._outstanding += 1
         self.sim.events.schedule(
-            start, self._commit_words, 0, self._take_rec(addr, callback, updates)
+            start, self._commit_write, 0, (addr, data, updates, callback)
         )
 
-    def _commit_words(self, rec: list) -> None:
-        addr = rec[0]
-        callback = rec[1]
-        updates = rec[2]
-        rec[1] = rec[2] = None
-        self._rec_pool.append(rec)
+    def _commit_write(self, rec: tuple) -> None:
+        addr, data, updates, callback = rec
         self._outstanding -= 1
-        self._store[addr] = self._store.get(addr, ZERO_LINE).merged(updates)
+        if data is None:
+            data = self._store.get(addr, ZERO_LINE).merged(updates)
+        self._store[addr] = data
         if callback is not None:
             callback()
 
@@ -350,23 +301,10 @@ class MainMemory(Component):
         cls = "other"
         if source is not None and self._classifier is not None:
             cls = self._classifier(source)
-        pool = self._access_pool
-        if pool:
-            access = pool.pop()
-            access.kind = kind
-            access.addr = addr
-            access.callback = callback
-            access.enqueued_at = self.now
-            access.cls = cls
-        else:
-            access = _Access(kind, addr, callback, self.now, cls)
+        access = _Access(kind, addr, callback, self.now, cls)
         if self.queue_depth and self._bank_depth(bank) >= self.queue_depth:
             bank.overflow.append(access)
-            counters = self._counters
-            if "queue_overflows" in counters:
-                counters["queue_overflows"] += 1
-            else:
-                self.stats.inc("queue_overflows")
+            self._counters["queue_overflows"] += 1
             self._overflowed += 1
             if self._overflowed == 1:
                 self._stalled_since = self.now
@@ -403,46 +341,24 @@ class MainMemory(Component):
             bank.busy = False
             return
         bank.busy = True
-        cls = access.cls
         events = self.sim.events
         now = events.now
         counters = self._counters
         wait = now - access.enqueued_at
         if wait:
-            if "bank_wait_ticks" in counters:
-                counters["bank_wait_ticks"] += wait
-            else:
-                self.stats.inc("bank_wait_ticks", wait)
-        bank_counters = self._bank_counters
-        if bank_counters is None:
-            bank_counters = self._bank_counters = self.stats.child("banks")._counters
-            self._class_counters = self.stats.child("classes")._counters
-        key = bank.key
-        if key in bank_counters:
-            bank_counters[key] += 1
-        else:
-            bank_counters[key] = 1
-        class_counters = self._class_counters
-        if cls in class_counters:
-            class_counters[cls] += 1
-        else:
-            class_counters[cls] = 1
+            counters["bank_wait_ticks"] += wait
+        self._bank_counters[bank.key] += 1
+        self._class_counters[access.cls] += 1
         # open-row timing
         if self.row_bytes:
             row = access.addr // self.row_bytes
             if bank.open_row == row:
-                if "row_hits" in counters:
-                    counters["row_hits"] += 1
-                else:
-                    self.stats.inc("row_hits")
+                counters["row_hits"] += 1
                 latency = self.row_hit_latency_cycles
                 if self._frfcfs:
                     bank.fr.note_row(True)
             else:
-                if "row_misses" in counters:
-                    counters["row_misses"] += 1
-                else:
-                    self.stats.inc("row_misses")
+                counters["row_misses"] += 1
                 bank.open_row = row
                 latency = self.row_miss_latency_cycles
                 if self._frfcfs:
@@ -462,7 +378,7 @@ class MainMemory(Component):
             events.schedule(now, self._bank_complete_write, 0, access)
         events.schedule(
             now + self.clock.cycles_to_ticks(self.gap_cycles),
-            self._bank_next, 0, bank,
+            self._bank_grant, 0, bank,
         )
         if bank.overflow:
             # the grant freed one bounded-queue slot: promote the oldest
@@ -477,31 +393,18 @@ class MainMemory(Component):
             if self._overflowed == 0:
                 stalled = now - self._stalled_since
                 if stalled:
-                    if "stalled_ticks" in counters:
-                        counters["stalled_ticks"] += stalled
-                    else:
-                        self.stats.inc("stalled_ticks", stalled)
+                    counters["stalled_ticks"] += stalled
                 if self._stall_cb is not None:
                     self._stall_cb(False)
 
     def _bank_complete_read(self, access: _Access) -> None:
         self._outstanding -= 1
-        addr = access.addr
-        callback = access.callback
-        access.callback = None
-        self._access_pool.append(access)
-        callback(self._store.get(addr, ZERO_LINE))
+        access.callback(self._store.get(access.addr, ZERO_LINE))
 
     def _bank_complete_write(self, access: _Access) -> None:
         self._outstanding -= 1
-        callback = access.callback
-        access.callback = None
-        self._access_pool.append(access)
-        if callback is not None:
-            callback()
-
-    def _bank_next(self, bank: _Bank) -> None:
-        self._bank_grant(bank)
+        if access.callback is not None:
+            access.callback()
 
     # -- bookkeeping -------------------------------------------------------
 

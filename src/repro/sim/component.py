@@ -103,15 +103,9 @@ class Controller(Component):
         else:
             busy = start - now
             if busy:
-                if "queue_wait_ticks" in counters:
-                    counters["queue_wait_ticks"] += busy
-                else:
-                    self.stats.inc("queue_wait_ticks", busy)
+                counters["queue_wait_ticks"] += busy
         self._next_free = start + self._service_ticks
-        if "messages_received" in counters:
-            counters["messages_received"] += 1
-        else:
-            self.stats.inc("messages_received")
+        counters["messages_received"] += 1
         events.schedule(start, self.handle_message, 0, msg)
 
     def handle_message(self, msg: Any) -> None:

@@ -214,9 +214,13 @@ class Network(Component):
         self._jitter: dict[tuple[str, str], int] = {}
         #: lazily built ``(src_name, dst_name) -> _Route`` transport cache.
         self._routes: dict[tuple[str, str], _Route] = {}
-        #: the fabric's own counters / routes-child counters, bound once.
+        #: the fabric's own counters and those of its ``routes``, ``ports``
+        #: and ``arb`` children, bound once (an empty child adds no key to
+        #: ``as_dict()``).
         self._counters = self.stats._counters
-        self._route_counters: dict[str, int | float] | None = None
+        self._route_counters = self.stats.child("routes")._counters
+        self._port_counters = self.stats.child("ports")._counters
+        self._arb_counters = self.stats.child("arb")._counters
         # -- contention model (dormant while link_bytes_per_cycle == 0) ----
         self.arbitrated_kinds = tuple(arbitrated_kinds)
         self.arb_weights = dict(arb_weights) if arb_weights else {}
@@ -226,8 +230,6 @@ class Network(Component):
         self._out_ports: dict[str, _OutPort] = {}
         #: per-shared-destination WRR input ports, keyed by endpoint name
         self._in_ports: dict[str, _InPort] = {}
-        self._port_stats = None
-        self._arb_stats = None
         # -- flow control (dormant while input_queue_depth == 0) -----------
         self.input_queue_depth = input_queue_depth
         #: endpoint kinds whose input grant engines are currently gated
@@ -377,32 +379,16 @@ class Network(Component):
             except SimulationError as exc:
                 raise SimulationError(f"{exc} for {msg!r}") from None
         size = msg.size_bytes
-        # count by category, bytes and route; counters are created on
-        # first increment, so ``as_dict()`` lists them in first-use order
+        # count by category, bytes and route (each counter is created by
+        # its first increment)
         counters = self._counters
         key = _CATEGORY_KEYS.get(msg.category)
         if key is None:
             key = _CATEGORY_KEYS.setdefault(msg.category, f"messages.{msg.category}")
-        if "messages" in counters:
-            counters["messages"] += 1
-        else:
-            self.stats.inc("messages")
-        if key in counters:
-            counters[key] += 1
-        else:
-            self.stats.inc(key)
-        if "bytes" in counters:
-            counters["bytes"] += size
-        else:
-            self.stats.inc("bytes", size)
-        route_counters = self._route_counters
-        if route_counters is None:
-            route_counters = self._route_counters = self.stats.child("routes")._counters
-        key = route.route_key
-        if key in route_counters:
-            route_counters[key] += 1
-        else:
-            self.stats.child("routes").inc(key)
+        counters["messages"] += 1
+        counters[key] += 1
+        counters["bytes"] += size
+        self._route_counters[route.route_key] += 1
         if not self.link_bytes_per_cycle:
             events = self.sim.events
             events.schedule(events.now + route.delay_ticks, route.deliver, 0, msg)
@@ -415,53 +401,25 @@ class Network(Component):
         else:
             self._send_contended(msg, route, ser)
 
-    def _stats_of(self, child: str):
-        """The ``ports`` / ``arb`` stat child, created on first use."""
-        if child == "ports":
-            stats = self._port_stats
-            if stats is None:
-                stats = self._port_stats = self.stats.child("ports")
-        else:
-            stats = self._arb_stats
-            if stats is None:
-                stats = self._arb_stats = self.stats.child("arb")
-        return stats
-
     # -- contended transport ----------------------------------------------
 
     def _send_contended(self, msg: Any, route: _Route, ser: int) -> None:
         """Finite-bandwidth path: serialize on the sender's output port,
         fly the route latency, then either deliver or join the destination's
-        WRR input arbitration.
-
-        Port stats use the precomputed :class:`_OutPort` keys and the bound
-        counter dict directly (same lazily-created counters as before).
-        """
+        WRR input arbitration.  Port stats use the precomputed
+        :class:`_OutPort` keys."""
         events = self.sim.events
         now = events.now
         port_out = route.out
         free = port_out.free
         start = now if free <= now else free
         port_out.free = start + ser
-        stats = self._port_stats or self._stats_of("ports")
-        counters = stats._counters
-        key = port_out.busy_key
-        if key in counters:
-            counters[key] += ser
-        else:
-            stats.inc(key, ser)
+        counters = self._port_counters
+        counters[port_out.busy_key] += ser
         wait = start - now
         if wait:
-            key = port_out.wait_key
-            if key in counters:
-                counters[key] += wait
-            else:
-                stats.inc(key, wait)
-            key = port_out.queued_key
-            if key in counters:
-                counters[key] += 1
-            else:
-                stats.inc(key)
+            counters[port_out.wait_key] += wait
+            counters[port_out.queued_key] += 1
         arrival = start + ser + route.delay_ticks
         if route.in_port is None:
             events.schedule(arrival, route.deliver, 0, msg)
@@ -498,13 +456,7 @@ class Network(Component):
                 out.blocked = True
                 out.blocked_since = self.sim.events.now
                 port.waiters.append(out)
-                stats = self._port_stats or self._stats_of("ports")
-                counters = stats._counters
-                key = out.blocks_key
-                if key in counters:
-                    counters[key] += 1
-                else:
-                    stats.inc(key)
+                self._port_counters[out.blocks_key] += 1
                 return
             port.credits -= 1
         queue.popleft()
@@ -516,25 +468,12 @@ class Network(Component):
         events = self.sim.events
         now = events.now
         out.busy = True
-        stats = self._port_stats or self._stats_of("ports")
-        counters = stats._counters
-        key = out.busy_key
-        if key in counters:
-            counters[key] += ser
-        else:
-            stats.inc(key, ser)
+        counters = self._port_counters
+        counters[out.busy_key] += ser
         wait = now - enqueued_at
         if wait:
-            key = out.wait_key
-            if key in counters:
-                counters[key] += wait
-            else:
-                stats.inc(key, wait)
-            key = out.queued_key
-            if key in counters:
-                counters[key] += 1
-            else:
-                stats.inc(key)
+            counters[out.wait_key] += wait
+            counters[out.queued_key] += 1
         events.schedule(now + ser, self._out_done, 0, (route, msg, ser))
 
     def _out_done(self, flight: tuple) -> None:
@@ -561,15 +500,9 @@ class Network(Component):
         if not out.blocked or not out.queue:
             port.credits += 1  # defensive: waiter vanished, return credit
             return
-        stats = self._port_stats
-        counters = stats._counters
         blocked = self.sim.events.now - out.blocked_since
         if blocked:
-            key = out.blocked_key
-            if key in counters:
-                counters[key] += blocked
-            else:
-                stats.inc(key, blocked)
+            self._port_counters[out.blocked_key] += blocked
         out.blocked = False
         route, msg, enqueued_at, ser = out.queue.popleft()
         self._out_start(out, route, msg, enqueued_at, ser)
@@ -582,23 +515,18 @@ class Network(Component):
         arb = port.arb
         now = self.sim.events.now
         arb.enqueue(route.arb_class, (now, msg, ser))
-        stats = self._arb_stats or self._stats_of("arb")
+        counters = self._arb_counters
         # occupancy integral: depth * time since the depth last changed
         dt = now - port.last_change
         if dt:
             if port.depth:
-                counters = stats._counters
-                key = port.occ_key
-                if key in counters:
-                    counters[key] += port.depth * dt
-                else:
-                    stats.inc(key, port.depth * dt)
+                counters[port.occ_key] += port.depth * dt
             port.last_change = now
         port.depth += 1
         depth = arb.pending()
         if depth > port.max_depth:
             port.max_depth = depth
-            stats.set(port.depth_key, depth)
+            counters[port.depth_key] = depth
         if not arb.busy:
             self._arb_grant(port)
 
@@ -619,17 +547,12 @@ class Network(Component):
         arb_class, (enqueued_at, msg, ser) = picked
         events = self.sim.events
         now = events.now
-        stats = self._arb_stats or self._stats_of("arb")
-        counters = stats._counters
+        counters = self._arb_counters
         # occupancy integral + depth bookkeeping (mirrors _arb_arrive)
         dt = now - port.last_change
         if dt:
             if port.depth:
-                key = port.occ_key
-                if key in counters:
-                    counters[key] += port.depth * dt
-                else:
-                    stats.inc(key, port.depth * dt)
+                counters[port.occ_key] += port.depth * dt
             port.last_change = now
         port.depth -= 1
         key = port.grant_keys.get(arb_class)
@@ -637,26 +560,16 @@ class Network(Component):
             key = port.grant_keys.setdefault(
                 arb_class, f"{port.name}.grants.{arb_class}"
             )
-        if key in counters:
-            counters[key] += 1
-        else:
-            stats.inc(key)
+        counters[key] += 1
         wait = now - enqueued_at
         if wait:
-            key = port.wait_key
-            if key in counters:
-                counters[key] += wait
-            else:
-                stats.inc(key, wait)
+            counters[port.wait_key] += wait
             key = port.class_wait_keys.get(arb_class)
             if key is None:
                 key = port.class_wait_keys.setdefault(
                     arb_class, f"{port.name}.wait_ticks.{arb_class}"
                 )
-            if key in counters:
-                counters[key] += wait
-            else:
-                stats.inc(key, wait)
+            counters[key] += wait
         if port.capacity:
             # the grant frees one input-queue slot: hand the credit to the
             # longest-parked sender (as an event, so the grant engine never

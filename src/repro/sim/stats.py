@@ -1,13 +1,25 @@
 """Hierarchical statistics.
 
-Every component owns a :class:`StatGroup`.  Groups hold integer counters
-(created lazily on first increment), scalar values, and child groups, and can
-be rendered as a flat ``name.counter = value`` listing — close in spirit to
-gem5's ``stats.txt``.
+Every component owns a :class:`StatGroup`.  Groups hold integer counters,
+scalar values, and child groups, and can be rendered as a flat
+``name.counter = value`` listing — close in spirit to gem5's ``stats.txt``.
+
+Counter rule: ``_counters`` is a ``defaultdict(int)``, so a counter comes
+into existence with its first increment and nowhere else.  Hot paths may
+bind ``group._counters`` once and write ``counters[name] += amount``
+directly; :meth:`StatGroup.inc` is the same operation behind a method call.
+Reads go through ``group[name]``, :meth:`~StatGroup.get`,
+:meth:`~StatGroup.total` or :meth:`~StatGroup.counters`, none of which
+creates a counter, so a missing name never shows up in ``as_dict()``.  A
+counter and a child group may not share a name (their dotted keys would
+collide): :meth:`~StatGroup.inc`, :meth:`~StatGroup.set` and
+:meth:`~StatGroup.child` refuse one at creation, and :meth:`~StatGroup.walk`
+refuses one made by a direct increment.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Iterator
 
 
@@ -18,25 +30,17 @@ class StatGroup:
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self._counters: dict[str, int | float] = {}
+        self._counters: defaultdict[str, int | float] = defaultdict(int)
         self._children: dict[str, "StatGroup"] = {}
 
     # -- counters ---------------------------------------------------------
 
     def inc(self, counter: str, amount: int | float = 1) -> None:
-        """Increment ``counter`` by ``amount`` (creating it at zero).
-
-        The existing-counter path is the kernel's hottest stats operation,
-        so the child-group collision check runs only at counter creation —
-        once a name is in ``_counters`` it cannot also be a child (both
-        creation paths validate), making the recheck redundant.
-        """
+        """Increment ``counter`` by ``amount`` (creating it at zero)."""
         counters = self._counters
-        if counter in counters:
-            counters[counter] += amount
-        else:
+        if counter not in counters:
             self._reserve_counter(counter)
-            counters[counter] = amount
+        counters[counter] += amount
 
     def set(self, counter: str, value: int | float) -> None:
         if counter not in self._counters:
@@ -92,7 +96,11 @@ class StatGroup:
     def walk(self, prefix: str = "") -> Iterator[tuple[str, int | float]]:
         """Yield ``(dotted_name, value)`` for every counter in the subtree."""
         base = f"{prefix}{self.name}"
-        for counter, value in sorted(self._counters.items()):
+        counters = self._counters
+        for child_name in self._children:
+            if child_name in counters:
+                self._reserve_counter(child_name)
+        for counter, value in sorted(counters.items()):
             yield f"{base}.{counter}", value
         for child_name in sorted(self._children):
             yield from self._children[child_name].walk(prefix=f"{base}.")

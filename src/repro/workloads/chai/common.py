@@ -17,7 +17,7 @@ shared, who writes them, and which atomics order the handoffs.
 
 from __future__ import annotations
 
-from typing import Generator, Iterable
+from typing import Generator
 
 from repro.protocol.atomics import AtomicOp
 from repro.workloads import trace as ops
@@ -37,49 +37,7 @@ def partition(total: int, parts: int) -> list[tuple[int, int]]:
     return spans
 
 
-def chunks(lo: int, hi: int, size: int) -> Iterable[tuple[int, int]]:
-    for start in range(lo, hi, size):
-        yield start, min(start + size, hi)
-
-
-# -- CPU-side idioms -------------------------------------------------------------
-
-
-def cpu_claim_chunk(counter_addr: int) -> ops.AtomicRMW:
-    """Grab the next chunk index from a shared counter."""
-    return ops.AtomicRMW(counter_addr, AtomicOp.ADD, 1)
-
-
-def cpu_set_flag(addr: int, value: int = 1) -> ops.Store:
-    return ops.Store(addr, value)
-
-
-def cpu_wait_flag(addr: int, value: int = 1, backoff: int = 200) -> ops.SpinUntil:
-    return ops.SpinUntil(addr, lambda v, want=value: v >= want, backoff_cycles=backoff)
-
-
-def cpu_process_span(
-    addrs: list[int], out_addrs: list[int] | None, transform, think: int = 4
-) -> Generator:
-    """Load every word of a span, optionally store transformed values."""
-    for index, addr in enumerate(addrs):
-        value = yield ops.Load(addr)
-        if think:
-            yield ops.Think(think)
-        if out_addrs is not None:
-            yield ops.Store(out_addrs[index], transform(value))
-
-
 # -- GPU-side idioms ----------------------------------------------------------------
-
-
-def gpu_claim_chunk(counter_addr: int) -> ops.AtomicRMW:
-    return ops.AtomicRMW(counter_addr, AtomicOp.ADD, 1, scope="slc")
-
-
-def gpu_set_flag(addr: int, value: int = 1) -> ops.AtomicRMW:
-    """GPU flag set with system visibility (an SLC exchange)."""
-    return ops.AtomicRMW(addr, AtomicOp.EXCH, value, scope="slc")
 
 
 def gpu_spin_flag(addr: int, want: int = 1, max_spins: int = 100_000) -> Generator:
@@ -90,23 +48,6 @@ def gpu_spin_flag(addr: int, want: int = 1, max_spins: int = 100_000) -> Generat
             return
         yield ops.Think(200)
     raise RuntimeError(f"GPU spun out waiting on flag {addr:#x}")
-
-
-def gpu_process_span(
-    addrs: list[int], out_addrs: list[int] | None, transform,
-    vector: int = 16, think: int = 8,
-) -> Generator:
-    """Coalesced load/transform/store over a span, ``vector`` words at a time."""
-    for start in range(0, len(addrs), vector):
-        batch = addrs[start:start + vector]
-        values = yield ops.VLoad(batch)
-        if not isinstance(values, tuple):
-            values = (values,)
-        if think:
-            yield ops.Think(think)
-        if out_addrs is not None:
-            outs = out_addrs[start:start + vector]
-            yield ops.VStore(outs, [transform(v) for v in values])
 
 
 # -- deterministic pseudo-data ---------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 from repro.mem.block import ZERO_LINE
 from repro.protocol.atomics import AtomicOp
+from repro.protocol.messages import Message
 from repro.protocol.types import MoesiState, MsgType, ProbeType
 
 from tests.cpu.harness import DirScript
@@ -99,6 +100,30 @@ class TestWriteThroughMode:
         h.directory.release(h.directory.requests[-1])
         h.run()
         assert drained == [True]
+
+    def test_wt_acks_count_down_per_line(self):
+        h = GpuHarness(tcc_writeback=False)
+        h.directory.respond = False
+        h.tcc.write(ADDR, {0: 1}, lambda: None)
+        h.tcc.write(ADDR, {1: 2}, lambda: None)
+        h.sim.run_for(50_000)
+        first, second = h.directory.requests_of(MsgType.WT)
+        h.directory.release(first)
+        h.sim.run_for(50_000)
+        assert h.tcc.pending_work() == "1 WTs in flight"
+        h.directory.release(second)
+        h.run()
+        assert h.tcc.pending_work() is None
+
+    def test_wt_ack_without_pending_wt_raises(self):
+        from repro.gpu.tcc import TccError
+
+        h = GpuHarness(tcc_writeback=False)
+        h.tcc.write(ADDR, {0: 1}, lambda: None)
+        h.run()
+        stray = Message.ack(MsgType.WT_ACK, "dir", "tcc0", ADDR)
+        with pytest.raises(TccError, match="WT ack without pending WT"):
+            h.tcc.handle_message(stray)
 
 
 class TestWriteBackMode:

@@ -318,6 +318,8 @@ class TestBankedMemory:
         memory.read(0x0, lambda _d: done.append(sim.now), source="l2.0")
         sim.run()
         assert done == [10_000]
+        # the classes child is bound at construction but stays empty
+        assert "classes" in memory.stats.children()
         assert not any(
             key.startswith("memory.classes.") for key in memory.stats.as_dict()
         )

@@ -1,8 +1,9 @@
 """Allocation audit: the hot fabric path must not allocate per event.
 
 Fabric records are short-lived tuples (event tuples, hop, flight, grant and
-arbitration entries) and stat counters are bound lazily, so steady-state
-simulation performs ~zero *net* heap allocation per event.  This audit pins
+arbitration entries) and every stat counter exists after its first
+increment, so steady-state simulation performs ~zero *net* heap allocation
+per event.  This audit pins
 that property with :mod:`tracemalloc`: warm a contended (and, separately, a
 credit-bounded) ping-pong up until every route and counter exists, then run
 an order of magnitude more events and demand the repro-owned heap footprint
@@ -70,7 +71,7 @@ def _assert_flat_footprint(input_queue_depth: int) -> Network:
     for _ in range(4):
         network.send(_Msg("a", "b"))
 
-    # warmup: create every lazy stat counter and route
+    # warmup: create every stat counter and route
     sim.run_for(2_000_000)
     warm_events = sim.events.executed_events
     assert warm_events > 1_000

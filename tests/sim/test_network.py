@@ -280,6 +280,8 @@ class TestFiniteBandwidth:
         network.send(FakeMsg("a", "b", size_bytes=4096))
         sim.run()
         assert b.received[0][0] == 10_000
+        # the ports/arb children are bound at construction but stay empty
+        assert {"ports", "arb"} <= network.stats.children().keys()
         keys = network.stats.as_dict()
         assert not any(key.startswith("network.ports.") for key in keys)
         assert not any(key.startswith("network.arb.") for key in keys)

@@ -70,6 +70,39 @@ class TestStatGroup:
         assert group["n"] == 1
 
 
+class TestCounterRule:
+    """A counter exists once it is incremented; reads never create one."""
+
+    def test_reads_of_missing_names_create_nothing(self):
+        group = StatGroup("g")
+        group.inc("hits")
+        group.child("kid").inc("n")
+        before = group.as_dict()
+        assert group["missing"] == 0
+        assert group.get("missing") == 0
+        assert group.total("missing") == 0
+        assert "missing" not in group.counters()
+        assert group.as_dict() == before
+
+    def test_direct_increment_creates_counter(self):
+        group = StatGroup("g")
+        group._counters["hits"] += 3
+        assert group.as_dict() == {"g.hits": 3}
+
+    def test_direct_increment_colliding_with_child_raises_on_walk(self):
+        group = StatGroup("g")
+        group.child("requests").inc("n")
+        group._counters["requests"] += 1
+        with pytest.raises(ValueError, match="collision"):
+            group.as_dict()
+
+    def test_empty_child_adds_no_keys(self):
+        group = StatGroup("g")
+        group.child("ports")
+        group.inc("n")
+        assert group.as_dict() == {"g.n": 1}
+
+
 class TestNameCollisions:
     """A counter and a child group sharing a name would produce duplicate
     dotted keys, and ``as_dict()`` would silently drop one of them."""

@@ -8,7 +8,7 @@ from repro import SystemConfig, build_system
 from repro.coherence.policies import PRESETS
 from repro.mem.address import LINE_BYTES
 from repro.workloads.base import AddressSpace, WorkloadContext, checker
-from repro.workloads.chai.common import chunks, partition, token
+from repro.workloads.chai.common import partition, token
 from repro.workloads.micro import MigratoryCounter, ReadersWriterSweep, StreamingScan
 
 
@@ -49,9 +49,6 @@ class TestPartitioning:
     def test_partition_more_parts_than_items(self):
         spans = partition(2, 4)
         assert [hi - lo for lo, hi in spans] == [1, 1, 0, 0]
-
-    def test_chunks(self):
-        assert list(chunks(0, 10, 4)) == [(0, 4), (4, 8), (8, 10)]
 
     def test_tokens_are_distinct(self):
         seen = {token(a, i) for a in range(4) for i in range(100)}
