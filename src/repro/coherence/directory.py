@@ -52,7 +52,16 @@ from repro.mem.block import LineData
 from repro.mem.main_memory import MainMemory
 from repro.protocol.atomics import apply_atomic
 from repro.protocol.messages import Message
-from repro.protocol.types import MoesiState, MsgType, ProbeType, RequesterKind
+from repro.protocol.types import (
+    READ_PERMISSION_TYPES,
+    REQUEST_TYPES,
+    VICTIM_TYPES,
+    WRITE_PERMISSION_TYPES,
+    MoesiState,
+    MsgType,
+    ProbeType,
+    RequesterKind,
+)
 from repro.sim.clock import ClockDomain
 from repro.sim.component import Controller
 
@@ -92,6 +101,33 @@ class RequestPlan:
 _DATA_REQUESTS = frozenset(
     {MsgType.RDBLK, MsgType.RDBLKS, MsgType.RDBLKM, MsgType.DMA_RD, MsgType.ATOMIC}
 )
+#: CPU reads, answered with a DataResp granting a MOESI state
+_CPU_READS = frozenset({MsgType.RDBLK, MsgType.RDBLKS, MsgType.RDBLKM})
+#: requests that never wait for a permission response (victims, flushes)
+_NO_PERMISSION = VICTIM_TYPES | {MsgType.FLUSH}
+
+#: enum members the handlers compare against or stamp, bound once (a class
+#: lookup such as ``MsgType.WT`` is slow on CPython 3.11; see DESIGN.md)
+_RDBLKS, _RDBLKM, _WT, _ATOMIC = (MsgType.RDBLKS, MsgType.RDBLKM, MsgType.WT,
+                                  MsgType.ATOMIC)
+_FLUSH, _DMA_RD, _DMA_WR, _VIC_DIRTY = (MsgType.FLUSH, MsgType.DMA_RD,
+                                        MsgType.DMA_WR, MsgType.VIC_DIRTY)
+_PROBE_ACK, _UNBLOCK, _DATA_RESP = (MsgType.PROBE_ACK, MsgType.UNBLOCK,
+                                    MsgType.DATA_RESP)
+_DMA_RESP, _WT_ACK, _ATOMIC_RESP = (MsgType.DMA_RESP, MsgType.WT_ACK,
+                                    MsgType.ATOMIC_RESP)
+_WB_ACK, _FLUSH_ACK = MsgType.WB_ACK, MsgType.FLUSH_ACK
+_INVALIDATE, _DOWNGRADE = ProbeType.INVALIDATE, ProbeType.DOWNGRADE
+_CPU_L2 = RequesterKind.CPU_L2
+_GRANT_M, _GRANT_E, _GRANT_S = MoesiState.M, MoesiState.E, MoesiState.S
+
+#: per message type: its table event name (the type's wire name) and the
+#: counter keys its requests and transactions bump, built once so no
+#: handler reads ``.value`` or formats a key per message
+EVENT_OF = {mtype: mtype.value for mtype in MsgType}
+_REQUEST_KEY = {mtype: f"requests.{mtype.value}" for mtype in MsgType}
+_TXN_COUNT_KEY = {mtype: f"{mtype.value}.count" for mtype in MsgType}
+_TXN_LATENCY_KEY = {mtype: f"{mtype.value}.latency_ticks" for mtype in MsgType}
 
 # -- Figure 2 events ---------------------------------------------------------
 
@@ -157,6 +193,10 @@ class DirectoryController(Controller):
         self._admission: deque[Message] = deque()
         self._l2_names: list[str] | None = None
         self._tcc_names: list[str] | None = None
+        #: own counters and the per-request-type ``txn`` child's, bound once
+        #: (an empty child adds no key to ``as_dict()``)
+        self._counters = self.stats._counters
+        self._txn_counters = self.stats.child("txn")._counters
 
     def fsm_tables(self):
         """The declared tables this controller dispatches through."""
@@ -190,39 +230,42 @@ class DirectoryController(Controller):
     # -- message dispatch ------------------------------------------------------
 
     def handle_message(self, msg: Message) -> None:
-        if msg.mtype is MsgType.PROBE_ACK:
+        mtype = msg.mtype
+        if mtype is _PROBE_ACK:
             self._on_probe_ack(msg)
-        elif msg.mtype is MsgType.UNBLOCK:
+        elif mtype is _UNBLOCK:
             self._on_unblock(msg)
-        elif msg.mtype.is_request:
+        elif mtype in REQUEST_TYPES:
             self._accept_request(msg)
         else:
             raise ProtocolError(f"directory received unexpected {msg!r}")
 
     def _accept_request(self, msg: Message) -> None:
-        self.stats.inc("requests")
-        self.stats.inc(f"requests.{msg.mtype.value}")
+        counters = self._counters
+        mtype = msg.mtype
+        counters["requests"] += 1
+        counters[_REQUEST_KEY[mtype]] += 1
         txn = self._active.get(msg.addr)
         if txn is not None:
             txn.state = self.fsm_table.fire(
-                txn.state, msg.mtype.value, self, msg.addr, msg
+                txn.state, EVENT_OF[mtype], self, msg.addr, msg
             )
             return
         limit = self.policy.dir_max_transactions
         if limit is not None and len(self._active) >= limit:
             # out of transaction buffers (TBEs): stall at admission, before
             # any per-line state machine exists
-            self.stats.inc("admission_stalls")
+            counters["admission_stalls"] += 1
             self._admission.append(msg)
             return
         self._start(msg)
 
     def _start(self, msg: Message) -> None:
         txn = Transaction(msg)
-        txn.started_at = self.now
+        txn.started_at = self.events.now
         self._active[msg.addr] = txn
         txn.state = self.fsm_table.fire(
-            txn.state, msg.mtype.value, self, msg.addr, txn
+            txn.state, EVENT_OF[msg.mtype], self, msg.addr, txn
         )
 
     def _act_start_request(self, txn: Transaction) -> None:
@@ -230,7 +273,7 @@ class DirectoryController(Controller):
         return None  # single declared next: B
 
     def _act_queue_request(self, msg: Message) -> None:
-        self.stats.inc("requests_queued")
+        self._counters["requests_queued"] += 1
         self._waiting.setdefault(msg.addr, deque()).append(msg)
         return None  # stays in the current blocked state
 
@@ -244,9 +287,9 @@ class DirectoryController(Controller):
             # parked (or retrying); the entry-eviction path will relaunch us
             return self._fig2_next(txn)
         mtype = txn.request.mtype
-        if mtype.is_victim:
+        if mtype in VICTIM_TYPES:
             self._handle_victim(txn)
-        elif mtype is MsgType.FLUSH:
+        elif mtype is _FLUSH:
             self._handle_flush(txn)
         else:
             self._handle_permission(txn)
@@ -271,14 +314,16 @@ class DirectoryController(Controller):
         self._maybe_finish_permission(txn)
 
     def _send_probes(self, txn: Transaction, targets: list[str], ptype: ProbeType) -> None:
-        txn.pending_acks += len(targets)
-        self.stats.inc("probes_sent", len(targets))
-        self.stats.inc(
-            "probes_sent.inv" if ptype is ProbeType.INVALIDATE else "probes_sent.down",
-            len(targets),
-        )
+        count = len(targets)
+        txn.pending_acks += count
+        counters = self._counters
+        counters["probes_sent"] += count
+        counters["probes_sent.inv" if ptype is _INVALIDATE
+                 else "probes_sent.down"] += count
+        send, probe = self.network.send, Message.probe
+        name, addr, tid = self.name, txn.addr, txn.tid
         for target in targets:
-            self.network.send(Message.probe(self.name, target, txn.addr, ptype, txn.tid))
+            send(probe(name, target, addr, ptype, tid))
 
     # -- data fetch (LLC backed by memory) ----------------------------------------
 
@@ -322,13 +367,13 @@ class DirectoryController(Controller):
         self, addr: int, callback: Callable[[LineData], None],
         source: str | None = None,
     ) -> None:
-        self.stats.inc("mem_reads")
+        self._counters["mem_reads"] += 1
         self.memory.read(addr, callback, source=source or self.name)
 
     def _mem_write(
         self, addr: int, data: LineData, source: str | None = None
     ) -> None:
-        self.stats.inc("mem_writes")
+        self._counters["mem_writes"] += 1
         self.memory.write(addr, data, source=source or self.name)
 
     # -- probe acks / unblocks ------------------------------------------------------
@@ -380,15 +425,15 @@ class DirectoryController(Controller):
         if txn.responded or txn.is_eviction:
             return
         mtype = txn.request.mtype
-        if mtype.is_victim or mtype is MsgType.FLUSH:
+        if mtype in _NO_PERMISSION:
             return
         # §III-A: early response from the first dirty ack, downgrades only.
         if (
             self.policy.early_dirty_response
-            and mtype.is_read_permission
+            and mtype in READ_PERMISSION_TYPES
             and txn.dirty_data is not None
         ):
-            self.stats.inc("early_dirty_responses")
+            self._counters["early_dirty_responses"] += 1
             self._respond(txn)
             return
         if txn.pending_acks > 0:
@@ -397,7 +442,7 @@ class DirectoryController(Controller):
             if not txn.read_issued:
                 # Deferred read: the precise directory expected the owner's
                 # dirty data but the owner turned out to hold E (clean).
-                self.stats.inc("deferred_data_reads")
+                self._counters["deferred_data_reads"] += 1
                 self._read_llc_then_memory(txn)
             return
         self._respond(txn)
@@ -407,7 +452,7 @@ class DirectoryController(Controller):
         req = txn.request
         mtype = req.mtype
         data = txn.dirty_data if txn.dirty_data is not None else txn.fetched_data
-        if mtype in (MsgType.RDBLK, MsgType.RDBLKS, MsgType.RDBLKM):
+        if mtype in _CPU_READS:
             state = self.grant_state(txn)
             if data is None and txn.needs_data:
                 raise ProtocolError(f"responding without data for {txn!r}")
@@ -417,26 +462,26 @@ class DirectoryController(Controller):
             # along and is applied by the receiver on top of its base.
             self.network.send(
                 Message(
-                    MsgType.DATA_RESP, self.name, req.requester, txn.addr,
+                    _DATA_RESP, self.name, req.requester, txn.addr,
                     data=data, state=state,
                     word_updates=dict(txn.partial_updates) or None,
                     dirty=txn.dirty_data is not None, tid=txn.tid,
                 )
             )
-            if req.requester_kind is RequesterKind.CPU_L2:
+            if req.requester_kind is _CPU_L2:
                 txn.awaiting_unblock = True
-        elif mtype is MsgType.DMA_RD:
+        elif mtype is _DMA_RD:
             if data is None:
                 raise ProtocolError(f"DMA read without data for {txn!r}")
             data = data.merged(txn.partial_updates)
-            resp = Message(MsgType.DMA_RESP, self.name, req.requester, txn.addr,
+            resp = Message(_DMA_RESP, self.name, req.requester, txn.addr,
                            data=data, tid=txn.tid)
             self.network.send(resp)
-        elif mtype is MsgType.DMA_WR:
+        elif mtype is _DMA_WR:
             self._commit_dma_write(txn)
-        elif mtype is MsgType.WT:
+        elif mtype is _WT:
             self._commit_write_through(txn)
-        elif mtype is MsgType.ATOMIC:
+        elif mtype is _ATOMIC:
             self._commit_atomic(txn, data)
         else:  # pragma: no cover - dispatch is exhaustive
             raise ProtocolError(f"cannot respond to {txn!r}")
@@ -453,7 +498,7 @@ class DirectoryController(Controller):
         self.llc.invalidate(txn.addr)  # dropped copy is superseded by req.data
         self._mem_write(txn.addr, req.data, source=req.requester)
         self.network.send(
-            Message(MsgType.DMA_RESP, self.name, req.requester, txn.addr, tid=txn.tid)
+            Message(_DMA_RESP, self.name, req.requester, txn.addr, tid=txn.tid)
         )
 
     def _commit_write_through(self, txn: Transaction) -> None:
@@ -485,7 +530,7 @@ class DirectoryController(Controller):
         else:
             raise ProtocolError(f"WT without data: {req!r}")
         self.network.send(
-            Message(MsgType.WT_ACK, self.name, req.requester, txn.addr, tid=txn.tid)
+            Message(_WT_ACK, self.name, req.requester, txn.addr, tid=txn.tid)
         )
 
     def _commit_atomic(self, txn: Transaction, base: LineData | None) -> None:
@@ -503,7 +548,7 @@ class DirectoryController(Controller):
         self._system_write(txn.addr, new_data, source=req.requester)
         self.network.send(
             Message(
-                MsgType.ATOMIC_RESP, self.name, req.requester, txn.addr,
+                _ATOMIC_RESP, self.name, req.requester, txn.addr,
                 result=old_value, tid=txn.tid,
             )
         )
@@ -555,7 +600,7 @@ class DirectoryController(Controller):
         hit = self.llc.apply_words(addr, updates, dirty=absorb)
         if hit and absorb:
             return
-        self.stats.inc("mem_writes")
+        self._counters["mem_writes"] += 1
         self.memory.write_words(addr, updates, source=source or self.name)
 
     # -- victims ---------------------------------------------------------------------
@@ -570,7 +615,7 @@ class DirectoryController(Controller):
             if not superseded:
                 del self._stale_victims[txn.addr]
             accepted = False
-            self.stats.inc("superseded_victims_dropped")
+            self._counters["superseded_victims_dropped"] += 1
         else:
             accepted = self.accept_victim(txn)
         self.schedule(self.llc.latency_cycles, self._fire_victim_commit,
@@ -587,9 +632,9 @@ class DirectoryController(Controller):
         if accepted:
             self._write_victim(req)
         else:
-            self.stats.inc("stale_victims_dropped")
+            self._counters["stale_victims_dropped"] += 1
         self.network.send(
-            Message(MsgType.WB_ACK, self.name, req.requester, txn.addr, tid=txn.tid)
+            Message(_WB_ACK, self.name, req.requester, txn.addr, tid=txn.tid)
         )
         txn.responded = True
         self.update_state_after_response(txn)
@@ -598,7 +643,7 @@ class DirectoryController(Controller):
 
     def _write_victim(self, req: Message) -> None:
         """Write a victim to the LLC and/or memory per the §III knobs."""
-        dirty = req.mtype is MsgType.VIC_DIRTY
+        dirty = req.mtype is _VIC_DIRTY
         policy = self.policy
         displaced = None
         if dirty or policy.clean_victims_to_llc:
@@ -616,7 +661,7 @@ class DirectoryController(Controller):
     def _handle_flush(self, txn: Transaction) -> None:
         req = txn.request
         self.network.send(
-            Message(MsgType.FLUSH_ACK, self.name, req.requester, txn.addr, tid=txn.tid)
+            Message(_FLUSH_ACK, self.name, req.requester, txn.addr, tid=txn.tid)
         )
         txn.responded = True
         self._maybe_complete(txn)
@@ -630,12 +675,14 @@ class DirectoryController(Controller):
         if current is not txn:
             return  # already completed
         del self._active[txn.addr]
-        elapsed = self.now - txn.started_at
-        self.stats.inc("transactions_completed")
-        self.stats.inc("latency_ticks", elapsed)
-        per_type = self.stats.child("txn")
-        per_type.inc(f"{txn.request.mtype.value}.count")
-        per_type.inc(f"{txn.request.mtype.value}.latency_ticks", elapsed)
+        elapsed = self.events.now - txn.started_at
+        counters = self._counters
+        counters["transactions_completed"] += 1
+        counters["latency_ticks"] += elapsed
+        mtype = txn.request.mtype
+        per_type = self._txn_counters
+        per_type[_TXN_COUNT_KEY[mtype]] += 1
+        per_type[_TXN_LATENCY_KEY[mtype]] += elapsed
         if txn.on_complete is not None:
             txn.on_complete()
         queue = self._waiting.get(txn.addr)
@@ -673,24 +720,24 @@ class DirectoryController(Controller):
         mtype = txn.request.mtype
         plan = RequestPlan(needs_data=mtype in _DATA_REQUESTS)
         plan.read_data_now = plan.needs_data
-        if mtype.is_write_permission:
+        if mtype in WRITE_PERMISSION_TYPES:
             plan.probe_targets = self.all_cache_names()
-            plan.probe_type = ProbeType.INVALIDATE
-        elif mtype.is_read_permission:
+            plan.probe_type = _INVALIDATE
+        elif mtype in READ_PERMISSION_TYPES:
             plan.probe_targets = list(self.l2_names)
-            plan.probe_type = ProbeType.DOWNGRADE
+            plan.probe_type = _DOWNGRADE
         return plan
 
     def grant_state(self, txn: Transaction) -> MoesiState:
         """Baseline grant: E only when no cache acked holding a copy."""
         mtype = txn.request.mtype
-        if mtype is MsgType.RDBLKM:
-            return MoesiState.M
-        if mtype is MsgType.RDBLKS:
-            return MoesiState.S
+        if mtype is _RDBLKM:
+            return _GRANT_M
+        if mtype is _RDBLKS:
+            return _GRANT_S
         if txn.dirty_data is not None or txn.any_copy_acked:
-            return MoesiState.S
-        return MoesiState.E
+            return _GRANT_S
+        return _GRANT_E
 
     def accept_victim(self, txn: Transaction) -> bool:
         """Baseline: the stateless directory writes every victim."""

@@ -29,7 +29,9 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.coherence.directory import (
+    _DATA_REQUESTS,
     EV_DIR_EVICT,
+    EVENT_OF,
     DirectoryController,
     ProtocolError,
     RequestPlan,
@@ -43,7 +45,15 @@ from repro.coherence.transactions import Transaction
 from repro.mem.cache_array import CacheArray, CacheLine
 from repro.mem.main_memory import MainMemory
 from repro.protocol.messages import Message
-from repro.protocol.types import DirState, MoesiState, MsgType, ProbeType, RequesterKind
+from repro.protocol.types import (
+    READ_PERMISSION_TYPES,
+    WRITE_PERMISSION_TYPES,
+    DirState,
+    MoesiState,
+    MsgType,
+    ProbeType,
+    RequesterKind,
+)
 from repro.sim.clock import ClockDomain
 
 if TYPE_CHECKING:
@@ -68,6 +78,15 @@ _T1_REQUESTS = tuple(
     )
 )
 EV_EVICT_DONE = "EvictDone"  #: entry-eviction back-invalidations all acked
+
+#: enum members the handlers compare against, bound once (a class lookup
+#: such as ``DirState.O`` is slow on CPython 3.11; see DESIGN.md)
+_DIR_I, _DIR_S, _DIR_O, _DIR_B = DirState.I, DirState.S, DirState.O, DirState.B
+_GRANT_M, _GRANT_E, _GRANT_S = MoesiState.M, MoesiState.E, MoesiState.S
+_RDBLKS, _RDBLKM, _ATOMIC = MsgType.RDBLKS, MsgType.RDBLKM, MsgType.ATOMIC
+_VIC_DIRTY, _VIC_CLEAN, _PROBE = MsgType.VIC_DIRTY, MsgType.VIC_CLEAN, MsgType.PROBE
+_INVALIDATE, _DOWNGRADE = ProbeType.INVALIDATE, ProbeType.DOWNGRADE
+_CPU_L2 = RequesterKind.CPU_L2
 
 
 class PreciseDirectory(DirectoryController):
@@ -125,14 +144,14 @@ class PreciseDirectory(DirectoryController):
 
     def dir_state(self, addr: int) -> DirState:
         line = self.entry_line(addr)
-        return DirState.I if line is None else line.state
+        return _DIR_I if line is None else line.state
 
     def _holder_targets(self, line: CacheLine, include_owner: bool) -> list[str]:
         """Invalidation targets for a tracked line: multicast when the
         sharer identities are known, broadcast otherwise."""
         entry: DirEntry = line.meta
         targets: list[str] = []
-        if line.state is DirState.O and include_owner and entry.owner is not None:
+        if line.state is _DIR_O and include_owner and entry.owner is not None:
             targets.append(entry.owner)
         if entry.sharer_count > 0 or entry.overflow:
             if entry.multicast_possible:
@@ -148,7 +167,7 @@ class PreciseDirectory(DirectoryController):
         if line is not None:
             txn.prior_state = line.state
             return True
-        txn.prior_state = DirState.I
+        txn.prior_state = _DIR_I
         if txn.request.mtype not in _ALLOCATING:
             return True
         if self.policy.is_readonly(txn.addr):
@@ -156,22 +175,22 @@ class PreciseDirectory(DirectoryController):
             # conclusion): reads are served untracked — no entry, no
             # probes, shared grant.  Writing a declared read-only region
             # violates the contract, like a page-protection fault.
-            if txn.request.mtype is MsgType.RDBLKM:
+            if txn.request.mtype is _RDBLKM:
                 raise ProtocolError(
                     f"write-permission request to read-only region: {txn.request!r}"
                 )
-            self.stats.inc("readonly_reads_untracked")
+            self._counters["readonly_reads_untracked"] += 1
             return True
         victim = self.dir_cache.choose_victim(txn.addr, cost_of=self._eviction_cost)
         if not victim.valid:
             self.dir_cache.install(
-                txn.addr, state=DirState.B, meta=self._new_entry()
+                txn.addr, state=_DIR_B, meta=self._new_entry()
             )
             return True
         if victim.addr in self._active:
             # Every way busy with a transaction: retry shortly (re-fires
             # Launch out of the still-blocked B state).
-            self.stats.inc("alloc_retries")
+            self._counters["alloc_retries"] += 1
             self.schedule(_ALLOC_RETRY_CYCLES, self._launch, arg=txn)
             return False
         self._start_entry_eviction(victim, then=txn)
@@ -183,7 +202,7 @@ class PreciseDirectory(DirectoryController):
             return (busy, 0, 0)
         # §VII future work: prefer unmodified entries with fewest sharers.
         entry: DirEntry = line.meta
-        modified = 1 if line.state is DirState.O else 0
+        modified = 1 if line.state is _DIR_O else 0
         return (busy, modified, entry.sharer_count)
 
     def _start_entry_eviction(self, victim: CacheLine, then: Transaction) -> None:
@@ -193,8 +212,8 @@ class PreciseDirectory(DirectoryController):
         The eviction runs as its own Figure-2 transaction (``DirEvict`` out
         of ``U``); the entry walks Table I's ``S/O -> B -> I``.
         """
-        self.stats.inc("dir_evictions")
-        evict_req = Message(MsgType.PROBE, self.name, self.name, victim.addr)
+        self._counters["dir_evictions"] += 1
+        evict_req = Message(_PROBE, self.name, self.name, victim.addr)
         evict_txn = Transaction(evict_req, is_eviction=True)
         evict_txn.started_at = self.now
         self._active[victim.addr] = evict_txn
@@ -209,24 +228,24 @@ class PreciseDirectory(DirectoryController):
         # owner is only probed while the entry still shows O)
         targets = self._holder_targets(victim, include_owner=True)
         self.table1.fire(victim.state, EV_DIR_EVICT, self, victim.addr, victim)
-        self.stats.inc("backward_invalidations", len(targets))
+        self._counters["backward_invalidations"] += len(targets)
         if targets:
             evict_txn.on_all_acks = lambda: self._finish_eviction(evict_txn, victim)
-            self._send_probes(evict_txn, targets, ProbeType.INVALIDATE)
+            self._send_probes(evict_txn, targets, _INVALIDATE)
         else:
             self._finish_eviction(evict_txn, victim)
         return self._fig2_next(evict_txn)
 
     def _finish_eviction(self, evict_txn: Transaction, victim: CacheLine) -> None:
         self.table1.fire(
-            DirState.B, EV_EVICT_DONE, self, victim.addr, (evict_txn, victim)
+            _DIR_B, EV_EVICT_DONE, self, victim.addr, (evict_txn, victim)
         )
         evict_txn.responded = True
         self._maybe_complete(evict_txn)
 
     def _act_t1_evict_begin(self, victim: CacheLine) -> DirState:
-        victim.state = DirState.B  # Table I's transient B: requests stall
-        return DirState.B
+        victim.state = _DIR_B  # Table I's transient B: requests stall
+        return _DIR_B
 
     def _act_t1_evict_done(self, ctx: tuple) -> DirState:
         evict_txn, victim = ctx
@@ -239,7 +258,7 @@ class PreciseDirectory(DirectoryController):
             if not self.policy.llc_writeback:
                 self._mem_write(victim.addr, evict_txn.dirty_data)
         self._drop_entry(victim)
-        return DirState.I
+        return _DIR_I
 
     # -- request planning (Table I) ------------------------------------------------
 
@@ -249,28 +268,26 @@ class PreciseDirectory(DirectoryController):
         state: DirState = txn.prior_state  # type: ignore[assignment]
         line = self.entry_line(txn.addr)
         entry: DirEntry | None = line.meta if line is not None else None
-        plan = RequestPlan(needs_data=mtype in {
-            MsgType.RDBLK, MsgType.RDBLKS, MsgType.RDBLKM, MsgType.DMA_RD, MsgType.ATOMIC,
-        })
+        plan = RequestPlan(needs_data=mtype in _DATA_REQUESTS)
 
         requester_is_tracked_holder = (
             entry is not None
-            and req.requester_kind is RequesterKind.CPU_L2
+            and req.requester_kind is _CPU_L2
             and (
-                (state is DirState.O and entry.owner == req.requester)
+                (state is _DIR_O and entry.owner == req.requester)
                 or (
-                    state is DirState.S
+                    state is _DIR_S
                     and entry.multicast_possible
                     and entry.is_sharer(req.requester)
                 )
             )
         )
 
-        if mtype.is_read_permission:
-            if state is DirState.O:
+        if mtype in READ_PERMISSION_TYPES:
+            if state is _DIR_O:
                 assert entry is not None and entry.owner is not None
                 plan.probe_targets = [entry.owner]
-                plan.probe_type = ProbeType.DOWNGRADE
+                plan.probe_type = _DOWNGRADE
                 # Expect the owner's dirty data; fall back to a deferred
                 # LLC/memory read if the owner turns out to hold E (clean).
                 plan.read_data_now = False
@@ -278,52 +295,52 @@ class PreciseDirectory(DirectoryController):
                 # I: nothing cached above.  S: LLC/memory guaranteed
                 # coherent.  Either way, no probes (the paper's main win).
                 plan.read_data_now = plan.needs_data
-        elif mtype.is_write_permission:
+        elif mtype in WRITE_PERMISSION_TYPES:
             if self.policy.is_readonly(txn.addr):
                 raise ProtocolError(
                     f"write-permission request to read-only region: {req!r}"
                 )
-            plan.probe_type = ProbeType.INVALIDATE
-            if mtype is MsgType.ATOMIC:
+            plan.probe_type = _INVALIDATE
+            if mtype is _ATOMIC:
                 # The atomic commits here, not at the requester: a tracked
                 # requester copy (a fill that raced in behind the atomic)
                 # must be invalidated like any other holder's, or it
                 # outlives the dropped directory entry as stale data.
                 plan.probe_requester = True
-            if state is DirState.O:
+            if state is _DIR_O:
                 assert line is not None
                 plan.probe_targets = self._holder_targets(line, include_owner=True)
-            elif state is DirState.S:
+            elif state is _DIR_S:
                 assert line is not None
                 plan.probe_targets = self._holder_targets(line, include_owner=False)
-            if requester_is_tracked_holder and mtype is MsgType.RDBLKM:
+            if requester_is_tracked_holder and mtype is _RDBLKM:
                 # Upgrade: the requester already holds the data; elide the
                 # LLC/memory read entirely ("the LLC reads are elided").
                 plan.needs_data = False
-                self.stats.inc("upgrade_data_elided")
+                self._counters["upgrade_data_elided"] += 1
             else:
-                plan.read_data_now = plan.needs_data and state is not DirState.O
+                plan.read_data_now = plan.needs_data and state is not _DIR_O
         return plan
 
     def grant_state(self, txn: Transaction) -> MoesiState:
         mtype = txn.request.mtype
-        if mtype is MsgType.RDBLKM:
-            return MoesiState.M
-        if mtype is MsgType.RDBLKS:
-            return MoesiState.S
+        if mtype is _RDBLKM:
+            return _GRANT_M
+        if mtype is _RDBLKS:
+            return _GRANT_S
         if self.policy.is_readonly(txn.addr):
             # untracked read-only line: never exclusive (E could silently
             # become M without anyone knowing)
-            return MoesiState.S
+            return _GRANT_S
         # RdBlk: in S the response is forced shared (it comes from the LLC
         # without consulting the sharers); in O, any surviving copy denies
         # exclusivity; in I (or an O whose owner vanished), grant E.
         state: DirState = txn.prior_state  # type: ignore[assignment]
-        if state is DirState.S:
-            return MoesiState.S
+        if state is _DIR_S:
+            return _GRANT_S
         if txn.dirty_data is not None or txn.any_copy_acked:
-            return MoesiState.S
-        return MoesiState.E
+            return _GRANT_S
+        return _GRANT_E
 
     # -- victims ----------------------------------------------------------------------
 
@@ -333,16 +350,16 @@ class PreciseDirectory(DirectoryController):
         if line is None:
             return False  # stale: the entry was evicted/overwritten meanwhile
         entry: DirEntry = line.meta
-        if req.mtype is MsgType.VIC_DIRTY:
-            return line.state is DirState.O and entry.owner == req.requester
+        if req.mtype is _VIC_DIRTY:
+            return line.state is _DIR_O and entry.owner == req.requester
         # VicClean: from the owner (an E line, footnote g) or from a sharer
         # — including a dirty sharer of an O line (footnote h: non-owner
         # copies evict clean, the owner keeps the write-back duty).
-        if line.state is DirState.O and (
+        if line.state is _DIR_O and (
             entry.owner == req.requester or entry.is_sharer(req.requester)
         ):
             return True
-        if line.state is DirState.S and entry.is_sharer(req.requester):
+        if line.state is _DIR_S and entry.is_sharer(req.requester):
             return True
         return False
 
@@ -358,14 +375,14 @@ class PreciseDirectory(DirectoryController):
         declared next-states.
         """
         prior: DirState = txn.prior_state  # type: ignore[assignment]
-        self.table1.fire(prior, txn.request.mtype.value, self, txn.addr, txn)
+        self.table1.fire(prior, EVENT_OF[txn.request.mtype], self, txn.addr, txn)
 
     # -- Table I actions (return the resulting stable state) --------------------
 
     def _act_t1_read(self, txn: Transaction) -> DirState:
         line = self.entry_line(txn.addr)
         if line is None and self.policy.is_readonly(txn.addr):
-            return DirState.I  # untracked read-only read: nothing to record
+            return _DIR_I  # untracked read-only read: nothing to record
         self._update_after_read(txn, line)
         return self.dir_state(txn.addr)
 
@@ -379,14 +396,14 @@ class PreciseDirectory(DirectoryController):
 
     def _act_t1_drop(self, txn: Transaction) -> DirState:
         self._drop_entry(self.entry_line(txn.addr))
-        return DirState.I
+        return _DIR_I
 
     def _act_t1_keep(self, txn: Transaction) -> DirState:
         return self.dir_state(txn.addr)
 
     def _act_t1_dma_rd(self, txn: Transaction) -> DirState:
         line = self.entry_line(txn.addr)
-        if line is not None and line.state is DirState.O:
+        if line is not None and line.state is _DIR_O:
             entry: DirEntry = line.meta
             if txn.dirty_data is not None:
                 pass  # dirty owner answered the probe and keeps write-back duty
@@ -394,7 +411,7 @@ class PreciseDirectory(DirectoryController):
                 # Footnote f analogue: the owner held E and the DMA probe
                 # downgraded it to S; the line is now clean-shared.
                 old_owner = entry.owner
-                line.state = DirState.S
+                line.state = _DIR_S
                 entry.owner = None
                 if old_owner is not None:
                     entry.add_sharer(old_owner)
@@ -403,7 +420,7 @@ class PreciseDirectory(DirectoryController):
                 # as stale): surviving sharers keep a clean-shared entry.
                 entry.owner = None
                 if entry.sharer_count > 0 or entry.overflow:
-                    line.state = DirState.S
+                    line.state = _DIR_S
                 else:
                     self._drop_entry(line)
         return self.dir_state(txn.addr)
@@ -419,31 +436,31 @@ class PreciseDirectory(DirectoryController):
             raise ProtocolError(f"read response without a directory entry: {txn!r}")
         entry: DirEntry = line.meta
         requester = req.requester
-        is_cpu = req.requester_kind is RequesterKind.CPU_L2
+        is_cpu = req.requester_kind is _CPU_L2
         granted = self.grant_state(txn)
-        if state is DirState.I:
-            if granted is MoesiState.E and is_cpu:
-                line.state = DirState.O
+        if state is _DIR_I:
+            if granted is _GRANT_E and is_cpu:
+                line.state = _DIR_O
                 entry.owner = requester
                 entry.clear_sharers()
             else:
-                line.state = DirState.S
+                line.state = _DIR_S
                 entry.owner = None
                 entry.clear_sharers()
                 entry.add_sharer(requester)
-        elif state is DirState.S:
-            line.state = DirState.S
+        elif state is _DIR_S:
+            line.state = _DIR_S
             entry.add_sharer(requester)
         else:  # O
             if txn.dirty_data is not None:
                 # Owner downgraded M->O (or stayed O); requester joins dirty-shared.
-                line.state = DirState.O
+                line.state = _DIR_O
                 entry.add_sharer(requester)
             elif txn.any_copy_acked:
                 # Footnotes d/f: the owner actually held E and downgraded to
                 # S; the line is now clean-shared under the LLC/memory.
                 old_owner = entry.owner
-                line.state = DirState.S
+                line.state = _DIR_S
                 entry.owner = None
                 if old_owner is not None:
                     entry.add_sharer(old_owner)
@@ -451,12 +468,12 @@ class PreciseDirectory(DirectoryController):
             else:
                 # The owner's copy was gone (victim in flight, later dropped
                 # as stale): the requester becomes the new tracked holder.
-                if granted is MoesiState.E and is_cpu:
-                    line.state = DirState.O
+                if granted is _GRANT_E and is_cpu:
+                    line.state = _DIR_O
                     entry.owner = requester
                     entry.clear_sharers()
                 else:
-                    line.state = DirState.S
+                    line.state = _DIR_S
                     entry.owner = None
                     entry.clear_sharers()
                     entry.add_sharer(requester)
@@ -465,7 +482,7 @@ class PreciseDirectory(DirectoryController):
         if line is None:
             raise ProtocolError(f"RdBlkM response without a directory entry: {txn!r}")
         entry: DirEntry = line.meta
-        line.state = DirState.O
+        line.state = _DIR_O
         entry.owner = txn.request.requester
         entry.clear_sharers()
 
@@ -482,12 +499,12 @@ class PreciseDirectory(DirectoryController):
         # invalidated; the TCC keeps its copy only if it had one.
         entry: DirEntry = line.meta
         keeps_copy = entry.is_sharer(req.requester) or (
-            line.state is DirState.O and entry.owner == req.requester
+            line.state is _DIR_O and entry.owner == req.requester
         )
         if not keeps_copy:
             self._drop_entry(line)
             return
-        line.state = DirState.S
+        line.state = _DIR_S
         entry.owner = None
         entry.clear_sharers()
         entry.add_sharer(req.requester)
@@ -497,7 +514,7 @@ class PreciseDirectory(DirectoryController):
             return  # stale victim, already dropped
         req = txn.request
         entry: DirEntry = line.meta
-        if line.state is DirState.O and entry.owner == req.requester:
+        if line.state is _DIR_O and entry.owner == req.requester:
             # Owner write-back (VicDirty) or E eviction (VicClean).  The
             # LLC is now coherent with any remaining dirty sharers
             # (footnote h), so the line becomes clean-shared or dies.
@@ -508,16 +525,16 @@ class PreciseDirectory(DirectoryController):
                 if self.policy.vicdirty_invalidates_sharers:
                     self._invalidate_sharers_and_drop(line)
                 else:
-                    line.state = DirState.S
+                    line.state = _DIR_S
             else:
                 self._drop_entry(line)
-        elif line.state is DirState.S and req.mtype is MsgType.VIC_CLEAN:
+        elif line.state is _DIR_S and req.mtype is _VIC_CLEAN:
             entry.remove_sharer(req.requester)
             if entry.sharer_count == 0 and not entry.overflow:
                 self._drop_entry(line)
         elif (
-            line.state is DirState.O
-            and req.mtype is MsgType.VIC_CLEAN
+            line.state is _DIR_O
+            and req.mtype is _VIC_CLEAN
             and entry.is_sharer(req.requester)
         ):
             # a (possibly dirty) sharer of an owned line evicted clean
@@ -535,8 +552,8 @@ class PreciseDirectory(DirectoryController):
         ]
         self._drop_entry(line)
         if targets:
-            self.stats.inc("vicdirty_sharer_invalidations", len(targets))
-            self._send_probes(txn, targets, ProbeType.INVALIDATE)
+            self._counters["vicdirty_sharer_invalidations"] += len(targets)
+            self._send_probes(txn, targets, _INVALIDATE)
 
     def _drop_entry(self, line: CacheLine | None) -> None:
         if line is not None:
@@ -547,7 +564,7 @@ class PreciseDirectory(DirectoryController):
     def snapshot_entry(self, addr: int) -> tuple[DirState, DirEntry | None]:
         line = self.entry_line(addr)
         if line is None:
-            return DirState.I, None
+            return _DIR_I, None
         return line.state, line.meta
 
 

@@ -11,7 +11,7 @@ traffic the paper attributes to I-cache misses).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Generator
+from typing import TYPE_CHECKING, Generator
 
 from repro.cpu.corepair import CorePair, CpuRequest
 from repro.sim.clock import ClockDomain
@@ -46,6 +46,7 @@ class CpuCore(Component):
         self._ifetch_counter = 0
         self._code_cursor = 0
         self._program: Generator | None = None
+        self._counters = self.stats._counters
         self.done = True
         self.finished_at: int | None = None
 
@@ -69,40 +70,40 @@ class CpuCore(Component):
             self.finished_at = self.now
             self._program = None
             return
-        self.stats.inc("ops")
-        self._maybe_ifetch(lambda: self._dispatch(op))
+        self._counters["ops"] += 1
+        if self.code_addrs and self.ifetch_interval > 0:
+            self._ifetch_counter += 1
+            if self._ifetch_counter >= self.ifetch_interval:
+                self._ifetch_counter = 0
+                self._ifetch(op)
+                return
+        self._dispatch(op)
 
-    def _maybe_ifetch(self, then: Callable[[], None]) -> None:
-        if not self.code_addrs or self.ifetch_interval <= 0:
-            then()
-            return
-        self._ifetch_counter += 1
-        if self._ifetch_counter < self.ifetch_interval:
-            then()
-            return
-        self._ifetch_counter = 0
+    def _ifetch(self, op: object) -> None:
+        """Fetch the next code line through the L1I, then dispatch ``op``."""
         addr = self.code_addrs[self._code_cursor % len(self.code_addrs)]
         self._code_cursor += 1
-        self.stats.inc("ifetches")
+        self._counters["ifetches"] += 1
         self.corepair.access(
-            self.slot, CpuRequest("ifetch", addr), lambda _r: then()
+            self.slot, CpuRequest("ifetch", addr), lambda _r: self._dispatch(op)
         )
 
     # -- op dispatch ---------------------------------------------------------------
 
     def _dispatch(self, op: object) -> None:
+        counters = self._counters
         if isinstance(op, ops.Think):
-            self.schedule(op.cycles, lambda: self._advance(None))
+            self.schedule(op.cycles, self._advance, arg=None)
         elif isinstance(op, ops.Load):
-            self.stats.inc("loads")
+            counters["loads"] += 1
             self.corepair.access(self.slot, CpuRequest("load", op.addr), self._advance)
         elif isinstance(op, ops.Store):
-            self.stats.inc("stores")
+            counters["stores"] += 1
             self.corepair.access(
-                self.slot, CpuRequest("store", op.addr, value=op.value), self._advance
+                self.slot, CpuRequest("store", op.addr, op.value), self._advance
             )
         elif isinstance(op, ops.AtomicRMW):
-            self.stats.inc("atomics")
+            counters["atomics"] += 1
             self.corepair.access(
                 self.slot,
                 CpuRequest(
@@ -112,10 +113,10 @@ class CpuCore(Component):
                 self._advance,
             )
         elif isinstance(op, ops.SpinUntil):
-            self.stats.inc("spins")
+            counters["spins"] += 1
             self._spin(op)
         elif isinstance(op, ops.Barrier):
-            op.barrier.arrive(lambda: self.schedule(0, lambda: self._advance(None)))
+            op.barrier.arrive(lambda: self.schedule(0, self._advance, arg=None))
         elif isinstance(op, ops.LaunchKernel):
             self._launch_kernel(op)
         elif isinstance(op, ops.WaitKernel):
@@ -128,7 +129,7 @@ class CpuCore(Component):
             if op.predicate(value):
                 self._advance(value)
             else:
-                self.stats.inc("spin_retries")
+                self._counters["spin_retries"] += 1
                 self.schedule(op.backoff_cycles, retry)
 
         def retry() -> None:

@@ -21,7 +21,7 @@ to drop the later-arriving stale victim safely.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from repro.coherence.banking import DirectoryMap, as_directory_map
 from repro.coherence.engine import TransitionTable
@@ -30,7 +30,15 @@ from repro.mem.block import LineData
 from repro.mem.cache_array import CacheArray
 from repro.protocol.atomics import AtomicOp, apply_atomic
 from repro.protocol.messages import Message
-from repro.protocol.types import MoesiState, MsgType, ProbeType, RequesterKind
+from repro.protocol.types import (
+    DIRTY_STATES,
+    READABLE_STATES,
+    WRITABLE_STATES,
+    MoesiState,
+    MsgType,
+    ProbeType,
+    RequesterKind,
+)
 from repro.sim.clock import ClockDomain
 from repro.sim.component import Controller
 from repro.sim.event_queue import SimulationError
@@ -44,8 +52,7 @@ class CorePairError(SimulationError):
     pass
 
 
-@dataclass(frozen=True)
-class CpuRequest:
+class CpuRequest(NamedTuple):
     """One core-side memory operation presented to the CorePair."""
 
     kind: str  # "load" | "store" | "atomic" | "ifetch"
@@ -56,8 +63,17 @@ class CpuRequest:
     compare: int = 0
 
 
-#: per-kind stat counter names, prebuilt so ``access`` never formats one.
+#: per-kind stat counter names, prebuilt so ``access`` never formats one;
+#: also the set of kinds ``access`` accepts.
 _OPS_KEY = {kind: f"ops.{kind}" for kind in ("load", "store", "atomic", "ifetch")}
+_MISS_KEY = {want: f"misses.{want}" for want in ("r", "w", "i")}
+
+#: enum members the hot paths compare against, bound once (a class lookup
+#: such as ``MoesiState.M`` is slow on CPython 3.11; see DESIGN.md)
+_M, _O, _S, _I = MoesiState.M, MoesiState.O, MoesiState.S, MoesiState.I
+_DATA_RESP, _PROBE, _WB_ACK = MsgType.DATA_RESP, MsgType.PROBE, MsgType.WB_ACK
+_VIC_DIRTY, _VIC_CLEAN = MsgType.VIC_DIRTY, MsgType.VIC_CLEAN
+_CPU_L2 = RequesterKind.CPU_L2
 
 
 @dataclass
@@ -171,8 +187,11 @@ class CorePair(Controller):
             CacheArray.from_geometry(*l1d_geometry),
         ]
         self.l1i = CacheArray.from_geometry(*l1i_geometry)
-        self.l1_latency = l1_latency
-        self.l2_latency = l2_latency
+        #: hit latencies in ticks, converted once (like ``_service_ticks``);
+        #: an L2 hit converts the L1+L2 sum as one value.
+        self._l1_hit_ticks = clock.cycles_to_ticks(l1_latency)
+        self._l2_hit_ticks = clock.cycles_to_ticks(l1_latency + l2_latency)
+        self._counters = self.stats._counters
         self._mshrs: dict[int, _Mshr] = {}
         self._vic_pending: dict[int, _PendingVictim] = {}
         #: the MOESI table this instance dispatches through.  Normally the
@@ -193,11 +212,16 @@ class CorePair(Controller):
         incoming probe traffic on the shared L2 controller."""
         if slot not in (0, 1):
             raise CorePairError(f"bad core slot {slot}")
-        kind = request.kind
-        self.stats.inc(_OPS_KEY.get(kind) or f"ops.{kind}")
-        start = max(self.now, self._next_free)
+        key = _OPS_KEY.get(request.kind)
+        if key is None:
+            raise CorePairError(f"unknown request kind {request.kind!r}")
+        self._counters[key] += 1
+        events = self.events
+        start = self._next_free
+        if start < events.now:
+            start = events.now
         self._next_free = start + self._service_ticks
-        self.sim.events.schedule(start, self._execute_queued, 0, (slot, request, callback))
+        events.schedule(start, self._execute_queued, 0, (slot, request, callback))
 
     # -- execution ---------------------------------------------------------------
 
@@ -206,85 +230,79 @@ class CorePair(Controller):
         self._execute(*queued)
 
     def _execute(self, slot: int, request: CpuRequest, callback: Callable) -> None:
-        line = line_addr(request.addr)
-        pending = self._vic_pending.get(line)
+        pending = self._vic_pending.get(line_addr(request.addr))
         if pending is not None:
             pending.waiters.append((slot, request, callback))
             return
-        handler = {
-            "load": self._do_load,
-            "store": self._do_store,
-            "atomic": self._do_atomic,
-            "ifetch": self._do_ifetch,
-        }.get(request.kind)
-        if handler is None:
-            raise CorePairError(f"unknown request kind {request.kind!r}")
-        handler(slot, request, callback)
+        # ``access`` admitted only known kinds
+        _EXECUTE[request.kind](self, slot, request, callback)
 
-    def _hit_latency(self, slot: int, line: int, icache: bool = False) -> float:
-        """L1 latency on an L1 hit, else L1+L2 (and fill the L1)."""
+    def _hit_ticks(self, slot: int, line: int, icache: bool = False) -> int:
+        """L1 hit latency in ticks, else L1+L2 (and fill the L1)."""
         l1 = self.l1i if icache else self.l1d[slot]
         if l1.lookup(line) is not None:
-            self.stats.inc("l1i_hits" if icache else "l1d_hits")
-            return self.l1_latency
+            self._counters["l1i_hits" if icache else "l1d_hits"] += 1
+            return self._l1_hit_ticks
         l1.install(line, state=True)
-        self.stats.inc("l2_hits")
-        return self.l1_latency + self.l2_latency
+        self._counters["l2_hits"] += 1
+        return self._l2_hit_ticks
 
     def _do_load(self, slot: int, request: CpuRequest, callback: Callable) -> None:
         line = line_addr(request.addr)
         cached = self.l2.lookup(line)
-        if cached is None or not cached.state.readable:
+        if cached is None or cached.state not in READABLE_STATES:
             self._miss(slot, request, callback, want="r")
             return
-        latency = self._hit_latency(slot, line)
+        ticks = self._hit_ticks(slot, line)
 
         def finish() -> None:
             again = self.l2.lookup(line)
-            if again is None or not again.state.readable:
+            if again is None or again.state not in READABLE_STATES:
                 self._execute(slot, request, callback)  # lost to a probe; retry
                 return
             callback(again.data.word(word_index(request.addr)))
 
-        self.schedule(latency, finish)
+        events = self.events
+        events.schedule(events.now + ticks, finish)
 
     def _do_store(self, slot: int, request: CpuRequest, callback: Callable) -> None:
         line = line_addr(request.addr)
         cached = self.l2.lookup(line)
-        if cached is None or not cached.state.writable:
+        if cached is None or cached.state not in WRITABLE_STATES:
             self._miss(slot, request, callback, want="w")
             return
-        latency = self._hit_latency(slot, line)
+        ticks = self._hit_ticks(slot, line)
 
         def finish() -> None:
             again = self.l2.lookup(line)
-            if again is None or not again.state.writable:
+            if again is None or again.state not in WRITABLE_STATES:
                 self._execute(slot, request, callback)
                 return
             again.data = again.data.with_word(word_index(request.addr), request.value)
-            if again.state is not MoesiState.M:
+            if again.state is not _M:
                 # silent E->M
                 self.moesi_table.fire(again.state, EV_STORE, self, line, again)
             callback(None)
 
-        self.schedule(latency, finish)
+        events = self.events
+        events.schedule(events.now + ticks, finish)
 
     def _act_store(self, cached) -> MoesiState:
-        cached.state = MoesiState.M
+        cached.state = _M
         cached.dirty = True
-        return MoesiState.M
+        return _M
 
     def _do_atomic(self, slot: int, request: CpuRequest, callback: Callable) -> None:
         line = line_addr(request.addr)
         cached = self.l2.lookup(line)
-        if cached is None or not cached.state.writable:
+        if cached is None or cached.state not in WRITABLE_STATES:
             self._miss(slot, request, callback, want="w")
             return
-        latency = self._hit_latency(slot, line)
+        ticks = self._hit_ticks(slot, line)
 
         def finish() -> None:
             again = self.l2.lookup(line)
-            if again is None or not again.state.writable:
+            if again is None or again.state not in WRITABLE_STATES:
                 self._execute(slot, request, callback)
                 return
             new_data, old = apply_atomic(
@@ -292,21 +310,23 @@ class CorePair(Controller):
                 request.atomic_op, request.operand, request.compare,
             )
             again.data = new_data
-            if again.state is not MoesiState.M:
+            if again.state is not _M:
                 # silent E->M
                 self.moesi_table.fire(again.state, EV_STORE, self, line, again)
             callback(old)
 
-        self.schedule(latency, finish)
+        events = self.events
+        events.schedule(events.now + ticks, finish)
 
     def _do_ifetch(self, slot: int, request: CpuRequest, callback: Callable) -> None:
         line = line_addr(request.addr)
         cached = self.l2.lookup(line)
-        if cached is None or not cached.state.readable:
+        if cached is None or cached.state not in READABLE_STATES:
             self._miss(slot, request, callback, want="i")
             return
-        latency = self._hit_latency(slot, line, icache=True)
-        self.schedule(latency, lambda: callback(None))
+        ticks = self._hit_ticks(slot, line, icache=True)
+        events = self.events
+        events.schedule(events.now + ticks, callback, 0, None)
 
     # -- misses ----------------------------------------------------------------------
 
@@ -315,28 +335,30 @@ class CorePair(Controller):
         mshr = self._mshrs.get(line)
         if mshr is not None:
             mshr.waiters.append((slot, request, callback))
-            self.stats.inc("mshr_merges")
+            self._counters["mshr_merges"] += 1
             return
         mshr = _Mshr(kind=want)
         mshr.waiters.append((slot, request, callback))
         self._mshrs[line] = mshr
-        self.stats.inc("misses")
-        self.stats.inc(f"misses.{want}")
+        counters = self._counters
+        counters["misses"] += 1
+        counters[_MISS_KEY[want]] += 1
         self.network.send(
             Message.request(
                 _MISS_REQUEST[want], self.name, self.dir_map.bank_of(line), line,
-                RequesterKind.CPU_L2,
+                _CPU_L2,
             )
         )
 
     # -- network messages ---------------------------------------------------------------
 
     def handle_message(self, msg: Message) -> None:
-        if msg.mtype is MsgType.DATA_RESP:
-            self._on_data_resp(msg)
-        elif msg.mtype is MsgType.PROBE:
+        mtype = msg.mtype
+        if mtype is _PROBE:
             self._on_probe(msg)
-        elif msg.mtype is MsgType.WB_ACK:
+        elif mtype is _DATA_RESP:
+            self._on_data_resp(msg)
+        elif mtype is _WB_ACK:
             self._on_wb_ack(msg)
         else:
             raise CorePairError(f"{self.name} received unexpected {msg!r}")
@@ -348,7 +370,7 @@ class CorePair(Controller):
             raise CorePairError(f"{self.name}: response without MSHR: {msg!r}")
         data = msg.data
         existing = self.l2.lookup(line)
-        if existing is not None and existing.state.readable:
+        if existing is not None and existing.state in READABLE_STATES:
             # Upgrade (S/O -> M): our own copy is the current one — an O
             # copy is dirty w.r.t. the memory data the response may carry,
             # and no third cache can hold anything newer while we are a
@@ -360,9 +382,9 @@ class CorePair(Controller):
             )
         # word-granular dirty data forwarded by probed VI caches
         data = data.merged(msg.word_updates)
-        if msg.state is None or msg.state is MoesiState.I:
+        if msg.state is None or msg.state is _I:
             raise CorePairError(f"{self.name}: bad granted state in {msg!r}")
-        prev = MoesiState.I if existing is None else existing.state
+        prev = _I if existing is None else existing.state
         self.moesi_table.fire(prev, EV_FILL, self, line, (line, msg.state, data))
         self.network.send(Message.unblock(self.name, msg.src, line, msg.tid))
         for slot, request, callback in mshr.waiters:
@@ -387,22 +409,22 @@ class CorePair(Controller):
                 self.moesi_table.fire(
                     snapshot.state, EV_EVICT, self, snapshot.addr, snapshot
                 )
-        self.l2.install(line, state=state, data=data, dirty=state.is_dirty)
+        self.l2.install(line, state=state, data=data, dirty=state in DIRTY_STATES)
 
     def _act_evict(self, snapshot) -> str:
         self._send_victim(snapshot)
         return VIC_PENDING
 
     def _send_victim(self, snapshot) -> None:
-        dirty = snapshot.state in (MoesiState.M, MoesiState.O)
-        self.stats.inc("victims.dirty" if dirty else "victims.clean")
+        dirty = snapshot.state in DIRTY_STATES
+        self._counters["victims.dirty" if dirty else "victims.clean"] += 1
         self._vic_pending[snapshot.addr] = _PendingVictim(snapshot.data, dirty)
         self._drop_l1_copies(snapshot.addr)
-        mtype = MsgType.VIC_DIRTY if dirty else MsgType.VIC_CLEAN
+        mtype = _VIC_DIRTY if dirty else _VIC_CLEAN
         self.network.send(
             Message.request(
                 mtype, self.name, self.dir_map.bank_of(snapshot.addr), snapshot.addr,
-                RequesterKind.CPU_L2, data=snapshot.data,
+                _CPU_L2, data=snapshot.data,
             )
         )
 
@@ -419,12 +441,12 @@ class CorePair(Controller):
         del self._vic_pending[addr]
         for slot, request, callback in pending.waiters:
             self._execute(slot, request, callback)
-        return MoesiState.I
+        return _I
 
     # -- probes ------------------------------------------------------------------------------
 
     def _on_probe(self, msg: Message) -> None:
-        self.stats.inc("probes_received")
+        self._counters["probes_received"] += 1
         event = _PROBE_EVENT.get(msg.probe_type)
         if event is None:
             raise CorePairError(f"bad probe {msg!r}")
@@ -434,7 +456,7 @@ class CorePair(Controller):
             self.moesi_table.fire(VIC_PENDING, event, self, line, (msg, pending))
             return
         cached = self.l2.lookup(line, touch=False)
-        prev = MoesiState.I if cached is None else cached.state
+        prev = _I if cached is None else cached.state
         self.moesi_table.fire(prev, event, self, line, (msg, cached))
 
     def _act_probe_vic(self, ctx: tuple) -> str:
@@ -448,33 +470,33 @@ class CorePair(Controller):
 
     def _act_probe_miss(self, ctx: tuple) -> MoesiState:
         self._ack(ctx[0], had_copy=False)
-        return MoesiState.I
+        return _I
 
     def _act_down_dirty(self, ctx: tuple) -> MoesiState:
         msg, cached = ctx
-        cached.state = MoesiState.O
+        cached.state = _O
         self._ack(msg, data=cached.data, dirty=True, had_copy=True)
-        return MoesiState.O
+        return _O
 
     def _act_down_e(self, ctx: tuple) -> MoesiState:
         msg, cached = ctx
-        cached.state = MoesiState.S
+        cached.state = _S
         self._ack(msg, had_copy=True)
-        return MoesiState.S
+        return _S
 
     def _act_down_s(self, ctx: tuple) -> MoesiState:
         self._ack(ctx[0], had_copy=True)
-        return MoesiState.S
+        return _S
 
     def _act_inv(self, ctx: tuple) -> MoesiState:
         msg, cached = ctx
-        dirty = cached.state in (MoesiState.M, MoesiState.O)
+        dirty = cached.state in DIRTY_STATES
         data = cached.data if dirty else None
         self.l2.invalidate(msg.addr)
         self._drop_l1_copies(msg.addr)
-        self.stats.inc("probe_invalidations")
+        self._counters["probe_invalidations"] += 1
         self._ack(msg, data=data, dirty=dirty, had_copy=True)
-        return MoesiState.I
+        return _I
 
     def _ack(self, probe: Message, data: LineData | None = None,
              dirty: bool = False, had_copy: bool = False,
@@ -495,7 +517,7 @@ class CorePair(Controller):
 
     def peek_state(self, line: int) -> MoesiState:
         cached = self.l2.lookup(line, touch=False)
-        return MoesiState.I if cached is None else cached.state
+        return _I if cached is None else cached.state
 
     def peek_word(self, addr: int) -> int | None:
         cached = self.l2.lookup(line_addr(addr), touch=False)
@@ -515,3 +537,11 @@ class CorePair(Controller):
 #: shared by every CorePair (the table is immutable once built; built here
 #: because the rows bind the action methods above)
 _COREPAIR_TABLE = build_corepair_table()
+
+#: ``request.kind -> handler``, the dispatch of :meth:`CorePair._execute`
+_EXECUTE = {
+    "load": CorePair._do_load,
+    "store": CorePair._do_store,
+    "atomic": CorePair._do_atomic,
+    "ifetch": CorePair._do_ifetch,
+}

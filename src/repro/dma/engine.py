@@ -30,6 +30,10 @@ if TYPE_CHECKING:
     from repro.sim.event_queue import Simulator
     from repro.sim.network import Network
 
+#: enum members bound once (class lookups are slow on CPython 3.11)
+_DMA_RD, _DMA_WR, _DMA_RESP = MsgType.DMA_RD, MsgType.DMA_WR, MsgType.DMA_RESP
+_DMA = RequesterKind.DMA
+
 
 class DmaEngine(Controller):
     kind_name = "dma"
@@ -52,6 +56,7 @@ class DmaEngine(Controller):
         self._outstanding = 0
         self._lines_left: deque[tuple[str, int, int]] = deque()
         self.done = True
+        self._counters = self.stats._counters
 
     # -- host interface ----------------------------------------------------------
 
@@ -92,25 +97,24 @@ class DmaEngine(Controller):
             kind, addr, value = self._lines_left.popleft()
             self._outstanding += 1
             if kind == "read":
-                self.stats.inc("line_reads")
+                self._counters["line_reads"] += 1
                 self.network.send(
                     Message.request(
-                        MsgType.DMA_RD, self.name, self.dir_map.bank_of(addr), addr,
-                        RequesterKind.DMA,
+                        _DMA_RD, self.name, self.dir_map.bank_of(addr), addr, _DMA,
                     )
                 )
             else:
-                self.stats.inc("line_writes")
+                self._counters["line_writes"] += 1
                 fill = LineData([value] * len(ZERO_LINE.words)) if value else ZERO_LINE
                 self.network.send(
                     Message.request(
-                        MsgType.DMA_WR, self.name, self.dir_map.bank_of(addr), addr,
-                        RequesterKind.DMA, data=fill,
+                        _DMA_WR, self.name, self.dir_map.bank_of(addr), addr, _DMA,
+                        data=fill,
                     )
                 )
 
     def handle_message(self, msg: Message) -> None:
-        if msg.mtype is not MsgType.DMA_RESP:
+        if msg.mtype is not _DMA_RESP:
             raise SimulationError(f"{self.name} received unexpected {msg!r}")
         self._outstanding -= 1
         if self._lines_left:

@@ -31,6 +31,8 @@ from repro.workloads import trace as ops
 if TYPE_CHECKING:
     from repro.sim.event_queue import Simulator
 
+_V = ViState.V  # bound once: ``ViState.V`` is a slow class lookup on 3.11
+
 
 class GpuExecError(SimulationError):
     pass
@@ -92,6 +94,7 @@ class ComputeUnit(Component):
         self._running = 0
         self._wg_queue: deque[tuple[list, object, Callable[[], None]]] = deque()
         self._wave_seq = 0
+        self._counters = self.stats._counters
 
     # -- workgroup scheduling ---------------------------------------------------
 
@@ -135,10 +138,10 @@ class ComputeUnit(Component):
     def tcp_load(self, line: int, callback: Callable[[LineData], None]) -> None:
         cached = self.tcp.lookup(line)
         if cached is not None:
-            self.stats.inc("tcp_hits")
+            self._counters["tcp_hits"] += 1
             self.schedule(self.tcp_latency, lambda: callback(cached.data))
             return
-        self.stats.inc("tcp_misses")
+        self._counters["tcp_misses"] += 1
 
         def on_fill(data: LineData) -> None:
             self._tcp_install(line, data)
@@ -178,12 +181,12 @@ class ComputeUnit(Component):
             return
         victim = self.tcp.choose_victim(line)
         if victim.valid and victim.dirty:
-            self.stats.inc("tcp_dirty_evictions")
+            self._counters["tcp_dirty_evictions"] += 1
             snapshot = self.tcp.invalidate(victim.addr)
             self.tcc.of(snapshot.addr).write(
                 snapshot.addr, snapshot.data.pick(snapshot.meta), lambda: None
             )
-        self.tcp.install(line, state=ViState.V, data=data, dirty=False)
+        self.tcp.install(line, state=_V, data=data, dirty=False)
 
     def tcp_flush(self, callback: Callable[[], None]) -> None:
         """Write back dirty TCP lines (WB_L1) into the TCC, then callback."""
@@ -206,13 +209,13 @@ class ComputeUnit(Component):
             updates = cached.data.pick(cached.meta)
             cached.dirty = False
             cached.meta = None
-            self.stats.inc("tcp_flush_writebacks")
+            self._counters["tcp_flush_writebacks"] += 1
             self.tcc.of(cached.addr).write(cached.addr, updates, one_done)
 
     def tcp_invalidate_all(self) -> None:
         for cached in list(self.tcp.iter_valid()):
             if cached.dirty:
-                self.stats.inc("tcp_dropped_dirty")
+                self._counters["tcp_dropped_dirty"] += 1
             self.tcp.invalidate(cached.addr)
 
     def pending_work(self) -> str | None:
@@ -248,7 +251,7 @@ class Wavefront:
             self.group.wavefront_finished()
             self.cu._wavefront_done()
             return
-        self.cu.stats.inc("wave_ops")
+        self.cu._counters["wave_ops"] += 1
         self._maybe_ifetch(lambda: self._issue(op))
 
     def _maybe_ifetch(self, then: Callable[[], None]) -> None:
@@ -292,7 +295,7 @@ class Wavefront:
                 op.compare, op.scope, self._advance,
             )
         elif isinstance(op, ops.LdsAccess):
-            self.cu.stats.inc("lds_accesses", op.count)
+            self.cu._counters["lds_accesses"] += op.count
             self.cu.schedule(self.cu.lds_latency * op.count, lambda: self._advance(None))
         elif isinstance(op, ops.WgBarrier):
             self.group.arrive(lambda: self.cu.schedule(0, lambda: self._advance(None)))
@@ -316,7 +319,7 @@ class Wavefront:
             )
             self._advance(values[0] if single else values)
 
-        self.cu.stats.inc("vloads")
+        self.cu._counters["vloads"] += 1
         for line in lines:
             self.cu.tcp_load(line, lambda data, ln=line: on_line(ln, data))
 
@@ -334,7 +337,7 @@ class Wavefront:
             if remaining == 0:
                 self._advance(None)
 
-        self.cu.stats.inc("vstores")
+        self.cu._counters["vstores"] += 1
         for line, updates in per_line.items():
             self.cu.tcp_store(line, updates, one_done)
 

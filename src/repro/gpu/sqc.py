@@ -21,6 +21,8 @@ from repro.sim.component import Component
 if TYPE_CHECKING:
     from repro.sim.event_queue import Simulator
 
+_V = ViState.V  # bound once: ``ViState.V`` is a slow class lookup on 3.11
+
 
 class SqcCache(Component):
     """Shared GPU instruction cache."""
@@ -38,17 +40,18 @@ class SqcCache(Component):
         self.tcc = tcc if isinstance(tcc, TccGroup) else TccGroup([tcc])
         self.array = CacheArray.from_geometry(*geometry)
         self.latency_cycles = latency_cycles
+        self._counters = self.stats._counters
 
     def fetch(self, addr: int, callback: Callable[[], None]) -> None:
         line = line_addr(addr)
         if self.array.lookup(line) is not None:
-            self.stats.inc("hits")
+            self._counters["hits"] += 1
             self.schedule(self.latency_cycles, callback)
             return
-        self.stats.inc("misses")
+        self._counters["misses"] += 1
 
         def on_fill(_data) -> None:
-            self.array.install(line, state=ViState.V)
+            self.array.install(line, state=_V)
             callback()
 
         self.tcc.of(line).fetch(line, on_fill)

@@ -63,6 +63,14 @@ EV_INV_ALL = "InvAll"         #: full-cache invalidate drops the line
 
 _PROBE_EVENT = {ProbeType.INVALIDATE: EV_PRB_INV, ProbeType.DOWNGRADE: EV_PRB_DOWN}
 
+#: enum members the handlers compare against or stamp, bound once (a class
+#: lookup such as ``MsgType.WT`` is slow on CPython 3.11; see DESIGN.md)
+_V, _I = ViState.V, ViState.I
+_RDBLK, _WT, _ATOMIC, _FLUSH = MsgType.RDBLK, MsgType.WT, MsgType.ATOMIC, MsgType.FLUSH
+_DATA_RESP, _WT_ACK, _PROBE = MsgType.DATA_RESP, MsgType.WT_ACK, MsgType.PROBE
+_ATOMIC_RESP, _FLUSH_ACK = MsgType.ATOMIC_RESP, MsgType.FLUSH_ACK
+_TCC = RequesterKind.TCC
+
 
 def build_tcc_table() -> TransitionTable:
     """The TCC's Valid/Invalid table (§II-C), per-line.
@@ -138,6 +146,7 @@ class TccController(Controller):
         self._atomic_pending: dict[int, deque[Callable[[int], None]]] = {}
         #: FIFO of in-flight fences: [outstanding bank acks, callback]
         self._flush_pending: list[list] = []
+        self._counters = self.stats._counters
 
     def fsm_tables(self):
         """The declared tables this controller dispatches through."""
@@ -157,10 +166,10 @@ class TccController(Controller):
         def run() -> None:
             cached = self.array.lookup(line)
             if cached is not None:
-                self.stats.inc("hits")
+                self._counters["hits"] += 1
                 callback(cached.data)
                 return
-            self.stats.inc("misses")
+            self._counters["misses"] += 1
             mshr = self._mshrs.get(line)
             if mshr is not None:
                 mshr.waiters.append(callback)
@@ -168,12 +177,11 @@ class TccController(Controller):
             self._mshrs[line] = _Mshr(waiters=[callback])
             self.network.send(
                 Message.request(
-                    MsgType.RDBLK, self.name, self.dir_map.bank_of(line), line,
-                    RequesterKind.TCC
+                    _RDBLK, self.name, self.dir_map.bank_of(line), line, _TCC
                 )
             )
 
-        self.sim.events.schedule(ready, run)
+        self.events.schedule(ready, run)
 
     def write(
         self, line: int, updates: dict[int, int], callback: Callable[[], None]
@@ -185,7 +193,7 @@ class TccController(Controller):
         ready = self._claim()
 
         def run() -> None:
-            self.stats.inc("writes")
+            self._counters["writes"] += 1
             if self.writeback:
                 self._write_back_mode(line, updates, callback)
             else:
@@ -195,7 +203,7 @@ class TccController(Controller):
                 self._send_wt(line, word_updates=dict(updates))
                 callback()
 
-        self.sim.events.schedule(ready, run)
+        self.events.schedule(ready, run)
 
     def _write_back_mode(
         self, line: int, updates: dict[int, int], callback: Callable[[], None]
@@ -237,29 +245,28 @@ class TccController(Controller):
             else:
                 raise TccError(f"unknown atomic scope {scope!r}")
 
-        self.sim.events.schedule(ready, run)
+        self.events.schedule(ready, run)
 
     def _slc_atomic(self, line, word, op, operand, compare, callback) -> None:
-        self.stats.inc("slc_atomics")
+        self._counters["slc_atomics"] += 1
         # SLC requests bypass the TCC (non-inclusive behaviour): drop any
         # local copy so we never serve stale data for this line.
         carried: dict[int, int] | None = None
         if self.array.lookup(line, touch=False) is not None:
             ctx: dict = {"line": line}
-            _TCC_TABLE.fire(ViState.V, EV_SLC_BYPASS, self, line, ctx)
+            _TCC_TABLE.fire(_V, EV_SLC_BYPASS, self, line, ctx)
             carried = ctx.get("carried")
         self._atomic_pending.setdefault(line, deque()).append(callback)
         self.network.send(
             Message.request(
-                MsgType.ATOMIC, self.name, self.dir_map.bank_of(line), line,
-                RequesterKind.TCC,
+                _ATOMIC, self.name, self.dir_map.bank_of(line), line, _TCC,
                 atomic_op=op, operand=operand, compare=compare, word=word,
                 word_updates=carried,
             )
         )
 
     def _glc_atomic(self, line, word, op, operand, compare, callback) -> None:
-        self.stats.inc("glc_atomics")
+        self._counters["glc_atomics"] += 1
         cached = self.array.lookup(line)
         if cached is None:
             self.fetch(
@@ -290,7 +297,7 @@ class TccController(Controller):
             for cached in self.array.iter_valid():
                 if cached.dirty:
                     _TCC_TABLE.fire(
-                        ViState.V, EV_FLUSH_LINE, self, cached.addr, cached
+                        _V, EV_FLUSH_LINE, self, cached.addr, cached
                     )
         self.drain(callback)
 
@@ -298,7 +305,7 @@ class TccController(Controller):
         # A flush *cleans* the line but retains it, so the directory must
         # keep tracking the TCC (streaming-WT semantics, is_writeback=False);
         # only capacity evictions relinquish the line.
-        self.stats.inc("flush_writebacks")
+        self._counters["flush_writebacks"] += 1
         self._send_wt(cached.addr, word_updates=cached.data.pick(cached.meta))
         cached.dirty = False
         cached.meta = None
@@ -312,9 +319,7 @@ class TccController(Controller):
             self._flush_pending.append([len(banks), callback])
             for bank in banks:
                 self.network.send(
-                    Message.request(
-                        MsgType.FLUSH, self.name, bank, 0, RequesterKind.TCC
-                    )
+                    Message.request(_FLUSH, self.name, bank, 0, _TCC)
                 )
 
         self.flush(after_flush)
@@ -322,13 +327,13 @@ class TccController(Controller):
     def invalidate_all(self) -> None:
         """Drop every line (clean or dirty) — full-cache invalidate."""
         for cached in list(self.array.iter_valid()):
-            _TCC_TABLE.fire(ViState.V, EV_INV_ALL, self, cached.addr, cached)
+            _TCC_TABLE.fire(_V, EV_INV_ALL, self, cached.addr, cached)
 
     def _act_inv_all(self, cached) -> ViState:
         if cached.dirty:
-            self.stats.inc("dropped_dirty_on_invalidate")
+            self._counters["dropped_dirty_on_invalidate"] += 1
         self.array.invalidate(cached.addr)
-        return ViState.I
+        return _I
 
     # -- WT plumbing -----------------------------------------------------------------------
 
@@ -342,8 +347,7 @@ class TccController(Controller):
         self._wt_pending[line] = self._wt_pending.get(line, 0) + 1
         self.network.send(
             Message.request(
-                MsgType.WT, self.name, self.dir_map.bank_of(line), line,
-                RequesterKind.TCC,
+                _WT, self.name, self.dir_map.bank_of(line), line, _TCC,
                 word_updates=word_updates, is_writeback=is_writeback,
             )
         )
@@ -351,15 +355,16 @@ class TccController(Controller):
     # -- network messages ---------------------------------------------------------------------
 
     def handle_message(self, msg: Message) -> None:
-        if msg.mtype is MsgType.DATA_RESP:
+        mtype = msg.mtype
+        if mtype is _DATA_RESP:
             self._on_fill(msg)
-        elif msg.mtype is MsgType.WT_ACK:
+        elif mtype is _WT_ACK:
             self._on_wt_ack(msg)
-        elif msg.mtype is MsgType.ATOMIC_RESP:
+        elif mtype is _ATOMIC_RESP:
             self._on_atomic_resp(msg)
-        elif msg.mtype is MsgType.FLUSH_ACK:
+        elif mtype is _FLUSH_ACK:
             self._on_flush_ack(msg)
-        elif msg.mtype is MsgType.PROBE:
+        elif mtype is _PROBE:
             self._on_probe(msg)
         else:
             raise TccError(f"{self.name} received unexpected {msg!r}")
@@ -375,7 +380,7 @@ class TccController(Controller):
             waiter(msg.data)
 
     def _install(self, line: int, data: LineData) -> None:
-        prev = ViState.I if self.array.lookup(line) is None else ViState.V
+        prev = _I if self.array.lookup(line) is None else _V
         _TCC_TABLE.fire(prev, EV_FILL, self, line, (line, data))
 
     def _act_fill(self, ctx: tuple) -> ViState:
@@ -383,32 +388,32 @@ class TccController(Controller):
         existing = self.array.lookup(line)
         if existing is not None:
             existing.data = data
-            return ViState.V
+            return _V
         victim = self.array.choose_victim(line)
         if victim.valid and victim.dirty:
             # Capacity eviction of a dirty line: write back its dirty words.
-            _TCC_TABLE.fire(ViState.V, EV_EVICT, self, victim.addr, victim.addr)
+            _TCC_TABLE.fire(_V, EV_EVICT, self, victim.addr, victim.addr)
         # a clean capacity displacement is silent (no protocol event)
-        self.array.install(line, state=ViState.V, data=data, dirty=False)
-        return ViState.V
+        self.array.install(line, state=_V, data=data, dirty=False)
+        return _V
 
     def _act_evict(self, addr: int) -> ViState:
-        self.stats.inc("dirty_evictions")
+        self._counters["dirty_evictions"] += 1
         snapshot = self.array.invalidate(addr)
         self._send_wt(
             snapshot.addr, word_updates=snapshot.data.pick(snapshot.meta),
             is_writeback=True,
         )
-        return ViState.I
+        return _I
 
     def _act_slc_bypass(self, ctx: dict) -> ViState:
         snapshot = self.array.invalidate(ctx["line"])
         if snapshot.dirty and snapshot.meta:
             # carry our dirty words along so the bypass does not lose them
             carried = snapshot.data.pick(snapshot.meta)
-            self.stats.inc("dirty_words_carried_on_bypass", len(carried))
+            self._counters["dirty_words_carried_on_bypass"] += len(carried)
             ctx["carried"] = carried
-        return ViState.I
+        return _I
 
     def _on_wt_ack(self, msg: Message) -> None:
         pending = self._wt_pending.get(msg.addr)
@@ -443,12 +448,12 @@ class TccController(Controller):
             fence[1]()
 
     def _on_probe(self, msg: Message) -> None:
-        self.stats.inc("probes_received")
+        self._counters["probes_received"] += 1
         event = _PROBE_EVENT.get(msg.probe_type)
         if event is None:
             raise TccError(f"{self.name}: bad probe {msg!r}")
         cached = self.array.lookup(msg.addr, touch=False)
-        prev = ViState.I if cached is None else ViState.V
+        prev = _I if cached is None else _V
         _TCC_TABLE.fire(prev, event, self, msg.addr, (msg, cached))
 
     def _act_probe_inv(self, ctx: tuple) -> ViState:
@@ -460,7 +465,7 @@ class TccController(Controller):
             # sharing: the modified words ride in the ack (the gem5
             # byte-mask equivalent; see DESIGN.md).
             forwarded = cached.data.pick(cached.meta)
-            self.stats.inc("dirty_words_forwarded_on_probe", len(forwarded))
+            self._counters["dirty_words_forwarded_on_probe"] += len(forwarded)
         self.array.invalidate(msg.addr)
         self.network.send(
             Message.probe_ack(
@@ -468,7 +473,7 @@ class TccController(Controller):
                 word_updates=forwarded,
             )
         )
-        return ViState.I
+        return _I
 
     def _act_probe_noop(self, ctx: tuple) -> None:
         msg, cached = ctx

@@ -14,22 +14,32 @@ from dataclasses import dataclass, field
 
 from repro.mem.block import LineData
 from repro.protocol.atomics import AtomicOp
-from repro.protocol.types import MoesiState, MsgType, ProbeType, RequesterKind
+from repro.protocol.types import (
+    REQUEST_TYPES,
+    MoesiState,
+    MsgType,
+    ProbeType,
+    RequesterKind,
+)
 
 CTRL_MSG_BYTES = 8
 DATA_MSG_BYTES = 72
 
 _uid_counter = itertools.count()
 
+#: the members the factories stamp, bound once (no per-message enum lookup)
+_PROBE, _PROBE_ACK = MsgType.PROBE, MsgType.PROBE_ACK
+_DATA_RESP, _UNBLOCK = MsgType.DATA_RESP, MsgType.UNBLOCK
+
 
 def _category(mtype: MsgType) -> str:
-    if mtype is MsgType.PROBE:
+    if mtype is _PROBE:
         return "probe"
-    if mtype is MsgType.PROBE_ACK:
+    if mtype is _PROBE_ACK:
         return "probe_ack"
-    if mtype is MsgType.UNBLOCK:
+    if mtype is _UNBLOCK:
         return "unblock"
-    if mtype.is_request:
+    if mtype in REQUEST_TYPES:
         return "request"
     return "response"
 
@@ -94,7 +104,7 @@ class Message:
         data: LineData | None = None,
         **fields: object,
     ) -> "Message":
-        if not mtype.is_request:
+        if mtype not in REQUEST_TYPES:
             raise ValueError(f"{mtype} is not a request type")
         return cls(
             mtype, src, dst, addr, requester=src, requester_kind=kind, data=data, **fields
@@ -109,7 +119,7 @@ class Message:
         probe_type: ProbeType,
         tid: int,
     ) -> "Message":
-        return cls(MsgType.PROBE, src, dst, addr, probe_type=probe_type, tid=tid)
+        return cls(_PROBE, src, dst, addr, probe_type=probe_type, tid=tid)
 
     @classmethod
     def probe_ack(
@@ -125,7 +135,7 @@ class Message:
         word_updates: dict[int, int] | None = None,
     ) -> "Message":
         return cls(
-            MsgType.PROBE_ACK, src, dst, addr, tid=tid, data=data, dirty=dirty,
+            _PROBE_ACK, src, dst, addr, tid=tid, data=data, dirty=dirty,
             had_copy=had_copy or data is not None, from_victim=from_victim,
             word_updates=word_updates,
         )
@@ -142,7 +152,7 @@ class Message:
         tid: int = -1,
     ) -> "Message":
         return cls(
-            MsgType.DATA_RESP, src, dst, addr, data=data, state=state, dirty=dirty, tid=tid
+            _DATA_RESP, src, dst, addr, data=data, state=state, dirty=dirty, tid=tid
         )
 
     @classmethod
@@ -151,7 +161,7 @@ class Message:
 
     @classmethod
     def unblock(cls, src: str, dst: str, addr: int, tid: int) -> "Message":
-        return cls(MsgType.UNBLOCK, src, dst, addr, tid=tid)
+        return cls(_UNBLOCK, src, dst, addr, tid=tid)
 
     def __repr__(self) -> str:
         parts = [f"{self.mtype.value}", f"{self.src}->{self.dst}", f"addr={self.addr:#x}"]

@@ -27,16 +27,16 @@ class MoesiState(enum.Enum):
 
     @property
     def readable(self) -> bool:
-        return self is not MoesiState.I
+        return self in READABLE_STATES
 
     @property
     def writable(self) -> bool:
-        return self in (MoesiState.M, MoesiState.E)
+        return self in WRITABLE_STATES
 
     @property
     def is_dirty(self) -> bool:
         """Does holding this state oblige the cache to supply/write back data?"""
-        return self in (MoesiState.M, MoesiState.O)
+        return self in DIRTY_STATES
 
 
 class ViState(enum.Enum):
@@ -98,26 +98,39 @@ class MsgType(enum.Enum):
 
     @property
     def is_request(self) -> bool:
-        return self in _REQUESTS
+        return self in REQUEST_TYPES
 
     @property
     def is_write_permission(self) -> bool:
         """Request types that trigger *invalidating* probes (incl. the TCC)."""
-        return self in (MsgType.RDBLKM, MsgType.WT, MsgType.ATOMIC, MsgType.DMA_WR)
+        return self in WRITE_PERMISSION_TYPES
 
     @property
     def is_read_permission(self) -> bool:
         """Request types that trigger *downgrading* probes (TCC excluded)."""
-        return self in (MsgType.RDBLK, MsgType.RDBLKS, MsgType.DMA_RD)
+        return self in READ_PERMISSION_TYPES
 
     @property
     def is_victim(self) -> bool:
-        return self in (MsgType.VIC_DIRTY, MsgType.VIC_CLEAN)
+        return self in VICTIM_TYPES
 
     __hash__ = object.__hash__
 
 
-_REQUESTS = frozenset(
+# -- flag sets ------------------------------------------------------------
+#
+# The flag properties above test membership in these module-level sets, and
+# hot paths test them directly: on CPython 3.11 each ``MsgType.X`` class
+# lookup costs several times a plain attribute load, so nothing per message
+# spells a member out (see DESIGN.md, "Hot-path idioms").
+
+READABLE_STATES = frozenset(
+    {MoesiState.M, MoesiState.O, MoesiState.E, MoesiState.S}
+)
+WRITABLE_STATES = frozenset({MoesiState.M, MoesiState.E})
+DIRTY_STATES = frozenset({MoesiState.M, MoesiState.O})
+
+REQUEST_TYPES = frozenset(
     {
         MsgType.RDBLK,
         MsgType.RDBLKS,
@@ -131,6 +144,11 @@ _REQUESTS = frozenset(
         MsgType.DMA_WR,
     }
 )
+WRITE_PERMISSION_TYPES = frozenset(
+    {MsgType.RDBLKM, MsgType.WT, MsgType.ATOMIC, MsgType.DMA_WR}
+)
+READ_PERMISSION_TYPES = frozenset({MsgType.RDBLK, MsgType.RDBLKS, MsgType.DMA_RD})
+VICTIM_TYPES = frozenset({MsgType.VIC_DIRTY, MsgType.VIC_CLEAN})
 
 
 class ProbeType(enum.Enum):

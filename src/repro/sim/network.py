@@ -48,6 +48,14 @@ the memory controller uses this to push its own bounded-queue overflow
 back into the fabric.  With ``input_queue_depth = 0`` the contended path
 above runs unchanged (unbounded queues, send-time scheduling).
 
+An idle, unblocked output port always has an empty queue (``_out_done``
+and ``_out_unblock`` start the next head before the port goes idle), so
+:meth:`Network.send` starts such a port inline, in one frame: the credit
+check (parking the port if there is none), ``busy``, the busy-ticks
+counter and the ``_out_done`` schedule.  A busy or parked port just
+queues the message, and ``_out_done`` or ``_out_unblock`` starts it when
+its turn comes.
+
 Per-message work on the contended and bounded paths is kept small: each
 route binds its sender's :class:`_OutPort` when it is built, ``send`` reads
 ``msg.size_bytes`` once and carries the serialization delay (``ser``) with
@@ -267,7 +275,7 @@ class Network(Component):
             self._gated_kinds.add(kind)
         else:
             self._gated_kinds.discard(kind)
-        events = self.sim.events
+        events = self.events
         for name, port in self._in_ports.items():
             if self._kinds.get(name) != kind:
                 continue
@@ -389,17 +397,34 @@ class Network(Component):
         counters[key] += 1
         counters["bytes"] += size
         self._route_counters[route.route_key] += 1
+        events = self.events
         if not self.link_bytes_per_cycle:
-            events = self.sim.events
             events.schedule(events.now + route.delay_ticks, route.deliver, 0, msg)
             return
         ser = self._ser_memo.get(size)
         if ser is None:
             ser = self._ser_ticks(size)
-        if self.input_queue_depth:
-            self._send_bounded(msg, route, ser)
-        else:
+        if not self.input_queue_depth:
             self._send_contended(msg, route, ser)
+            return
+        # flow-controlled: queue behind a busy or parked output port, or
+        # start an idle one here (its queue is empty, so the message is its
+        # head; see the module docstring)
+        out = route.out
+        now = events.now
+        if out.busy or out.blocked:
+            out.queue.append((route, msg, now, ser))
+            return
+        port = route.in_port
+        if port is not None and port.capacity:
+            if not port.credits:
+                out.queue.append((route, msg, now, ser))
+                self._park(out, port)
+                return
+            port.credits -= 1
+        out.busy = True
+        self._port_counters[out.busy_key] += ser
+        events.schedule(now + ser, self._out_done, 0, (route, msg, ser))
 
     # -- contended transport ----------------------------------------------
 
@@ -408,7 +433,7 @@ class Network(Component):
         fly the route latency, then either deliver or join the destination's
         WRR input arbitration.  Port stats use the precomputed
         :class:`_OutPort` keys."""
-        events = self.sim.events
+        events = self.events
         now = events.now
         port_out = route.out
         free = port_out.free
@@ -428,44 +453,37 @@ class Network(Component):
 
     # -- flow-controlled transport ----------------------------------------
 
-    def _send_bounded(self, msg: Any, route: _Route, ser: int) -> None:
-        """Flow-controlled path: queue on the sender's event-driven output
-        port and start it if idle (see module docstring for the credit
-        protocol)."""
-        out = route.out
-        out.queue.append((route, msg, self.sim.events.now, ser))
-        if not out.busy and not out.blocked:
-            self._out_pump(out)
-
     def _out_pump(self, out: _OutPort) -> None:
-        """Try to start the head of an idle output port's queue.
+        """Start the head of an idle output port's non-empty queue.
 
-        Only ever called with ``busy == blocked == False``; either starts
-        serialization (consuming a credit if the destination is bounded)
-        or parks the port on the destination's waiter list.
+        Called by :meth:`_out_done` with ``busy == blocked == False``;
+        either starts serialization (consuming a credit if the destination
+        is bounded) or parks the port on the destination's waiter list.
         """
         queue = out.queue
-        if not queue:
-            return
         route, msg, enqueued_at, ser = queue[0]
         port = route.in_port
         if port is not None and port.capacity:
             if not port.credits:
-                # destination input queue full: park; the queue behind the
-                # head stalls with it (transitive back-pressure)
-                out.blocked = True
-                out.blocked_since = self.sim.events.now
-                port.waiters.append(out)
-                self._port_counters[out.blocks_key] += 1
+                self._park(out, port)
                 return
             port.credits -= 1
         queue.popleft()
         self._out_start(out, route, msg, enqueued_at, ser)
 
+    def _park(self, out: _OutPort, port: _InPort) -> None:
+        """The head of ``out`` found its destination's input queue full:
+        park the port on the destination's waiter list.  The queue behind
+        the head stalls with it (transitive back-pressure)."""
+        out.blocked = True
+        out.blocked_since = self.events.now
+        port.waiters.append(out)
+        self._port_counters[out.blocks_key] += 1
+
     def _out_start(self, out: _OutPort, route: _Route, msg: Any,
                    enqueued_at: int, ser: int) -> None:
         """Begin serializing one message (its credit is already paid)."""
-        events = self.sim.events
+        events = self.events
         now = events.now
         out.busy = True
         counters = self._port_counters
@@ -482,7 +500,7 @@ class Network(Component):
         route, msg, ser = flight
         out = route.out
         out.busy = False
-        events = self.sim.events
+        events = self.events
         arrival = events.now + route.delay_ticks
         if route.in_port is None:
             events.schedule(arrival, route.deliver, 0, msg)
@@ -500,7 +518,7 @@ class Network(Component):
         if not out.blocked or not out.queue:
             port.credits += 1  # defensive: waiter vanished, return credit
             return
-        blocked = self.sim.events.now - out.blocked_since
+        blocked = self.events.now - out.blocked_since
         if blocked:
             self._port_counters[out.blocked_key] += blocked
         out.blocked = False
@@ -513,7 +531,7 @@ class Network(Component):
         route, msg, ser = hop
         port = route.in_port
         arb = port.arb
-        now = self.sim.events.now
+        now = self.events.now
         arb.enqueue(route.arb_class, (now, msg, ser))
         counters = self._arb_counters
         # occupancy integral: depth * time since the depth last changed
@@ -545,7 +563,7 @@ class Network(Component):
             return
         arb.busy = True
         arb_class, (enqueued_at, msg, ser) = picked
-        events = self.sim.events
+        events = self.events
         now = events.now
         counters = self._arb_counters
         # occupancy integral + depth bookkeeping (mirrors _arb_arrive)

@@ -277,3 +277,14 @@ class TestErrors:
         h = CorePairHarness()
         with pytest.raises(CorePairError, match="bad core slot"):
             h.corepair.access(2, CpuRequest("load", ADDR), lambda _r: None)
+
+    def test_bad_kind_rejected(self):
+        from repro.cpu.corepair import CorePairError, CpuRequest
+
+        h = CorePairHarness()
+        # rejected at submit time, not one service slot later at event time
+        with pytest.raises(CorePairError, match="unknown request kind 'prefetch'"):
+            h.corepair.access(0, CpuRequest("prefetch", ADDR), lambda _r: None)
+        h.run()  # nothing was queued
+        assert "ops.prefetch" not in h.corepair.stats.counters()
+        assert h.results == []

@@ -437,6 +437,25 @@ class TestFlowControl:
         # the credit pool keeps the input queue within its capacity
         assert network.stats.child("arb")["d.max_depth"] == 1
 
+    def test_idle_port_without_credit_parks_at_send(self, sim, clock):
+        network, sink = self.build(sim, clock, depth=1, latency=10)
+        other = Sink(sim, "src2", clock)
+        network.attach(other, kind="l2")
+        network.send(FakeMsg("src", "d", size_bytes=64))
+        # src2's port is idle, but src took the only credit: send parks it
+        network.send(FakeMsg("src2", "d", size_bytes=64))
+        assert network.blocked_snapshot() == {"src2": 0}
+        sim.run()
+        # src's grant at 11 cycles hands the credit to src2, which then
+        # serializes (1 cycle), flies (10) and crosses the input port (1)
+        assert [(t, m.src) for t, m in sink.received] == [
+            (12_000, "src"), (23_000, "src2"),
+        ]
+        ports = network.stats.child("ports")
+        assert ports["src2.credit_blocks"] == 1
+        assert ports["src2.credit_blocked_ticks"] == 11_000
+        assert "src.credit_blocks" not in ports.counters()
+
     def test_unbounded_port_never_blocks(self, sim, clock):
         network, sink = self.build(sim, clock, depth=0)
         for _ in range(3):
