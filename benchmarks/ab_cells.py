@@ -5,13 +5,21 @@ Usage, from the root of the checkout under test::
     python3 benchmarks/ab_cells.py --base ../parent-checkout [--rounds 2]
 
 Two long-lived worker subprocesses, one importing ``repro`` from each
-checkout's ``src``, run the same op alternately: a figure cell (build plus
-run, seed 0) on the flat or the bounded fabric, or one litmus run.  Each
-op runs on both sides back to back, and which side goes first alternates
-from op to op, so slow drift of a noisy host lands on both sides about
-equally.  Per round and in total the tool prints the summed host time per
-group (``flat``, ``bounded``, ``litmus``) and the base/head ratio: above
-1.0 means the head checkout is faster.
+checkout's ``src``, run the same op alternately: a figure cell (seed 0,
+through ``run_cell_inline``) on the flat or the bounded fabric, or one
+litmus run.  Each op runs on both sides back to back, and which side goes
+first alternates from op to op, so slow drift of a noisy host lands on
+both sides about equally.  Per round and in total the tool prints the
+summed host time per group (``flat``, ``bounded``, ``litmus``) and the
+base/head ratio: above 1.0 means the head checkout is faster.
+
+The ops run with the cyclic garbage collector as a library user gets it:
+no collection is forced between ops, so garbage one op leaves behind is
+paid for by whichever op the collector next runs in.  For each side and
+group the tool also prints how many gen-0/1/2 collections ran inside the
+timed ops and the seconds they took, measured with ``gc.callbacks``
+(cProfile spreads that time over whatever function happened to allocate,
+so no per-layer profile shows it).
 
 Every op's simulated outcome must agree between the two sides (a digest of
 ticks and stats for cells; of failure kind, ticks, registers and final
@@ -46,38 +54,67 @@ def _digest(*parts: object) -> str:
     return hashlib.sha256(repr(parts).encode()).hexdigest()[:16]
 
 
+class _GcClock:
+    """Collections per generation, and seconds spent in them, counted
+    through ``gc.callbacks``."""
+
+    def __init__(self) -> None:
+        self.collections = [0, 0, 0]
+        self.seconds = 0.0
+        self._start = 0.0
+        gc.callbacks.append(self._observe)
+
+    def _observe(self, phase: str, info: dict) -> None:
+        if phase == "start":
+            self._start = time.perf_counter()
+        else:
+            self.seconds += time.perf_counter() - self._start
+            self.collections[info["generation"]] += 1
+
+    def reading(self) -> list[float]:
+        return [*self.collections, self.seconds]
+
+
 def _worker(src: str) -> None:
     """Serve ops read as JSON lines from stdin; answer on the real stdout."""
     out = sys.stdout
     sys.stdout = sys.stderr  # anything the simulator prints stays off the pipe
     sys.path.insert(0, src)
     import repro
-    from repro import PRESETS, SystemConfig, build_system, get_workload
+    from repro import PRESETS, SystemConfig
+    from repro.runner.cells import Cell
+    from repro.runner.executor import run_cell_inline
     from repro.verify.litmus import Schedule, get_litmus, run_litmus
 
     configs = {"flat": SystemConfig.benchmark, "bounded": SystemConfig.bounded}
+    clock = _GcClock()
     out.write(json.dumps({"repro": repro.__file__}) + "\n")
     out.flush()
     for line in sys.stdin:
         op = json.loads(line)
-        gc.collect()
         if op["group"] == "litmus":
             test = get_litmus(op["test"])
             schedule = Schedule.from_json(op["schedule"])
+            gc_before = clock.reading()
             start = time.perf_counter()
             outcome = run_litmus(test, policy_name=op["policy"], schedule=schedule)
             seconds = time.perf_counter() - start
+            gc_after = clock.reading()
             digest = _digest(outcome.failure_kind, outcome.ticks,
                              sorted(outcome.regs.items()),
                              sorted((outcome.final_memory or {}).items()))
         else:
             config = configs[op["group"]](policy=PRESETS[op["policy"]])
-            workload = get_workload(op["workload"])
+            cell = Cell(workload=op["workload"], config=config)
+            gc_before = clock.reading()
             start = time.perf_counter()
-            result = build_system(config).run_workload(workload, seed=0)
+            result = run_cell_inline(cell)
             seconds = time.perf_counter() - start
+            gc_after = clock.reading()
             digest = _digest(result.ticks, sorted(result.stats.items()))
-        out.write(json.dumps({"seconds": seconds, "digest": digest}) + "\n")
+        gc_spent = [after - before for before, after in zip(gc_before, gc_after)]
+        out.write(json.dumps({"seconds": seconds, "digest": digest,
+                              "gc": gc_spent}) + "\n")
         out.flush()
 
 
@@ -136,21 +173,30 @@ def build_ops() -> list[dict]:
     return ops
 
 
+def _zero_gc() -> dict:
+    """Per group and side: gen-0, gen-1, gen-2 collections and seconds."""
+    return {group: [[0.0] * 4, [0.0] * 4] for group in GROUPS}
+
+
 def run_round(base: Worker, head: Worker, ops: list[dict],
-              flip: bool) -> tuple[dict, list[str]]:
+              flip: bool) -> tuple[dict, dict, list[str]]:
     """Run every op on both sides, alternating which side goes first."""
     totals = {group: [0.0, 0.0] for group in GROUPS}
+    gc_totals = _zero_gc()
     mismatches = []
     for index, op in enumerate(ops):
         if (index % 2 == 0) != flip:
             got_base, got_head = base.run(op), head.run(op)
         else:
             got_head, got_base = head.run(op), base.run(op)
-        totals[op["group"]][0] += got_base["seconds"]
-        totals[op["group"]][1] += got_head["seconds"]
+        for side, got in enumerate((got_base, got_head)):
+            totals[op["group"]][side] += got["seconds"]
+            spent = gc_totals[op["group"]][side]
+            for field, value in enumerate(got["gc"]):
+                spent[field] += value
         if got_base["digest"] != got_head["digest"]:
             mismatches.append(json.dumps(op, sort_keys=True))
-    return totals, mismatches
+    return totals, gc_totals, mismatches
 
 
 def format_totals(title: str, totals: dict, counts: dict) -> str:
@@ -160,6 +206,21 @@ def format_totals(title: str, totals: dict, counts: dict) -> str:
         if counts.get(group):
             lines.append(f"{group:<8} {counts[group]:>5} {base_s:>8.3f} "
                          f"{head_s:>8.3f} {base_s / head_s:>8.3f}x")
+    return "\n".join(lines)
+
+
+def format_gc(totals: dict, gc_totals: dict, counts: dict) -> str:
+    """Collections inside the timed ops, and their share of host time."""
+    lines = [f"{'gc':<8} {'side':>5} {'gen0':>6} {'gen1':>5} {'gen2':>5} "
+             f"{'gc_s':>8} {'share':>6}"]
+    for group in GROUPS:
+        if not counts.get(group):
+            continue
+        for side, label in enumerate(("base", "head")):
+            gen0, gen1, gen2, seconds = gc_totals[group][side]
+            share = 100.0 * seconds / totals[group][side]
+            lines.append(f"{group:<8} {label:>5} {gen0:>6.0f} {gen1:>5.0f} "
+                         f"{gen2:>5.0f} {seconds:>8.3f} {share:>5.1f}%")
     return "\n".join(lines)
 
 
@@ -176,19 +237,25 @@ def main(argv: list[str] | None = None) -> int:
     head = Worker("head", HEAD_ROOT)
     print(f"base: {base.repro}\nhead: {head.repro}")
     grand = {group: [0.0, 0.0] for group in GROUPS}
+    grand_gc = _zero_gc()
     mismatches: list[str] = []
     try:
         for round_index in range(args.rounds):
-            totals, bad = run_round(base, head, ops, flip=bool(round_index % 2))
+            totals, gc_totals, bad = run_round(base, head, ops,
+                                               flip=bool(round_index % 2))
             mismatches += bad
             print(format_totals(f"round {round_index + 1}", totals, counts))
+            print(format_gc(totals, gc_totals, counts))
             for group in GROUPS:
-                grand[group][0] += totals[group][0]
-                grand[group][1] += totals[group][1]
+                for side in (0, 1):
+                    grand[group][side] += totals[group][side]
+                    for field in range(4):
+                        grand_gc[group][side][field] += gc_totals[group][side][field]
     finally:
         base.close()
         head.close()
     print(format_totals("total", grand, counts))
+    print(format_gc(grand, grand_gc, counts))
     if mismatches:
         print(f"{len(mismatches)} op(s) simulate differently on base and head:")
         for op in mismatches[:10]:

@@ -328,6 +328,7 @@ def _compare(args) -> int:
     for policy_name in args.policies:
         system = build_system(CONFIGS[args.config](policy=PRESETS[policy_name]))
         result = system.run_workload(get_workload(args.workload), scale=args.scale)
+        system.close()
         if not result.ok:
             print(f"!! {policy_name} failed verification", file=sys.stderr)
         results[policy_name] = result
@@ -457,7 +458,7 @@ def _profile(args) -> int:
 
     # -- per-component event/message accounting ---------------------------
     rows = []
-    for component in system.sim.components:
+    for component in system.components:
         stats = getattr(component, "stats", None)
         if stats is None:
             continue

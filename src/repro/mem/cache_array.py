@@ -11,11 +11,13 @@ lists (``_addr``, ``_state``, ``_data``, ``_dirty``, ``_meta``, ``_valid``)
 indexed by the flat slot ``set_idx * ways + way`` — rather than one Python
 object per line.  Controllers keep the object-style API: :meth:`lookup` and
 friends hand out a per-slot :class:`_LineView` whose attributes read and
-write the planes, so ``line.state = X`` works exactly as before.  A slot's
-view is built the first time it is handed out, so an array costs only its
-planes until lines are used.  Hot paths can skip the view entirely with the
-index API (:meth:`find`, :meth:`find_touch` plus the plane lists), turning
-lookup/touch/state-update into dict-get + list indexing.
+write the planes (through a shared :class:`_Planes` holder, so an array and
+its views form no reference cycle), so ``line.state = X`` works exactly as
+before.  A slot's view is built the first time it is handed out, so an
+array costs only its planes until lines are used.  Hot paths can skip the
+view entirely with the index API (:meth:`find`, :meth:`find_touch` plus the
+plane lists), turning lookup/touch/state-update into dict-get + list
+indexing.
 
 Replacement is Tree-PLRU (Table II).  Each set's tree lives in one integer
 (bit ``n`` of ``_plru[set]`` is node ``n`` of the tree) — ``touch`` is a
@@ -73,6 +75,28 @@ class CacheLine:
         )
 
 
+class _Planes:
+    """The line planes of one array, shared by its views.
+
+    A view reads and writes through this holder rather than through the
+    array, so an array and the views it hands out form no reference cycle:
+    a dropped array is freed by reference count, not by the cyclic
+    collector.  The holder binds the same list objects as the array's
+    ``_valid`` .. ``_meta`` attributes (the planes are never rebound).
+    """
+
+    __slots__ = ("valid", "addr", "state", "data", "dirty", "meta", "ways")
+
+    def __init__(self, array: "CacheArray") -> None:
+        self.valid = array._valid
+        self.addr = array._addr
+        self.state = array._state
+        self.data = array._data
+        self.dirty = array._dirty
+        self.meta = array._meta
+        self.ways = array.ways
+
+
 class _LineView:
     """A live window onto one slot of the array's planes.
 
@@ -82,77 +106,77 @@ class _LineView:
     slot's *current* occupant).
     """
 
-    __slots__ = ("_array", "_slot")
+    __slots__ = ("_planes", "_slot")
 
-    def __init__(self, array: "CacheArray", slot: int) -> None:
-        self._array = array
+    def __init__(self, planes: _Planes, slot: int) -> None:
+        self._planes = planes
         self._slot = slot
 
     @property
     def valid(self) -> bool:
-        return self._array._valid[self._slot]
+        return self._planes.valid[self._slot]
 
     @valid.setter
     def valid(self, value: bool) -> None:
-        self._array._valid[self._slot] = value
+        self._planes.valid[self._slot] = value
 
     @property
     def addr(self) -> int:
-        return self._array._addr[self._slot]
+        return self._planes.addr[self._slot]
 
     @addr.setter
     def addr(self, value: int) -> None:
-        self._array._addr[self._slot] = value
+        self._planes.addr[self._slot] = value
 
     @property
     def state(self) -> Any:
-        return self._array._state[self._slot]
+        return self._planes.state[self._slot]
 
     @state.setter
     def state(self, value: Any) -> None:
-        self._array._state[self._slot] = value
+        self._planes.state[self._slot] = value
 
     @property
     def data(self) -> LineData | None:
-        return self._array._data[self._slot]
+        return self._planes.data[self._slot]
 
     @data.setter
     def data(self, value: LineData | None) -> None:
-        self._array._data[self._slot] = value
+        self._planes.data[self._slot] = value
 
     @property
     def dirty(self) -> bool:
-        return self._array._dirty[self._slot]
+        return self._planes.dirty[self._slot]
 
     @dirty.setter
     def dirty(self, value: bool) -> None:
-        self._array._dirty[self._slot] = value
+        self._planes.dirty[self._slot] = value
 
     @property
     def meta(self) -> Any:
-        return self._array._meta[self._slot]
+        return self._planes.meta[self._slot]
 
     @meta.setter
     def meta(self, value: Any) -> None:
-        self._array._meta[self._slot] = value
+        self._planes.meta[self._slot] = value
 
     @property
     def set_idx(self) -> int:
-        return self._slot // self._array.ways
+        return self._slot // self._planes.ways
 
     @property
     def way(self) -> int:
-        return self._slot % self._array.ways
+        return self._slot % self._planes.ways
 
     def reset(self) -> None:
-        array = self._array
+        planes = self._planes
         slot = self._slot
-        array._valid[slot] = False
-        array._addr[slot] = -1
-        array._state[slot] = None
-        array._data[slot] = None
-        array._dirty[slot] = False
-        array._meta[slot] = None
+        planes.valid[slot] = False
+        planes.addr[slot] = -1
+        planes.state[slot] = None
+        planes.data[slot] = None
+        planes.dirty[slot] = False
+        planes.meta[slot] = None
 
     def __repr__(self) -> str:
         if not self.valid:
@@ -170,8 +194,17 @@ class _LineView:
 # reference touch forces, and the victim memo replays the reference walk
 # (including padding-leaf retries) once per distinct bit pattern.
 
-#: ways -> (touch_and_masks, touch_or_masks, victim_memo, leaves)
-_PLRU_GEOMETRY: dict[int, tuple[list[int], list[int], dict[int, tuple[int, int]], int]] = {}
+#: (ways, num_sets) -> (touch_and_masks, touch_or_masks, victim_memo,
+#: leaves).  The touch masks are per flat slot, built once per geometry as
+#: tuples and shared by every array of that geometry; the victim memo is
+#: shared by every array of that associativity.
+_PLRU_GEOMETRY: dict[
+    tuple[int, int],
+    tuple[tuple[int, ...], tuple[int, ...], dict[int, tuple[int, int]], int],
+] = {}
+
+#: ways -> victim memo (``bits -> (way, bits_after)``)
+_VICTIM_MEMOS: dict[int, dict[int, tuple[int, int]]] = {}
 
 
 def _bits_to_int(bits: list[int]) -> int:
@@ -186,8 +219,10 @@ def _int_to_bits(value: int, leaves: int) -> list[int]:
     return [(value >> node) & 1 for node in range(leaves)]
 
 
-def _plru_geometry(ways: int) -> tuple[list[int], list[int], dict[int, tuple[int, int]], int]:
-    geo = _PLRU_GEOMETRY.get(ways)
+def _plru_geometry(
+    ways: int, num_sets: int,
+) -> tuple[tuple[int, ...], tuple[int, ...], dict[int, tuple[int, int]], int]:
+    geo = _PLRU_GEOMETRY.get((ways, num_sets))
     if geo is None:
         probe = TreePLRU(ways)
         leaves = probe._leaves
@@ -201,7 +236,12 @@ def _plru_geometry(ways: int) -> tuple[list[int], list[int], dict[int, tuple[int
             probe._bits = list(all_ones)
             probe.touch(way)
             touch_and.append(_bits_to_int(probe._bits))
-        geo = _PLRU_GEOMETRY[ways] = (touch_and, touch_or, {}, leaves)
+        geo = _PLRU_GEOMETRY[(ways, num_sets)] = (
+            tuple(touch_and) * num_sets,
+            tuple(touch_or) * num_sets,
+            _VICTIM_MEMOS.setdefault(ways, {}),
+            leaves,
+        )
     return geo
 
 
@@ -226,16 +266,15 @@ class CacheArray:
         self._dirty = [False] * slots
         self._meta: list[Any] = [None] * slots
         self._views: list[_LineView | None] = [None] * slots
+        self._planes = _Planes(self)
         #: line-aligned address -> flat slot index
         self._index: dict[int, int] = {}
-        # replacement state: one integer Tree-PLRU per set
-        touch_and, touch_or, victim_memo, leaves = _plru_geometry(ways)
-        self._plru = [0] * num_sets
-        self._victim_memo = victim_memo
-        self._plru_leaves = leaves
+        # replacement state: one integer Tree-PLRU per set, and the shared
         # per-slot touch masks (indexable straight from the flat slot)
-        self._touch_and = touch_and * num_sets
-        self._touch_or = touch_or * num_sets
+        self._touch_and, self._touch_or, self._victim_memo, self._plru_leaves = (
+            _plru_geometry(ways, num_sets)
+        )
+        self._plru = [0] * num_sets
 
     @classmethod
     def from_geometry(
@@ -279,7 +318,7 @@ class CacheArray:
             plru[set_idx] = (plru[set_idx] & self._touch_and[slot]) | self._touch_or[slot]
         view = self._views[slot]
         if view is None:
-            view = self._views[slot] = _LineView(self, slot)
+            view = self._views[slot] = _LineView(self._planes, slot)
         return view
 
     def _view(self, slot: int) -> "_LineView":
@@ -287,7 +326,7 @@ class CacheArray:
         the hot path)."""
         view = self._views[slot]
         if view is None:
-            view = self._views[slot] = _LineView(self, slot)
+            view = self._views[slot] = _LineView(self._planes, slot)
         return view
 
     def touch_slot(self, slot: int) -> None:

@@ -64,9 +64,12 @@ def run_cell_inline(cell: Cell) -> SimulationResult:
     if isinstance(workload, str):
         workload = get_workload(workload)
     system = build_system(cell.config)
-    return system.run_workload(
-        workload, seed=cell.seed, scale=cell.scale, verify=cell.verify
-    )
+    try:
+        return system.run_workload(
+            workload, seed=cell.seed, scale=cell.scale, verify=cell.verify
+        )
+    finally:
+        system.close()
 
 
 def run_payload(payload: bytes):

@@ -202,6 +202,16 @@ class Simulator:
     def register(self, component: Any) -> None:
         self.components.append(component)
 
+    def close(self) -> None:
+        """Drop every reference back to the components this simulator ran:
+        the registry, the watchdog and any events a crashed run left in the
+        heap.  Components point at the simulator, so these are the edges
+        that would make a finished system a reference cycle.  ``now`` and
+        ``events.executed_events`` stay readable."""
+        self.components = []
+        self.watchdog = None
+        self.events._heap.clear()
+
     def add_finalizer(self, callback: Callable[[], None]) -> None:
         """Register a callback to run once the simulation fully drains."""
         self._finalizers.append(callback)

@@ -286,6 +286,18 @@ class Network(Component):
                 port.arb.busy = True
                 events.schedule(events.now, self._arb_grant, 0, port)
 
+    def close(self) -> None:
+        """Drop the endpoint and transport tables, and whatever a crashed
+        run left queued on the ports.  They hold every endpoint's bound
+        ``deliver``, and every endpoint holds the network, so these are the
+        edges that would make a finished system a reference cycle.  The
+        counters and the endpoint kinds stay readable."""
+        for out in self._out_ports.values():
+            out.queue.clear()
+        self._endpoints.clear()
+        self._routes.clear()
+        self._in_ports.clear()
+
     def endpoints_of_kind(self, kind: str) -> list[str]:
         return [name for name, k in self._kinds.items() if k == kind]
 

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING
 
 from repro.mem.address import line_addr, word_index
 from repro.protocol.types import MoesiState
 from repro.sim.clock import ClockDomain
+from repro.sim.component import Controller
 from repro.sim.event_queue import Simulator
 from repro.workloads.base import Workload, WorkloadBuild, WorkloadContext
 
@@ -90,6 +91,9 @@ class ApuSystem:
     cus: list["ComputeUnit"]
     dma: "DmaEngine"
     clocks: dict[str, ClockDomain]
+    #: every component in registration order: the simulator's registry,
+    #: kept here so a closed system still reports its stats
+    components: list
 
     def arm_watchdog(self, window_cycles: float):
         """Arm the deadlock/starvation watchdog (idempotent): one liveness
@@ -107,6 +111,34 @@ class ApuSystem:
         watchdog.add_dump("network ports", self.network.describe_ports)
         watchdog.add_dump("memory queues", self.memory.describe_queues)
         return watchdog
+
+    def close(self) -> None:
+        """Break every back-edge of this system, so that once the caller
+        drops it, it is freed by reference count rather than by the cyclic
+        garbage collector.  Whoever builds a system and throws it away
+        closes it (DESIGN.md §4c).
+
+        The edges dropped: the simulator's component registry, watchdog
+        and leftover events; the network's endpoint, route and input-port
+        tables and its output-port queues; every controller's transition
+        hooks (the coherence monitor points back at the system); and any
+        attribute a post-build hook set on this instance (a wrapped
+        ``run_workload`` closing over the system).  The cost is
+        O(components).
+
+        A closed system runs nothing more, but it still answers
+        :meth:`all_stats`, :meth:`dump_stats`, :meth:`coherent_word`,
+        ``sim.now``, ``sim.events.executed_events`` and every cache
+        array's lookups.  Closing twice is harmless.
+        """
+        self.sim.close()
+        self.network.close()
+        for component in self.components:
+            if isinstance(component, Controller):
+                component.fsm_hooks = ()
+        declared = {spec.name for spec in fields(self)}
+        for name in [name for name in vars(self) if name not in declared]:
+            delattr(self, name)
 
     # -- running workloads ----------------------------------------------------
 
@@ -230,7 +262,7 @@ class ApuSystem:
 
     def all_stats(self) -> dict[str, int | float]:
         merged: dict[str, int | float] = {}
-        for component in self.sim.components:
+        for component in self.components:
             stats = getattr(component, "stats", None)
             if stats is not None:
                 merged.update(stats.as_dict())

@@ -188,6 +188,7 @@ def build_system(config: SystemConfig | None = None) -> ApuSystem:
         cus=cus,
         dma=dma,
         clocks={"cpu": cpu_clock, "gpu": gpu_clock, "uncore": uncore_clock},
+        components=sim.components,
     )
     if config.watchdog_window_cycles:
         system.arm_watchdog(config.watchdog_window_cycles)

@@ -38,6 +38,7 @@ def _policy_tables(policy_name: str):
     for controller in (*system.directories, *system.corepairs, *system.tccs):
         for table in controller.fsm_tables():
             tables.setdefault(table.name, table)
+    system.close()
     return tables
 
 

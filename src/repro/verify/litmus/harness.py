@@ -217,7 +217,10 @@ def run_litmus(
 
     ``mutate_system`` is a post-build hook (used by the fault-injection
     tests to overlay a broken transition table on a controller); it runs
-    after the schedule's perturbations and before any traffic.
+    after the schedule's perturbations and before any traffic.  The system
+    is closed (:meth:`ApuSystem.close`) once the outcome is extracted, on
+    the crash path too; a hook that keeps the system gets a closed one,
+    which still answers its stats and coherent values.
 
     ``coverage`` attaches a :class:`TransitionCoverage` hook and records
     the set of ``(table, state, event)`` triples the run fired in the
@@ -231,54 +234,57 @@ def run_litmus(
     policy = POLICY_VARIANTS[policy_name] if policy is None else policy
     schedule = schedule or Schedule(0)
     system = build_system(litmus_config(policy, schedule))
-    schedule.apply(system)
-    if mutate_system is not None:
-        mutate_system(system)
-    protocol_trace = None
-    if trace:
-        protocol_trace = ProtocolTrace(capacity=trace_capacity)
-        protocol_trace.attach_system(system)
-    coverage_hook = None
-    if coverage:
-        from repro.coherence.engine import TransitionCoverage
-
-        coverage_hook = TransitionCoverage().attach_system(system)
-
-    workload = CompiledLitmus(test)
-    outcome = LitmusOutcome(test.name, policy_name, schedule)
     try:
-        result = system.run_workload(
-            workload, verify=True, max_events=max_events
-        )
-    except Exception as exc:  # classified, not swallowed: it IS the result
-        outcome.failure_kind = _classify_exception(exc)
-        outcome.messages.append(f"{type(exc).__name__}: {exc}")
-    else:
-        outcome.ticks = result.ticks
-        if result.check_errors:
-            outcome.failure_kind = "oracle"
-            outcome.messages.extend(result.check_errors)
-        elif test.postcondition is not None:
-            env = LitmusEnv(
-                dict(workload.regs),
-                lambda loc: system.coherent_word(workload.addr_of(loc)),
+        schedule.apply(system)
+        if mutate_system is not None:
+            mutate_system(system)
+        protocol_trace = None
+        if trace:
+            protocol_trace = ProtocolTrace(capacity=trace_capacity)
+            protocol_trace.attach_system(system)
+        coverage_hook = None
+        if coverage:
+            from repro.coherence.engine import TransitionCoverage
+
+            coverage_hook = TransitionCoverage().attach_system(system)
+
+        workload = CompiledLitmus(test)
+        outcome = LitmusOutcome(test.name, policy_name, schedule)
+        try:
+            result = system.run_workload(
+                workload, verify=True, max_events=max_events
             )
-            errors = test.postcondition(env)
-            if errors:
-                outcome.failure_kind = "postcondition"
-                outcome.messages.extend(errors)
-    outcome.regs = dict(workload.regs)
-    try:
-        outcome.final_memory = {
-            loc: system.coherent_word(workload.addr_of(loc))
-            for loc in test.layout
-        }
-    except Exception:  # mid-crash state may not be inspectable
-        outcome.final_memory = None
-    if protocol_trace is not None:
-        outcome.trace_text = protocol_trace.dump(limit=200)
-    if coverage_hook is not None:
-        outcome.coverage = coverage_hook.triples()
+        except Exception as exc:  # classified, not swallowed: it IS the result
+            outcome.failure_kind = _classify_exception(exc)
+            outcome.messages.append(f"{type(exc).__name__}: {exc}")
+        else:
+            outcome.ticks = result.ticks
+            if result.check_errors:
+                outcome.failure_kind = "oracle"
+                outcome.messages.extend(result.check_errors)
+            elif test.postcondition is not None:
+                env = LitmusEnv(
+                    dict(workload.regs),
+                    lambda loc: system.coherent_word(workload.addr_of(loc)),
+                )
+                errors = test.postcondition(env)
+                if errors:
+                    outcome.failure_kind = "postcondition"
+                    outcome.messages.extend(errors)
+        outcome.regs = dict(workload.regs)
+        try:
+            outcome.final_memory = {
+                loc: system.coherent_word(workload.addr_of(loc))
+                for loc in test.layout
+            }
+        except Exception:  # mid-crash state may not be inspectable
+            outcome.final_memory = None
+        if protocol_trace is not None:
+            outcome.trace_text = protocol_trace.dump(limit=200)
+        if coverage_hook is not None:
+            outcome.coverage = coverage_hook.triples()
+    finally:
+        system.close()
     return outcome
 
 
