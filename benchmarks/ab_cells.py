@@ -19,7 +19,10 @@ paid for by whichever op the collector next runs in.  For each side and
 group the tool also prints how many gen-0/1/2 collections ran inside the
 timed ops and the seconds they took, measured with ``gc.callbacks``
 (cProfile spreads that time over whatever function happened to allocate,
-so no per-layer profile shows it).
+so no per-layer profile shows it).  For the litmus group it prints each
+side's least-squares fit of op time against the op's executed events: the
+intercept (ms) is the fixed cost of one run, the slope (us) the cost of
+one simulated event.
 
 Every op's simulated outcome must agree between the two sides (a digest of
 ticks and stats for cells; of failure kind, ticks, registers and final
@@ -37,6 +40,7 @@ import gc
 import hashlib
 import json
 import os
+import statistics
 import subprocess
 import sys
 import time
@@ -95,11 +99,14 @@ def _worker(src: str) -> None:
         if op["group"] == "litmus":
             test = get_litmus(op["test"])
             schedule = Schedule.from_json(op["schedule"])
+            sims = []
             gc_before = clock.reading()
             start = time.perf_counter()
-            outcome = run_litmus(test, policy_name=op["policy"], schedule=schedule)
+            outcome = run_litmus(test, policy_name=op["policy"], schedule=schedule,
+                                 mutate_system=lambda system: sims.append(system.sim))
             seconds = time.perf_counter() - start
             gc_after = clock.reading()
+            events = sims[0].events.executed_events
             digest = _digest(outcome.failure_kind, outcome.ticks,
                              sorted(outcome.regs.items()),
                              sorted((outcome.final_memory or {}).items()))
@@ -112,9 +119,10 @@ def _worker(src: str) -> None:
             seconds = time.perf_counter() - start
             gc_after = clock.reading()
             digest = _digest(result.ticks, sorted(result.stats.items()))
+            events = 0
         gc_spent = [after - before for before, after in zip(gc_before, gc_after)]
         out.write(json.dumps({"seconds": seconds, "digest": digest,
-                              "gc": gc_spent}) + "\n")
+                              "gc": gc_spent, "events": events}) + "\n")
         out.flush()
 
 
@@ -178,9 +186,11 @@ def _zero_gc() -> dict:
     return {group: [[0.0] * 4, [0.0] * 4] for group in GROUPS}
 
 
-def run_round(base: Worker, head: Worker, ops: list[dict],
-              flip: bool) -> tuple[dict, dict, list[str]]:
-    """Run every op on both sides, alternating which side goes first."""
+def run_round(base: Worker, head: Worker, ops: list[dict], flip: bool,
+              litmus_points: tuple[list, list]) -> tuple[dict, dict, list[str]]:
+    """Run every op on both sides, alternating which side goes first; each
+    litmus op's ``(events, seconds)`` is appended to ``litmus_points``,
+    one list per side."""
     totals = {group: [0.0, 0.0] for group in GROUPS}
     gc_totals = _zero_gc()
     mismatches = []
@@ -194,6 +204,8 @@ def run_round(base: Worker, head: Worker, ops: list[dict],
             spent = gc_totals[op["group"]][side]
             for field, value in enumerate(got["gc"]):
                 spent[field] += value
+            if op["group"] == "litmus":
+                litmus_points[side].append((got["events"], got["seconds"]))
         if got_base["digest"] != got_head["digest"]:
             mismatches.append(json.dumps(op, sort_keys=True))
     return totals, gc_totals, mismatches
@@ -224,6 +236,25 @@ def format_gc(totals: dict, gc_totals: dict, counts: dict) -> str:
     return "\n".join(lines)
 
 
+def format_litmus_fit(litmus_points: tuple[list, list]) -> str:
+    """Least-squares fit of each side's litmus op time against its executed
+    events: the intercept is the fixed cost of a run (build, verify, stats,
+    teardown), the slope the cost of one simulated event."""
+    lines = [f"{'litmus':<8} {'side':>5} {'fixed_ms':>9} {'us/event':>9} "
+             f"{'mean_ms':>8} {'events':>7}"]
+    for side, label in enumerate(("base", "head")):
+        points = litmus_points[side]
+        if len(points) < 2:
+            continue
+        events = [float(count) for count, _seconds in points]
+        seconds = [value for _count, value in points]
+        slope, intercept = statistics.linear_regression(events, seconds)
+        lines.append(f"{'fit':<8} {label:>5} {intercept * 1e3:>9.3f} "
+                     f"{slope * 1e6:>9.2f} {statistics.fmean(seconds) * 1e3:>8.3f} "
+                     f"{statistics.fmean(events):>7.1f}")
+    return "\n".join(lines)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, type=Path,
@@ -239,10 +270,12 @@ def main(argv: list[str] | None = None) -> int:
     grand = {group: [0.0, 0.0] for group in GROUPS}
     grand_gc = _zero_gc()
     mismatches: list[str] = []
+    litmus_points: tuple[list, list] = ([], [])
     try:
         for round_index in range(args.rounds):
             totals, gc_totals, bad = run_round(base, head, ops,
-                                               flip=bool(round_index % 2))
+                                               flip=bool(round_index % 2),
+                                               litmus_points=litmus_points)
             mismatches += bad
             print(format_totals(f"round {round_index + 1}", totals, counts))
             print(format_gc(totals, gc_totals, counts))
@@ -256,6 +289,7 @@ def main(argv: list[str] | None = None) -> int:
         head.close()
     print(format_totals("total", grand, counts))
     print(format_gc(grand, grand_gc, counts))
+    print(format_litmus_fit(litmus_points))
     if mismatches:
         print(f"{len(mismatches)} op(s) simulate differently on base and head:")
         for op in mismatches[:10]:

@@ -752,6 +752,13 @@ class DirectoryController(Controller):
 
     # -- deadlock/debug ------------------------------------------------------------------------
 
+    def close(self) -> None:
+        super().close()
+        self._active.clear()
+        self._waiting.clear()
+        self._stale_victims.clear()
+        self._admission.clear()
+
     def pending_work(self) -> str | None:
         if self._active:
             sample = next(iter(self._active.values()))

@@ -61,6 +61,9 @@ class CpuCore(Component):
         self.finished_at = None
         self.schedule(0, lambda: self._advance(None))
 
+    def close(self) -> None:
+        self._program = None
+
     def _advance(self, result: object) -> None:
         assert self._program is not None
         try:

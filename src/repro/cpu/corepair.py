@@ -525,6 +525,11 @@ class CorePair(Controller):
             return None
         return cached.data.word(word_index(addr))
 
+    def close(self) -> None:
+        super().close()
+        self._mshrs.clear()
+        self._vic_pending.clear()
+
     def pending_work(self) -> str | None:
         if self._mshrs:
             addr, mshr = next(iter(self._mshrs.items()))

@@ -122,6 +122,12 @@ class DmaEngine(Controller):
         elif self._outstanding == 0:
             self._next_transfer()
 
+    def close(self) -> None:
+        super().close()
+        self._transfers.clear()
+        self._lines_left.clear()
+        self._on_done = None
+
     def pending_work(self) -> str | None:
         if not self.done:
             return f"{self._outstanding} lines outstanding, {len(self._transfers)} transfers queued"

@@ -218,6 +218,9 @@ class ComputeUnit(Component):
                 self._counters["tcp_dropped_dirty"] += 1
             self.tcp.invalidate(cached.addr)
 
+    def close(self) -> None:
+        self._wg_queue.clear()
+
     def pending_work(self) -> str | None:
         if self._running or self._wg_queue:
             return f"{self._running} wavefronts running, {len(self._wg_queue)} WGs queued"

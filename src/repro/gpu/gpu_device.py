@@ -132,6 +132,10 @@ class GpuDevice(Component):
 
         self.tcc.release(after_release)
 
+    def close(self) -> None:
+        self._queue.clear()
+        self._running = None
+
     def pending_work(self) -> str | None:
         if self._running is not None:
             return f"kernel {self._running.id} running"

@@ -495,6 +495,14 @@ class TccController(Controller):
             return None
         return cached.data.word(word_index(addr))
 
+    def close(self) -> None:
+        super().close()
+        self._mshrs.clear()
+        self._wt_pending.clear()
+        self._drain_waiters.clear()
+        self._atomic_pending.clear()
+        self._flush_pending.clear()
+
     def pending_work(self) -> str | None:
         parts = []
         if self._mshrs:

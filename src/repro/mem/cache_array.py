@@ -6,30 +6,33 @@ system — CPU L1/L2, GPU TCP/TCC/SQC, the LLC, and the directory cache (whose
 the array: controllers store whatever state enum they use in
 :attr:`CacheLine.state` and extra tracking info in :attr:`CacheLine.meta`.
 
-Storage layout: line state lives in struct-of-arrays *planes* — parallel
-lists (``_addr``, ``_state``, ``_data``, ``_dirty``, ``_meta``, ``_valid``)
-indexed by the flat slot ``set_idx * ways + way`` — rather than one Python
-object per line.  Controllers keep the object-style API: :meth:`lookup` and
-friends hand out a per-slot :class:`_LineView` whose attributes read and
-write the planes (through a shared :class:`_Planes` holder, so an array and
-its views form no reference cycle), so ``line.state = X`` works exactly as
-before.  A slot's view is built the first time it is handed out, so an
-array costs only its planes until lines are used.  Hot paths can skip the
-view entirely with the index API (:meth:`find`, :meth:`find_touch` plus the
-plane lists), turning lookup/touch/state-update into dict-get + list
-indexing.
+Storage layout: an array holds only what has been used.  Each slot (flat
+index ``set_idx * ways + way``) gets its :class:`CacheLine` record the
+first time it is handed out, kept in a dict keyed by slot; a second dict
+maps every resident line's address to its record.  A line is valid
+exactly when it is in that address index, and there is no per-slot plane
+of any kind, so building (and freeing) an array costs O(1) whatever its
+geometry until lines are installed.  A slot's record keeps its identity
+across invalidations and reinstalls, so holding a line across time
+behaves like holding a hardware way: it always shows the slot's *current*
+occupant (``valid=False``, ``addr=-1``, ``state=None``, ``dirty=False``
+while the slot is empty).  Records point at nothing in the array, so an
+array and the lines it hands out form no reference cycle.  A per-set count
+of resident lines lets a full set skip the search for an invalid way.
 
 Replacement is Tree-PLRU (Table II).  Each set's tree lives in one integer
-(bit ``n`` of ``_plru[set]`` is node ``n`` of the tree) — ``touch`` is a
-single masked or using per-way masks precomputed from the reference
-:class:`TreePLRU`, and ``victim`` is a memoized ``bits -> (way, bits_after)``
-table populated by running the reference walk, so the chosen victims
-(including the non-power-of-two padding-leaf retries, which mutate the tree)
-are bit-identical to the reference.
+(bit ``n`` of ``_plru[set]`` is node ``n`` of the tree; a set never touched
+is absent and reads as zero) — ``touch`` is a single masked or using
+per-way masks precomputed from the reference :class:`TreePLRU`, and
+``victim`` is a memoized ``bits -> (way, bits_after)`` table populated by
+running the reference walk, so the chosen victims (including the
+non-power-of-two padding-leaf retries, which mutate the tree) are
+bit-identical to the reference.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Any, Callable, Iterator
 
 from repro.mem.address import LINE_BYTES
@@ -38,16 +41,16 @@ from repro.mem.replacement import TreePLRU, preferred_order
 
 
 class CacheLine:
-    """A detached line snapshot (evictions, invalidations).
+    """One slot's line record, or a detached snapshot of a line.
 
-    Resident lines are :class:`_LineView` objects backed by the array's
-    planes; this plain record carries the same attributes for lines that
-    have left the array.
+    A slot's record (``set_idx``/``way`` >= 0) is owned by its array and
+    shows the slot's current occupant; evictions and invalidations hand
+    out a detached copy (``set_idx = way = -1``) of the line that left.
     """
 
     __slots__ = ("valid", "addr", "state", "data", "dirty", "meta", "set_idx", "way")
 
-    def __init__(self) -> None:
+    def __init__(self, set_idx: int = -1, way: int = -1) -> None:
         self.valid = False
         self.addr = -1  # line-aligned address when valid
         self.state: Any = None
@@ -55,128 +58,19 @@ class CacheLine:
         self.dirty = False
         self.meta: Any = None
         # geometry position (-1 for detached snapshots).
-        self.set_idx = -1
-        self.way = -1
+        self.set_idx = set_idx
+        self.way = way
 
-    def reset(self) -> None:
-        self.valid = False
-        self.addr = -1
-        self.state = None
-        self.data = None
-        self.dirty = False
-        self.meta = None
-
-    def __repr__(self) -> str:
-        if not self.valid:
-            return "CacheLine(invalid)"
-        return (
-            f"CacheLine(addr={self.addr:#x}, state={self.state}, "
-            f"dirty={self.dirty})"
-        )
-
-
-class _Planes:
-    """The line planes of one array, shared by its views.
-
-    A view reads and writes through this holder rather than through the
-    array, so an array and the views it hands out form no reference cycle:
-    a dropped array is freed by reference count, not by the cyclic
-    collector.  The holder binds the same list objects as the array's
-    ``_valid`` .. ``_meta`` attributes (the planes are never rebound).
-    """
-
-    __slots__ = ("valid", "addr", "state", "data", "dirty", "meta", "ways")
-
-    def __init__(self, array: "CacheArray") -> None:
-        self.valid = array._valid
-        self.addr = array._addr
-        self.state = array._state
-        self.data = array._data
-        self.dirty = array._dirty
-        self.meta = array._meta
-        self.ways = array.ways
-
-
-class _LineView:
-    """A live window onto one slot of the array's planes.
-
-    At most one view per slot, built the first time the slot is handed
-    out; identity is stable, so holding a view across time behaves exactly
-    like holding the old per-way ``CacheLine`` object (it always shows the
-    slot's *current* occupant).
-    """
-
-    __slots__ = ("_planes", "_slot")
-
-    def __init__(self, planes: _Planes, slot: int) -> None:
-        self._planes = planes
-        self._slot = slot
-
-    @property
-    def valid(self) -> bool:
-        return self._planes.valid[self._slot]
-
-    @valid.setter
-    def valid(self, value: bool) -> None:
-        self._planes.valid[self._slot] = value
-
-    @property
-    def addr(self) -> int:
-        return self._planes.addr[self._slot]
-
-    @addr.setter
-    def addr(self, value: int) -> None:
-        self._planes.addr[self._slot] = value
-
-    @property
-    def state(self) -> Any:
-        return self._planes.state[self._slot]
-
-    @state.setter
-    def state(self, value: Any) -> None:
-        self._planes.state[self._slot] = value
-
-    @property
-    def data(self) -> LineData | None:
-        return self._planes.data[self._slot]
-
-    @data.setter
-    def data(self, value: LineData | None) -> None:
-        self._planes.data[self._slot] = value
-
-    @property
-    def dirty(self) -> bool:
-        return self._planes.dirty[self._slot]
-
-    @dirty.setter
-    def dirty(self, value: bool) -> None:
-        self._planes.dirty[self._slot] = value
-
-    @property
-    def meta(self) -> Any:
-        return self._planes.meta[self._slot]
-
-    @meta.setter
-    def meta(self, value: Any) -> None:
-        self._planes.meta[self._slot] = value
-
-    @property
-    def set_idx(self) -> int:
-        return self._slot // self._planes.ways
-
-    @property
-    def way(self) -> int:
-        return self._slot % self._planes.ways
-
-    def reset(self) -> None:
-        planes = self._planes
-        slot = self._slot
-        planes.valid[slot] = False
-        planes.addr[slot] = -1
-        planes.state[slot] = None
-        planes.data[slot] = None
-        planes.dirty[slot] = False
-        planes.meta[slot] = None
+    def _detached(self) -> "CacheLine":
+        """A copy of this (valid) line that no array owns."""
+        copy = CacheLine()
+        copy.valid = True
+        copy.addr = self.addr
+        copy.state = self.state
+        copy.data = self.data
+        copy.dirty = self.dirty
+        copy.meta = self.meta
+        return copy
 
     def __repr__(self) -> str:
         if not self.valid:
@@ -194,17 +88,13 @@ class _LineView:
 # reference touch forces, and the victim memo replays the reference walk
 # (including padding-leaf retries) once per distinct bit pattern.
 
-#: (ways, num_sets) -> (touch_and_masks, touch_or_masks, victim_memo,
-#: leaves).  The touch masks are per flat slot, built once per geometry as
-#: tuples and shared by every array of that geometry; the victim memo is
-#: shared by every array of that associativity.
+#: ways -> (touch_and_masks, touch_or_masks, victim_memo, leaves).  The
+#: touch masks are per way; the tables and the victim memo
+#: (``bits -> (way, bits_after)``) are shared by every array of that
+#: associativity.
 _PLRU_GEOMETRY: dict[
-    tuple[int, int],
-    tuple[tuple[int, ...], tuple[int, ...], dict[int, tuple[int, int]], int],
+    int, tuple[tuple[int, ...], tuple[int, ...], dict[int, tuple[int, int]], int],
 ] = {}
-
-#: ways -> victim memo (``bits -> (way, bits_after)``)
-_VICTIM_MEMOS: dict[int, dict[int, tuple[int, int]]] = {}
 
 
 def _bits_to_int(bits: list[int]) -> int:
@@ -220,9 +110,9 @@ def _int_to_bits(value: int, leaves: int) -> list[int]:
 
 
 def _plru_geometry(
-    ways: int, num_sets: int,
+    ways: int,
 ) -> tuple[tuple[int, ...], tuple[int, ...], dict[int, tuple[int, int]], int]:
-    geo = _PLRU_GEOMETRY.get((ways, num_sets))
+    geo = _PLRU_GEOMETRY.get(ways)
     if geo is None:
         probe = TreePLRU(ways)
         leaves = probe._leaves
@@ -236,12 +126,7 @@ def _plru_geometry(
             probe._bits = list(all_ones)
             probe.touch(way)
             touch_and.append(_bits_to_int(probe._bits))
-        geo = _PLRU_GEOMETRY[(ways, num_sets)] = (
-            tuple(touch_and) * num_sets,
-            tuple(touch_or) * num_sets,
-            _VICTIM_MEMOS.setdefault(ways, {}),
-            leaves,
-        )
+        geo = _PLRU_GEOMETRY[ways] = (tuple(touch_and), tuple(touch_or), {}, leaves)
     return geo
 
 
@@ -257,24 +142,19 @@ class CacheArray:
             raise ValueError(f"bad geometry: {num_sets} sets x {ways} ways")
         self.num_sets = num_sets
         self.ways = ways
-        slots = num_sets * ways
-        # struct-of-arrays line state
-        self._valid = [False] * slots
-        self._addr = [-1] * slots
-        self._state: list[Any] = [None] * slots
-        self._data: list[Any] = [None] * slots
-        self._dirty = [False] * slots
-        self._meta: list[Any] = [None] * slots
-        self._views: list[_LineView | None] = [None] * slots
-        self._planes = _Planes(self)
-        #: line-aligned address -> flat slot index
-        self._index: dict[int, int] = {}
-        # replacement state: one integer Tree-PLRU per set, and the shared
-        # per-slot touch masks (indexable straight from the flat slot)
+        #: flat slot -> that slot's line record, built on first use
+        self._lines: dict[int, CacheLine] = {}
+        #: line-aligned address -> its resident line (the valid lines)
+        self._index: dict[int, CacheLine] = {}
+        #: set index -> resident lines in that set (a full set skips the
+        #: invalid-way scan)
+        self._fill: defaultdict[int, int] = defaultdict(int)
+        # replacement state: one integer Tree-PLRU per touched set, and the
+        # shared per-way touch masks
         self._touch_and, self._touch_or, self._victim_memo, self._plru_leaves = (
-            _plru_geometry(ways, num_sets)
+            _plru_geometry(ways)
         )
-        self._plru = [0] * num_sets
+        self._plru: defaultdict[int, int] = defaultdict(int)
 
     @classmethod
     def from_geometry(
@@ -291,48 +171,15 @@ class CacheArray:
 
     # -- lookups ----------------------------------------------------------
 
-    def find(self, addr: int) -> int:
-        """Flat slot index of the valid line holding ``addr``, or -1."""
-        slot = self._index.get(addr)
-        return -1 if slot is None else slot
-
-    def find_touch(self, addr: int) -> int:
-        """:meth:`find` plus a replacement touch on hit — the fused hot-path
-        lookup (one dict get and one masked or for Tree-PLRU arrays)."""
-        slot = self._index.get(addr)
-        if slot is None:
-            return -1
-        plru = self._plru
-        set_idx = slot // self.ways
-        plru[set_idx] = (plru[set_idx] & self._touch_and[slot]) | self._touch_or[slot]
-        return slot
-
-    def lookup(self, addr: int, touch: bool = True) -> "_LineView | None":
+    def lookup(self, addr: int, touch: bool = True) -> CacheLine | None:
         """The valid line holding ``addr``, or None."""
-        slot = self._index.get(addr)
-        if slot is None:
-            return None
-        if touch:
+        line = self._index.get(addr)
+        if line is not None and touch:
             plru = self._plru
-            set_idx = slot // self.ways
-            plru[set_idx] = (plru[set_idx] & self._touch_and[slot]) | self._touch_or[slot]
-        view = self._views[slot]
-        if view is None:
-            view = self._views[slot] = _LineView(self._planes, slot)
-        return view
-
-    def _view(self, slot: int) -> "_LineView":
-        """The slot's view, built on first use (inlined in :meth:`lookup`,
-        the hot path)."""
-        view = self._views[slot]
-        if view is None:
-            view = self._views[slot] = _LineView(self._planes, slot)
-        return view
-
-    def touch_slot(self, slot: int) -> None:
-        plru = self._plru
-        set_idx = slot // self.ways
-        plru[set_idx] = (plru[set_idx] & self._touch_and[slot]) | self._touch_or[slot]
+            set_idx = line.set_idx
+            way = line.way
+            plru[set_idx] = (plru[set_idx] & self._touch_and[way]) | self._touch_or[way]
+        return line
 
     # -- replacement internals --------------------------------------------
 
@@ -359,10 +206,10 @@ class CacheArray:
     # -- allocation -------------------------------------------------------
 
     def choose_victim(
-        self, addr: int, cost_of: Callable[["_LineView"], Any] | None = None
-    ) -> "_LineView":
+        self, addr: int, cost_of: Callable[[CacheLine], Any] | None = None
+    ) -> CacheLine:
         """The line to overwrite when installing ``addr``: an invalid way if
-        any, else the Tree-PLRU pick.  Does not modify the line planes (the
+        any, else the Tree-PLRU pick.  Does not modify any line (the
         Tree-PLRU walk itself may rotate padding bits, exactly as the
         reference policy does).
 
@@ -371,24 +218,29 @@ class CacheArray:
         This hook implements the paper's §VII state-aware directory
         replacement.
         """
+        ways = self.ways
         set_idx = (addr // LINE_BYTES) % self.num_sets
-        base = set_idx * self.ways
-        valid = self._valid
-        view = self._view
-        for way in range(self.ways):
-            if not valid[base + way]:
-                return view(base + way)
+        base = set_idx * ways
+        lines = self._lines
+        if self._fill[set_idx] < ways:
+            for way in range(ways):
+                line = lines.get(base + way)
+                if line is None:  # the slot's first use: build its record
+                    line = lines[base + way] = CacheLine(set_idx, way)
+                    return line
+                if not line.valid:
+                    return line
         victim_way = self._fast_victim(set_idx)
         if cost_of is None:
-            return view(base + victim_way)
-        costs = [cost_of(view(base + way)) for way in range(self.ways)]
+            return lines[base + victim_way]
+        costs = [cost_of(lines[base + way]) for way in range(ways)]
         cheapest = min(costs)
         candidates = [way for way, cost in enumerate(costs) if cost == cheapest]
         if victim_way in candidates:
-            return view(base + victim_way)
-        tree = TreePLRU(self.ways)
+            return lines[base + victim_way]
+        tree = TreePLRU(ways)
         tree._bits = _int_to_bits(self._plru[set_idx], self._plru_leaves)
-        return view(base + preferred_order(tree, candidates)[0])
+        return lines[base + preferred_order(tree, candidates)[0]]
 
     def install(
         self,
@@ -397,7 +249,7 @@ class CacheArray:
         data: LineData | None = None,
         dirty: bool = False,
         meta: Any = None,
-    ) -> tuple["_LineView", CacheLine | None]:
+    ) -> tuple[CacheLine, CacheLine | None]:
         """Install ``addr``; returns ``(line, evicted_copy)``.
 
         ``evicted_copy`` is a detached :class:`CacheLine` snapshot of the
@@ -405,63 +257,55 @@ class CacheArray:
         caller is responsible for acting on the eviction (write-back,
         back-invalidation, ...).
         """
-        slot = self.find_touch(addr)
-        if slot >= 0:
-            self._state[slot] = state
+        line = self.lookup(addr)
+        if line is not None:
+            line.state = state
             if data is not None:
-                self._data[slot] = data
-            self._dirty[slot] = dirty
+                line.data = data
+            line.dirty = dirty
             if meta is not None:
-                self._meta[slot] = meta
-            return self._view(slot), None
+                line.meta = meta
+            return line, None
 
-        victim = self.choose_victim(addr)
-        slot = victim._slot
+        line = self.choose_victim(addr)
         evicted: CacheLine | None = None
-        if self._valid[slot]:
-            evicted = CacheLine()
-            evicted.valid = True
-            evicted.addr = self._addr[slot]
-            evicted.state = self._state[slot]
-            evicted.data = self._data[slot]
-            evicted.dirty = self._dirty[slot]
-            evicted.meta = self._meta[slot]
-            del self._index[self._addr[slot]]
-        self._valid[slot] = True
-        self._addr[slot] = addr
-        self._state[slot] = state
-        self._data[slot] = data
-        self._dirty[slot] = dirty
-        self._meta[slot] = meta
-        self._index[addr] = slot
-        self.touch_slot(slot)
-        return victim, evicted
+        set_idx = line.set_idx
+        if line.valid:
+            evicted = line._detached()
+            del self._index[line.addr]
+        else:
+            self._fill[set_idx] += 1
+        line.valid = True
+        line.addr = addr
+        line.state = state
+        line.data = data
+        line.dirty = dirty
+        line.meta = meta
+        self._index[addr] = line
+        plru = self._plru
+        way = line.way
+        plru[set_idx] = (plru[set_idx] & self._touch_and[way]) | self._touch_or[way]
+        return line, evicted
 
     def invalidate(self, addr: int) -> CacheLine | None:
         """Invalidate ``addr`` if present; returns a detached snapshot."""
-        slot = self._index.pop(addr, None)
-        if slot is None:
+        line = self._index.pop(addr, None)
+        if line is None:
             return None
-        snapshot = CacheLine()
-        snapshot.valid = True
-        snapshot.addr = self._addr[slot]
-        snapshot.state = self._state[slot]
-        snapshot.data = self._data[slot]
-        snapshot.dirty = self._dirty[slot]
-        snapshot.meta = self._meta[slot]
-        self._valid[slot] = False
-        self._addr[slot] = -1
-        self._state[slot] = None
-        self._data[slot] = None
-        self._dirty[slot] = False
-        self._meta[slot] = None
+        snapshot = line._detached()
+        self._fill[line.set_idx] -= 1
+        line.valid = False
+        line.addr = -1
+        line.state = None
+        line.data = None
+        line.dirty = False
+        line.meta = None
         return snapshot
 
     # -- iteration --------------------------------------------------------
 
-    def iter_valid(self) -> Iterator["_LineView"]:
-        view = self._view
-        return iter([view(slot) for slot in self._index.values()])
+    def iter_valid(self) -> Iterator[CacheLine]:
+        return iter(list(self._index.values()))
 
     def occupancy(self) -> int:
         return len(self._index)

@@ -52,6 +52,15 @@ class Component:
         """Describe outstanding work for deadlock detection (None = quiesced)."""
         return None
 
+    def close(self) -> None:
+        """Drop the work a run left in flight (:meth:`ApuSystem.close`).
+
+        A crashed or cut-off run leaves transactions, waiters and programs
+        behind, and they hold callbacks into other components: the edges
+        that would make a finished system a reference cycle.  Subclasses
+        clear their own; counters and cached lines stay readable.
+        """
+
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name!r})"
 
@@ -82,6 +91,10 @@ class Controller(Component):
         #: transition observers (repro.coherence.engine.TransitionHook);
         #: a tuple so the per-fire "any hooks?" check is a cheap truth test.
         self.fsm_hooks: tuple = ()
+
+    def close(self) -> None:
+        # the coherence monitor (a transition hook) points back at the system
+        self.fsm_hooks = ()
 
     def add_fsm_hook(self, hook) -> None:
         """Attach a TransitionHook to this controller's protocol FSM fires."""

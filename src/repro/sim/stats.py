@@ -13,7 +13,8 @@ Reads go through ``group[name]``, :meth:`~StatGroup.get`,
 creates a counter, so a missing name never shows up in ``as_dict()``.  A
 counter and a child group may not share a name (their dotted keys would
 collide): :meth:`~StatGroup.inc`, :meth:`~StatGroup.set` and
-:meth:`~StatGroup.child` refuse one at creation, and :meth:`~StatGroup.walk`
+:meth:`~StatGroup.child` refuse one at creation, and
+:meth:`~StatGroup.flatten_into` (behind ``walk()`` and ``as_dict()``)
 refuses one made by a direct increment.
 """
 
@@ -93,20 +94,33 @@ class StatGroup:
             value += childgroup.total(counter)
         return value
 
-    def walk(self, prefix: str = "") -> Iterator[tuple[str, int | float]]:
-        """Yield ``(dotted_name, value)`` for every counter in the subtree."""
-        base = f"{prefix}{self.name}"
+    def flatten_into(self, out: dict[str, int | float], prefix: str = "") -> None:
+        """Write every counter in the subtree into ``out`` as
+        ``dotted_name -> value``: this group's counters sorted by name, then
+        each child's subtree in child-name order.  One pass, no generators,
+        so a whole system's groups can fill one dict."""
+        base = f"{prefix}{self.name}."
         counters = self._counters
-        for child_name in self._children:
+        children = self._children
+        for child_name in children:
             if child_name in counters:
                 self._reserve_counter(child_name)
-        for counter, value in sorted(counters.items()):
-            yield f"{base}.{counter}", value
-        for child_name in sorted(self._children):
-            yield from self._children[child_name].walk(prefix=f"{base}.")
+        for counter in sorted(counters):
+            out[base + counter] = counters[counter]
+        for child_name in sorted(children):
+            children[child_name].flatten_into(out, base)
+
+    def walk(self, prefix: str = "") -> Iterator[tuple[str, int | float]]:
+        """``(dotted_name, value)`` for every counter in the subtree, in
+        :meth:`flatten_into` order."""
+        out: dict[str, int | float] = {}
+        self.flatten_into(out, prefix)
+        return iter(out.items())
 
     def as_dict(self) -> dict[str, int | float]:
-        return dict(self.walk())
+        out: dict[str, int | float] = {}
+        self.flatten_into(out)
+        return out
 
     def dump(self) -> str:
         """Render the subtree as aligned ``name = value`` lines."""

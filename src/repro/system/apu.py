@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING
 
 from repro.mem.address import line_addr, word_index
 from repro.protocol.types import MoesiState
 from repro.sim.clock import ClockDomain
-from repro.sim.component import Controller
 from repro.sim.event_queue import Simulator
 from repro.workloads.base import Workload, WorkloadBuild, WorkloadContext
 
@@ -67,6 +67,12 @@ class SimulationResult:
         )
 
 
+@functools.cache
+def _declared_fields(cls: type) -> frozenset[str]:
+    """The dataclass field names of ``cls`` (looked up once per class)."""
+    return frozenset(spec.name for spec in fields(cls))
+
+
 @dataclass
 class ApuSystem:
     """Handles to every component of one built system."""
@@ -119,11 +125,14 @@ class ApuSystem:
         closes it (DESIGN.md §4c).
 
         The edges dropped: the simulator's component registry, watchdog
-        and leftover events; the network's endpoint, route and input-port
-        tables and its output-port queues; every controller's transition
-        hooks (the coherence monitor points back at the system); and any
-        attribute a post-build hook set on this instance (a wrapped
-        ``run_workload`` closing over the system).  The cost is
+        and leftover events; every component's in-flight work
+        (:meth:`Component.close`: the network's endpoint, route and
+        input-port tables and port queues, every controller's transition
+        hooks -- the coherence monitor points back at the system -- and the
+        MSHRs, pending victims, directory transactions and queues, TCC, DMA
+        and GPU pending work and CPU programs a crashed or cut-off run left
+        behind); and any attribute a post-build hook set on this instance
+        (a wrapped ``run_workload`` closing over the system).  The cost is
         O(components).
 
         A closed system runs nothing more, but it still answers
@@ -132,11 +141,9 @@ class ApuSystem:
         array's lookups.  Closing twice is harmless.
         """
         self.sim.close()
-        self.network.close()
         for component in self.components:
-            if isinstance(component, Controller):
-                component.fsm_hooks = ()
-        declared = {spec.name for spec in fields(self)}
+            component.close()
+        declared = _declared_fields(type(self))
         for name in [name for name in vars(self) if name not in declared]:
             delattr(self, name)
 
@@ -265,9 +272,7 @@ class ApuSystem:
         for component in self.components:
             stats = getattr(component, "stats", None)
             if stats is not None:
-                merged.update(stats.as_dict())
+                stats.flatten_into(merged)
         for index, llc in enumerate(self.llcs):
-            prefix = "" if index == 0 else f"bank{index}."
-            for key, value in llc.stats.as_dict().items():
-                merged[f"{prefix}{key}"] = value
+            llc.stats.flatten_into(merged, "" if index == 0 else f"bank{index}.")
         return merged

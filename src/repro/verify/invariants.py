@@ -37,11 +37,23 @@ from typing import TYPE_CHECKING
 
 from repro.coherence.engine import TransitionHook
 from repro.coherence.precise import PreciseDirectory
+from repro.mem.address import LINE_BYTES
 from repro.protocol.types import DirState, MoesiState
 from repro.sim.event_queue import SimulationError
 
 if TYPE_CHECKING:
     from repro.system.apu import ApuSystem
+
+# bound once: the checks run on every litmus transaction completion
+_I = MoesiState.I
+_S = MoesiState.S
+_O = MoesiState.O
+_EXCLUSIVE = (MoesiState.M, MoesiState.E)
+_OWNING = (MoesiState.M, MoesiState.O, MoesiState.E)
+_DIR_B = DirState.B
+_DIR_I = DirState.I
+_DIR_S = DirState.S
+_DIR_O = DirState.O
 
 
 class InvariantViolation(SimulationError):
@@ -49,14 +61,25 @@ class InvariantViolation(SimulationError):
 
 
 class CoherenceMonitor(TransitionHook):
-    """Attach with ``CoherenceMonitor(system)``; violations raise by default."""
+    """Attach with ``CoherenceMonitor(system)``; violations raise by default.
+
+    Everything a check reads is resolved here, once: the directory banks
+    (and which are §IV precise directories), every L2's and TCC's address
+    index (read directly, without building a line per lookup), and the
+    CorePairs by name.
+    """
 
     def __init__(self, system: "ApuSystem", raise_on_violation: bool = True) -> None:
         self.system = system
         self.raise_on_violation = raise_on_violation
         self.checks_run = 0
         self.violations: list[str] = []
-        for directory in getattr(system, "directories", [system.directory]):
+        self._banks = list(system.directories)
+        self._precise = [isinstance(bank, PreciseDirectory) for bank in self._banks]
+        self._l2_indexes = [(pair.name, pair.l2._index) for pair in system.corepairs]
+        self._tcc_indexes = [(tcc.name, tcc.array._index) for tcc in system.tccs]
+        self._corepairs = {pair.name: pair for pair in system.corepairs}
+        for directory in self._banks:
             directory.add_fsm_hook(self)
 
     # -- hooks ------------------------------------------------------------------
@@ -71,10 +94,11 @@ class CoherenceMonitor(TransitionHook):
     def check_line(self, addr: int) -> list[str]:
         """Run every invariant for one line; returns (and records) failures."""
         self.checks_run += 1
-        problems: list[str] = []
-        problems.extend(self._check_moesi(addr))
-        if isinstance(self._bank_of(addr), PreciseDirectory):
-            problems.extend(self._check_directory(addr))
+        states = self._l2_states(addr)
+        problems = self._check_moesi(states)
+        bank = (addr // LINE_BYTES) % len(self._banks)
+        if self._precise[bank]:
+            problems.extend(self._check_directory(addr, self._banks[bank], states))
         if problems:
             self.violations.extend(problems)
             if self.raise_on_violation:
@@ -86,46 +110,30 @@ class CoherenceMonitor(TransitionHook):
     def check_all_tracked(self) -> list[str]:
         """End-of-run sweep over every line any cache or the directory holds."""
         lines: set[int] = set()
-        for corepair in self.system.corepairs:
-            lines.update(line.addr for line in corepair.l2.iter_valid())
-        for tcc in self._tccs():
-            lines.update(line.addr for line in tcc.array.iter_valid())
-        for directory in self._banks():
-            if isinstance(directory, PreciseDirectory):
-                lines.update(
-                    line.addr for line in directory.dir_cache.iter_valid()
-                )
+        for _name, index in self._l2_indexes + self._tcc_indexes:
+            lines.update(index)
+        for bank, precise in zip(self._banks, self._precise):
+            if precise:
+                lines.update(bank.dir_cache._index)
         problems: list[str] = []
         for addr in sorted(lines):
             problems.extend(self.check_line(addr))
         return problems
 
-    def _banks(self):
-        return getattr(self.system, "directories", [self.system.directory])
-
-    def _tccs(self):
-        return getattr(self.system, "tccs", [self.system.tcc])
-
-    def _bank_of(self, addr: int):
-        banks = self._banks()
-        from repro.mem.address import LINE_BYTES
-
-        return banks[(addr // LINE_BYTES) % len(banks)]
-
     # -- invariant bodies ------------------------------------------------------------
 
     def _l2_states(self, addr: int) -> dict[str, MoesiState]:
-        return {
-            corepair.name: corepair.peek_state(addr)
-            for corepair in self.system.corepairs
-        }
+        states = {}
+        for name, index in self._l2_indexes:
+            line = index.get(addr)
+            states[name] = _I if line is None else line.state
+        return states
 
-    def _check_moesi(self, addr: int) -> list[str]:
-        states = self._l2_states(addr)
+    def _check_moesi(self, states: dict[str, MoesiState]) -> list[str]:
         problems = []
-        holders = {name: s for name, s in states.items() if s is not MoesiState.I}
-        exclusive = [n for n, s in holders.items() if s in (MoesiState.M, MoesiState.E)]
-        owners = [n for n, s in holders.items() if s is MoesiState.O]
+        holders = {name: s for name, s in states.items() if s is not _I}
+        exclusive = [n for n, s in holders.items() if s in _EXCLUSIVE]
+        owners = [n for n, s in holders.items() if s is _O]
         if len(exclusive) > 1:
             problems.append(f"multiple M/E holders: {exclusive}")
         if exclusive and len(holders) > 1:
@@ -138,49 +146,45 @@ class CoherenceMonitor(TransitionHook):
             problems.append(f"O owner {owners[0]} coexists with M/E {exclusive[0]}")
         return problems
 
-    def _check_directory(self, addr: int) -> list[str]:
-        directory: PreciseDirectory = self._bank_of(addr)  # type: ignore[assignment]
+    def _check_directory(self, addr: int, directory: PreciseDirectory,
+                         states: dict[str, MoesiState]) -> list[str]:
         state, entry = directory.snapshot_entry(addr)
-        if state is DirState.B:
+        if state is _DIR_B:
             return []  # mid-eviction; nothing stable to assert
-        states = self._l2_states(addr)
-        holders = {n: s for n, s in states.items() if s is not MoesiState.I}
-        tcc_holders = [
-            tcc.name for tcc in self._tccs()
-            if tcc.array.lookup(addr, touch=False) is not None
-        ]
+        holders = {n: s for n, s in states.items() if s is not _I}
+        tcc_holders = [name for name, index in self._tcc_indexes if addr in index]
         problems = []
-        if state is DirState.I:
+        if state is _DIR_I:
             if holders:
                 problems.append(f"dir=I but L2 copies exist: {sorted(holders)}")
             if tcc_holders:
                 problems.append("dir=I but the TCC holds the line")
-        elif state is DirState.S:
-            bad = [n for n, s in holders.items() if s is not MoesiState.S]
+        elif state is _DIR_S:
+            bad = [n for n, s in holders.items() if s is not _S]
             if bad:
                 problems.append(f"dir=S but non-shared L2 copies: {bad}")
-        elif state is DirState.O:
+        elif state is _DIR_O:
             assert entry is not None
             owner = entry.owner
             if owner is None:
                 problems.append("dir=O without a tracked owner")
             else:
                 owner_state = states.get(owner)
-                owner_pair = self._corepair(owner)
+                owner_pair = self._corepairs.get(owner)
                 vic_in_flight = (
                     owner_pair is not None and addr in owner_pair._vic_pending
                 )
-                if owner_state not in (MoesiState.M, MoesiState.O, MoesiState.E) and not vic_in_flight:
+                if owner_state not in _OWNING and not vic_in_flight:
                     problems.append(
                         f"dir=O owner {owner} holds {owner_state} with no victim in flight"
                     )
             extra_exclusive = [
                 n for n, s in holders.items()
-                if s in (MoesiState.M, MoesiState.E) and n != owner
+                if s in _EXCLUSIVE and n != owner
             ]
             if extra_exclusive:
                 problems.append(f"dir=O but non-owner M/E copies: {extra_exclusive}")
-        if state in (DirState.S, DirState.O) and entry is not None:
+        if state in (_DIR_S, _DIR_O) and entry is not None:
             problems.extend(self._check_tracking(entry, holders, tcc_holders))
         return problems
 
@@ -200,9 +204,3 @@ class CoherenceMonitor(TransitionHook):
                     f"untracked {kind} holders {untracked} (tracked: {tracked})"
                 )
         return problems
-
-    def _corepair(self, name: str):
-        for corepair in self.system.corepairs:
-            if corepair.name == name:
-                return corepair
-        return None

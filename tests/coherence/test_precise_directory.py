@@ -431,4 +431,4 @@ class TestLazyEntryStorage:
         system = build_system(SystemConfig(policy=SHARERS))
         for directory in system.directories:
             assert directory._sharer_bits is None  # built on first entry
-            assert all(view is None for view in directory.dir_cache._views)
+            assert directory.dir_cache._lines == {}

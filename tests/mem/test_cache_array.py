@@ -158,7 +158,7 @@ class TestProperties:
 class TestLazyViews:
     @staticmethod
     def built_views(array: CacheArray) -> int:
-        return sum(view is not None for view in array._views)
+        return len(array._lines)
 
     def test_fresh_array_builds_no_views(self):
         array = CacheArray(64, 8)
@@ -218,3 +218,95 @@ class TestLazyViews:
                 if way is not None:
                     tree.touch(way)
         assert evictions > 50
+
+
+class TestSparseStorage:
+    """An array holds only what has been used: building one costs the same
+    whatever its geometry, and it behaves exactly like a plain
+    ``address -> line`` map with set-bounded capacity."""
+
+    def test_build_cost_does_not_grow_with_slots(self):
+        import tracemalloc
+
+        def allocated(num_sets: int, ways: int) -> int:
+            CacheArray(num_sets, ways)  # warm the shared per-ways tables
+            tracemalloc.start()
+            try:
+                array = CacheArray(num_sets, ways)
+                size, _peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            del array
+            return size
+
+        allocated(1, 8)  # the first traced run also counts one-time setup
+        tiny, directory = allocated(1, 8), allocated(512, 8)
+        assert abs(directory - tiny) <= 64, (tiny, directory)
+
+    OPS = st.lists(
+        st.tuples(
+            st.sampled_from(["install", "invalidate", "lookup", "victim",
+                             "peek"]),
+            st.integers(min_value=0, max_value=23),
+            st.sampled_from(["S", "M", "E"]),
+        ),
+        max_size=120,
+    )
+
+    @settings(max_examples=150, deadline=None)
+    @given(OPS)
+    def test_matches_a_dict_model(self, ops):
+        num_sets, ways = 3, 2
+        array = CacheArray(num_sets, ways)
+        model: dict[int, str] = {}  # resident address -> state
+        held: dict[int, object] = {}  # resident address -> its line object
+
+        def set_of(addr: int) -> int:
+            return (addr // LINE_BYTES) % num_sets
+
+        def residents(set_idx: int) -> list[int]:
+            return [addr for addr in model if set_of(addr) == set_idx]
+
+        for op, line_no, state in ops:
+            addr = addr_of(line_no)
+            if op == "install":
+                line, evicted = array.install(addr, state=state)
+                if addr in model:
+                    assert evicted is None and line is held[addr]
+                elif len(residents(set_of(addr))) < ways:
+                    assert evicted is None
+                else:
+                    assert evicted is not None
+                    assert set_of(evicted.addr) == set_of(addr)
+                    assert evicted.state == model.pop(evicted.addr)
+                    # the slot's line object now shows the new occupant
+                    assert held.pop(evicted.addr) is line
+                model[addr] = state
+                held[addr] = line
+            elif op == "invalidate":
+                snapshot = array.invalidate(addr)
+                if addr not in model:
+                    assert snapshot is None
+                    continue
+                assert (snapshot.addr, snapshot.state) == (addr, model.pop(addr))
+                stale = held.pop(addr)
+                assert (stale.valid, stale.addr, stale.state, stale.dirty) == (
+                    False, -1, None, False)
+            elif op == "victim":
+                victim = array.choose_victim(addr)
+                if len(residents(set_of(addr))) < ways:
+                    assert not victim.valid
+                else:
+                    assert victim.valid and set_of(victim.addr) == set_of(addr)
+                    assert victim is held[victim.addr]
+            else:
+                line = array.lookup(addr, touch=op == "lookup")
+                if addr in model:
+                    assert line is held[addr]
+                    assert (line.valid, line.addr, line.state) == (
+                        True, addr, model[addr])
+                else:
+                    assert line is None
+            assert array.occupancy() == len(model)
+            assert {line.addr: line.state for line in array.iter_valid()} == model
+            assert all((addr in array) for addr in model)

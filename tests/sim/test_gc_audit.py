@@ -8,7 +8,8 @@ collector's passes cost the short litmus runs a quarter of their host
 time.  :meth:`ApuSystem.close` breaks those edges at the run boundaries
 (``run_litmus``, ``run_cell_inline``), so a finished run is freed by
 reference count.  This audit pins that: after a warm-up run and a collect,
-one more run with the collector off must leave ``gc.collect() == 0``.
+one more run with the collector off must leave ``gc.collect() == 0``,
+also for a run that crashed or was cut off with transactions in flight.
 
 It also pins what a closed system still answers, and that library code
 never tunes the collector instead (GC-off is the upper bound, not the fix).
@@ -20,6 +21,8 @@ import ast
 import gc
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 from repro import PRESETS, SystemConfig, build_system, get_workload
 from repro.runner.cells import Cell
@@ -123,6 +126,37 @@ def test_fabric_stopped_mid_flight_is_freed_by_close():
         assert any(out.queue for out in network._out_ports.values())
         sim.close()
         network.close()
+
+    _assert_no_cycles(run)
+
+
+@pytest.mark.parametrize("name", ["mp", "sb", "iriw", "atomic_chain"])
+def test_litmus_run_cut_off_mid_flight_is_freed_by_close(name):
+    # the event backstop stops the run with misses outstanding: CorePair
+    # MSHRs still hold the cores' ``_advance`` callbacks, the cores their
+    # suspended programs, and (atomic_chain) the GPU queued workgroups'
+    # completion callbacks
+    def run():
+        outcome = run_litmus(get_litmus(name), max_events=60)
+        assert outcome.failure_kind == "crash", outcome.describe()
+
+    _assert_no_cycles(run)
+
+
+def _crash_directories(system) -> None:
+    def handle_message(msg):
+        raise RuntimeError("injected directory fault")
+
+    for directory in system.directories:
+        directory.handle_message = handle_message
+
+
+def test_litmus_run_whose_directory_raises_is_freed_by_close():
+    def run():
+        outcome = run_litmus(get_litmus("mp"), policy_name="sharers",
+                             mutate_system=_crash_directories)
+        assert outcome.failure_kind == "crash", outcome.describe()
+        assert "injected directory fault" in outcome.messages[0]
 
     _assert_no_cycles(run)
 

@@ -59,6 +59,11 @@ HOT_FUNCTIONS = {
         ),
     },
     "repro.coherence.engine": {"TransitionTable": ("fire",)},
+    # run on every transaction of a verified (litmus) run
+    "repro.verify.invariants": {
+        "CoherenceMonitor": ("on_transition", "check_line", "_l2_states",
+                             "_check_moesi"),
+    },
     "repro.protocol.messages": {
         "Message": ("request", "probe", "probe_ack", "data_resp", "ack",
                     "unblock"),

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro import SystemConfig, build_system, get_workload
 from repro.coherence.policies import PRESETS
+from repro.verify.litmus import get_litmus, run_litmus
 
 
 def run_system():
@@ -47,3 +50,63 @@ class TestStatsDump:
         assert "dir0.requests" in text
         assert "dir1.requests" in text
         assert "bank1.llc" in text
+
+
+# -- one-pass flattening ------------------------------------------------------
+
+
+def _walked(group, prefix=""):
+    """The generator-chain flattening ``all_stats()`` replaced: own counters
+    sorted, then each child's subtree in child-name order."""
+    base = f"{prefix}{group.name}"
+    for counter, value in sorted(group._counters.items()):
+        yield f"{base}.{counter}", value
+    for child_name in sorted(group._children):
+        yield from _walked(group._children[child_name], prefix=f"{base}.")
+
+
+def _walked_all_stats(system) -> dict:
+    merged = {}
+    for component in system.components:
+        stats = getattr(component, "stats", None)
+        if stats is not None:
+            merged.update(dict(_walked(stats)))
+    for index, llc in enumerate(system.llcs):
+        prefix = "" if index == 0 else f"bank{index}."
+        for key, value in dict(_walked(llc.stats)).items():
+            merged[f"{prefix}{key}"] = value
+    return merged
+
+
+def _assert_flattening_unchanged(system) -> None:
+    flat = system.all_stats()
+    assert list(flat.items()) == list(_walked_all_stats(system).items())
+    assert len(flat) > 40
+
+
+class TestOnePassStats:
+    """``all_stats()`` fills one dict in one pass; keys, values and key
+    order must stay exactly those of the per-group ``walk()`` chain."""
+
+    @pytest.mark.parametrize("config", [
+        SystemConfig.benchmark(policy=PRESETS["sharers"]),
+        SystemConfig.bounded(policy=PRESETS["sharers"]),
+        SystemConfig.small(policy=PRESETS["sharers"].named(dir_banks=2)),
+    ], ids=["flat", "bounded", "banked"])
+    def test_cell_stats_match_walk_order(self, config):
+        system = build_system(config)
+        assert system.run_workload(get_workload("bs"), scale=0.1).ok
+        _assert_flattening_unchanged(system)
+
+    def test_litmus_stats_match_walk_order(self):
+        systems = []
+        outcome = run_litmus(get_litmus("mp"), policy_name="sharers",
+                             mutate_system=systems.append)
+        assert outcome.ok, outcome.describe()
+        _assert_flattening_unchanged(systems[0])  # closed, still answers
+
+    def test_collision_still_raises(self):
+        system = build_system(SystemConfig.small())
+        system.directory.stats._counters["txn"] += 1  # "txn" is a child group
+        with pytest.raises(ValueError, match="stat name collision"):
+            system.all_stats()
