@@ -2,9 +2,7 @@
 
 Runs the figure-slice sweep twice against one fresh store:
 
-- pass 1 (cold) simulates and fills the store — unless the committed
-  seed snapshot (``ci/store_seed.jsonl``) is still fresh against the
-  current sources, in which case even the first pass is all lookups;
+- pass 1 (cold) simulates every cell and fills the store;
 - pass 2 (warm) must perform ZERO simulations (every function through
   which the resolver can simulate is replaced with a tripwire) and
   produce byte-identical stats.
@@ -23,9 +21,6 @@ from repro.analysis.experiments import ExperimentMatrix, run_figure4
 from repro.runner import default_progress, executor
 from repro.store import ResultStore
 from repro.system.config import SystemConfig
-
-SEED_SNAPSHOT = pathlib.Path(__file__).parent / "store_seed.jsonl"
-
 
 def figure_slice(store: ResultStore) -> str:
     matrix = ExperimentMatrix(
@@ -49,11 +44,6 @@ def forbid_simulation() -> None:
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         path = pathlib.Path(tmp) / "store.sqlite"
-        if SEED_SNAPSHOT.exists():
-            with ResultStore(path) as seeder:
-                count = seeder.import_snapshot(SEED_SNAPSHOT)
-            print(f"[store-warm] seeded {count} row(s) from {SEED_SNAPSHOT}")
-
         cold_store = ResultStore(path)
         cold = figure_slice(cold_store)
         print(f"[store-warm] cold pass: {cold_store.hits} hit(s) / "

@@ -44,7 +44,6 @@ BATCH_WORDS = 32
 class PipelineWorkload(Workload):
     name = "pipeline_example"
     description = "CPU produce -> GPU transform -> CPU consume, batch pipeline"
-    collaboration = "flag-synchronized batch pipeline"
 
     def build(self, ctx):
         space = AddressSpace()

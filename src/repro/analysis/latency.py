@@ -1,41 +1,14 @@
 """Directory transaction-latency reporting.
 
 The directory records per-request-type completion latency; this module
-turns those counters into the average-latency table that explains *why* an
+turns those counters into the average latency that explains *why* an
 optimization saved cycles (e.g. owner tracking collapsing RdBlk latency by
 eliding the always-missing LLC read).
 """
 
 from __future__ import annotations
 
-from repro.analysis.report import format_table
 from repro.system.apu import SimulationResult
-
-
-def latency_table(result: SimulationResult, cpu_period_ticks: int = 286) -> str:
-    """Average directory-transaction latency per request type, in CPU cycles."""
-    rows = []
-    prefixes = sorted(
-        {
-            key.rsplit(".", 1)[0]
-            for key in result.stats
-            if ".txn." in key and key.endswith(".count")
-        }
-    )
-    for prefix in prefixes:
-        count = result.stats.get(f"{prefix}.count", 0)
-        ticks = result.stats.get(f"{prefix}.latency_ticks", 0)
-        if not count:
-            continue
-        request_type = prefix.split(".txn.")[-1]
-        bank = prefix.split(".txn.")[0]
-        label = request_type if bank == "dir" else f"{request_type} ({bank})"
-        rows.append([label, int(count), f"{ticks / count / cpu_period_ticks:.1f}"])
-    return format_table(
-        ["request", "count", "avg latency (cpu cycles)"],
-        rows,
-        title=f"directory transaction latency — {result.workload}",
-    )
 
 
 def average_latency(result: SimulationResult, request_type: str) -> float:

@@ -2,7 +2,7 @@
 
 ``sweep()`` runs one workload over the cross product of configuration
 overrides and policies, returning a :class:`SweepResult` that renders as a
-table or exports as CSV — the engine behind design-space exploration like
+table — the engine behind design-space exploration like
 `examples/directory_design_sweep.py`, generalized to any knob:
 
     sweep(
@@ -54,18 +54,6 @@ class SweepResult:
             [self.axis_name] + self.policies, rows,
             title=f"{self.workload}: {metric} vs {self.axis_name}",
         )
-
-    def to_csv(self, metric: str = "cycles") -> str:
-        header = ",".join([self.axis_name] + self.policies)
-        lines = [header]
-        for index, value in enumerate(self.axis_values):
-            cells = [str(value)] + [
-                str(getattr(self.results[policy][index], metric))
-                for policy in self.policies
-            ]
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
-
 
 def sweep(
     workload: str | Workload,

@@ -162,8 +162,6 @@ OVL_CONSERVATIVE_VIC = "conservative VicDirty (§VII)"
 class DirectoryController(Controller):
     """Baseline stateless system-level directory backed by the LLC."""
 
-    kind_name = "dir"
-
     def __init__(
         self,
         sim: "Simulator",

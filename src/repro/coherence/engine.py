@@ -42,7 +42,6 @@ import enum
 from typing import Callable, Iterable, Iterator
 
 from repro.sim.event_queue import SimulationError
-from repro.sim.stats import StatGroup
 
 
 class ProtocolError(SimulationError):
@@ -261,15 +260,6 @@ class TransitionTable:
                 if include_illegal or transition.kind == "handled":
                     yield transition
 
-    def declared_nexts(self, state, event) -> tuple:
-        """Union of next-states over all handled rows of ``(state, event)``."""
-        nexts: list = []
-        for transition in self.lookup(state, event):
-            for nxt in transition.next_states:
-                if nxt not in nexts:
-                    nexts.append(nxt)
-        return tuple(nexts)
-
     # -- lint ------------------------------------------------------------------
 
     def unhandled_pairs(self) -> list[tuple]:
@@ -362,51 +352,8 @@ class TransitionHook:
         raise NotImplementedError
 
 
-class RecordingHook(TransitionHook):
-    """Test/debug hook: appends ``(controller_name, addr, state, event,
-    next_state)`` tuples to :attr:`records`."""
-
-    __slots__ = ("records",)
-
-    def __init__(self) -> None:
-        self.records: list[tuple] = []
-
-    def on_transition(self, controller, addr, state, event, next_state,
-                      table=None) -> None:
-        self.records.append((controller.name, addr, state, event, next_state))
-
-    def sequence(self, addr: int | None = None) -> list[tuple]:
-        """The (state, event, next_state) triples, optionally per-address."""
-        return [
-            (state_label(state), event, state_label(next_state))
-            for name, a, state, event, next_state in self.records
-            if addr is None or a == addr
-        ]
-
-
-class TransitionStats(TransitionHook):
-    """Per-``(state, event)`` transition counters in a standalone StatGroup.
-
-    The group is deliberately *not* registered with the simulator, so
-    attaching this hook never changes ``ApuSystem.all_stats()`` (and thus
-    cannot perturb the golden-stats snapshot); read :attr:`stats` directly.
-    """
-
-    __slots__ = ("stats",)
-
-    def __init__(self, name: str = "fsm") -> None:
-        self.stats = StatGroup(name)
-
-    def on_transition(self, controller, addr, state, event, next_state,
-                      table=None) -> None:
-        self.stats.inc(
-            f"{controller.name}.{state_label(state)}.{event}"
-        )
-
-
 class TransitionCoverage(TransitionHook):
-    """Set-valued sibling of :class:`TransitionStats`: which table *rows*
-    fired, not how often.
+    """Which table *rows* fired during a run.
 
     Every transition adds one ``(table_name, state, event)`` triple —
     exactly the key the static lint enumerates rows by — so the coverage a

@@ -188,10 +188,6 @@ class LastLevelCache:
     def holds(self, addr: int) -> bool:
         return self.array.lookup(addr, touch=False) is not None
 
-    def is_dirty(self, addr: int) -> bool:
-        line = self.array.lookup(addr, touch=False)
-        return bool(line is not None and line.dirty)
-
     def peek(self, addr: int) -> LineData | None:
         line = self.array.lookup(addr, touch=False)
         return None if line is None else line.data

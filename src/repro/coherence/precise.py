@@ -183,9 +183,7 @@ class PreciseDirectory(DirectoryController):
             return True
         victim = self.dir_cache.choose_victim(txn.addr, cost_of=self._eviction_cost)
         if not victim.valid:
-            self.dir_cache.install(
-                txn.addr, state=_DIR_B, meta=self._new_entry()
-            )
+            self.dir_cache.fill(victim, txn.addr, _DIR_B, meta=self._new_entry())
             return True
         if victim.addr in self._active:
             # Every way busy with a transaction: retry shortly (re-fires

@@ -48,7 +48,6 @@ class CpuCore(Component):
         self._program: Generator | None = None
         self._counters = self.stats._counters
         self.done = True
-        self.finished_at: int | None = None
 
     # -- program control ------------------------------------------------------
 
@@ -58,7 +57,6 @@ class CpuCore(Component):
             raise SimulationError(f"{self.name} is already running a program")
         self._program = program
         self.done = False
-        self.finished_at = None
         self.schedule(0, lambda: self._advance(None))
 
     def close(self) -> None:
@@ -70,7 +68,6 @@ class CpuCore(Component):
             op = self._program.send(result)
         except StopIteration:
             self.done = True
-            self.finished_at = self.now
             self._program = None
             return
         self._counters["ops"] += 1

@@ -162,8 +162,6 @@ def build_corepair_table() -> TransitionTable:
 class CorePair(Controller):
     """Network endpoint of kind ``"l2"`` embedding the whole CorePair."""
 
-    kind_name = "l2"
-
     def __init__(
         self,
         sim: "Simulator",
@@ -396,20 +394,23 @@ class CorePair(Controller):
         return state
 
     def _install_line(self, line: int, state: MoesiState, data: LineData) -> None:
-        if self.l2.lookup(line, touch=False) is None:
-            victim = self.l2.choose_victim(
-                line, cost_of=lambda cl: 1 if cl.addr in self._mshrs else 0
-            )
-            if victim.valid:
-                if victim.addr in self._mshrs:
-                    raise CorePairError(
-                        f"{self.name}: L2 set exhausted by outstanding misses"
-                    )
-                snapshot = self.l2.invalidate(victim.addr)
-                self.moesi_table.fire(
-                    snapshot.state, EV_EVICT, self, snapshot.addr, snapshot
+        l2 = self.l2
+        if l2.lookup(line, touch=False) is not None:
+            l2.install(line, state=state, data=data, dirty=state in DIRTY_STATES)
+            return
+        victim = l2.choose_victim(
+            line, cost_of=lambda cl: 1 if cl.addr in self._mshrs else 0
+        )
+        if victim.valid:
+            if victim.addr in self._mshrs:
+                raise CorePairError(
+                    f"{self.name}: L2 set exhausted by outstanding misses"
                 )
-        self.l2.install(line, state=state, data=data, dirty=state in DIRTY_STATES)
+            snapshot = l2.invalidate(victim.addr)
+            self.moesi_table.fire(
+                snapshot.state, EV_EVICT, self, snapshot.addr, snapshot
+            )
+        l2.fill(victim, line, state, data, state in DIRTY_STATES)
 
     def _act_evict(self, snapshot) -> str:
         self._send_victim(snapshot)
@@ -512,18 +513,6 @@ class CorePair(Controller):
     def _drop_l1_copies(self, line: int) -> None:
         for l1 in (*self.l1d, self.l1i):
             l1.invalidate(line)
-
-    # -- introspection ------------------------------------------------------------------------
-
-    def peek_state(self, line: int) -> MoesiState:
-        cached = self.l2.lookup(line, touch=False)
-        return _I if cached is None else cached.state
-
-    def peek_word(self, addr: int) -> int | None:
-        cached = self.l2.lookup(line_addr(addr), touch=False)
-        if cached is None or cached.data is None:
-            return None
-        return cached.data.word(word_index(addr))
 
     def close(self) -> None:
         super().close()

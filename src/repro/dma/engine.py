@@ -36,8 +36,6 @@ _DMA = RequesterKind.DMA
 
 
 class DmaEngine(Controller):
-    kind_name = "dma"
-
     def __init__(
         self,
         sim: "Simulator",

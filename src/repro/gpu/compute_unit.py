@@ -186,7 +186,7 @@ class ComputeUnit(Component):
             self.tcc.of(snapshot.addr).write(
                 snapshot.addr, snapshot.data.pick(snapshot.meta), lambda: None
             )
-        self.tcp.install(line, state=_V, data=data, dirty=False)
+        self.tcp.fill(victim, line, _V, data)
 
     def tcp_flush(self, callback: Callable[[], None]) -> None:
         """Write back dirty TCP lines (WB_L1) into the TCC, then callback."""

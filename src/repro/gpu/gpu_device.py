@@ -34,7 +34,6 @@ class KernelHandle:
         self.id = next(_handle_counter)
         self.kernel = kernel
         self.done = False
-        self.finished_at: int | None = None
         self._callbacks: list[Callable[[], None]] = []
 
     def when_done(self, callback: Callable[[], None]) -> None:
@@ -43,9 +42,8 @@ class KernelHandle:
         else:
             self._callbacks.append(callback)
 
-    def _complete(self, now: int) -> None:
+    def _complete(self) -> None:
         self.done = True
-        self.finished_at = now
         callbacks, self._callbacks = self._callbacks, []
         for callback in callbacks:
             callback()
@@ -127,7 +125,7 @@ class GpuDevice(Component):
         def after_release() -> None:
             self.stats.inc("kernels_completed")
             self._running = None
-            handle._complete(self.now)
+            handle._complete()
             self._start_next()
 
         self.tcc.release(after_release)

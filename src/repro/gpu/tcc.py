@@ -117,8 +117,6 @@ def build_tcc_table() -> TransitionTable:
 class TccController(Controller):
     """Network endpoint of kind ``"tcc"``."""
 
-    kind_name = "tcc"
-
     def __init__(
         self,
         sim: "Simulator",
@@ -394,7 +392,7 @@ class TccController(Controller):
             # Capacity eviction of a dirty line: write back its dirty words.
             _TCC_TABLE.fire(_V, EV_EVICT, self, victim.addr, victim.addr)
         # a clean capacity displacement is silent (no protocol event)
-        self.array.install(line, state=_V, data=data, dirty=False)
+        self.array.fill(victim, line, _V, data)
         return _V
 
     def _act_evict(self, addr: int) -> ViState:
@@ -486,14 +484,6 @@ class TccController(Controller):
         return None  # state unchanged
 
     # -- bookkeeping -----------------------------------------------------------------------------
-
-    def peek_word(self, addr: int) -> int | None:
-        from repro.mem.address import line_addr, word_index
-
-        cached = self.array.lookup(line_addr(addr), touch=False)
-        if cached is None:
-            return None
-        return cached.data.word(word_index(addr))
 
     def close(self) -> None:
         super().close()

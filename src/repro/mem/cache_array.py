@@ -148,7 +148,7 @@ class CacheArray:
         self._index: dict[int, CacheLine] = {}
         #: set index -> resident lines in that set (a full set skips the
         #: invalid-way scan)
-        self._fill: defaultdict[int, int] = defaultdict(int)
+        self._resident: defaultdict[int, int] = defaultdict(int)
         # replacement state: one integer Tree-PLRU per touched set, and the
         # shared per-way touch masks
         self._touch_and, self._touch_or, self._victim_memo, self._plru_leaves = (
@@ -222,7 +222,7 @@ class CacheArray:
         set_idx = (addr // LINE_BYTES) % self.num_sets
         base = set_idx * ways
         lines = self._lines
-        if self._fill[set_idx] < ways:
+        if self._resident[set_idx] < ways:
             for way in range(ways):
                 line = lines.get(base + way)
                 if line is None:  # the slot's first use: build its record
@@ -268,13 +268,32 @@ class CacheArray:
             return line, None
 
         line = self.choose_victim(addr)
-        evicted: CacheLine | None = None
+        evicted = line._detached() if line.valid else None
+        self.fill(line, addr, state, data, dirty, meta)
+        return line, evicted
+
+    def fill(
+        self,
+        line: CacheLine,
+        addr: int,
+        state: Any,
+        data: LineData | None = None,
+        dirty: bool = False,
+        meta: Any = None,
+    ) -> None:
+        """Put non-resident ``addr`` into ``line``, the slot
+        :meth:`choose_victim` returned for it, and touch it.
+
+        A caller that already picked (and acted on) its victim fills it
+        here instead of calling :meth:`install`, which would repeat the
+        lookup and the pick.  A still-valid occupant is dropped without a
+        snapshot.
+        """
         set_idx = line.set_idx
         if line.valid:
-            evicted = line._detached()
             del self._index[line.addr]
         else:
-            self._fill[set_idx] += 1
+            self._resident[set_idx] += 1
         line.valid = True
         line.addr = addr
         line.state = state
@@ -285,7 +304,6 @@ class CacheArray:
         plru = self._plru
         way = line.way
         plru[set_idx] = (plru[set_idx] & self._touch_and[way]) | self._touch_or[way]
-        return line, evicted
 
     def invalidate(self, addr: int) -> CacheLine | None:
         """Invalidate ``addr`` if present; returns a detached snapshot."""
@@ -293,7 +311,7 @@ class CacheArray:
         if line is None:
             return None
         snapshot = line._detached()
-        self._fill[line.set_idx] -= 1
+        self._resident[line.set_idx] -= 1
         line.valid = False
         line.addr = -1
         line.state = None
@@ -306,9 +324,6 @@ class CacheArray:
 
     def iter_valid(self) -> Iterator[CacheLine]:
         return iter(list(self._index.values()))
-
-    def occupancy(self) -> int:
-        return len(self._index)
 
     def __contains__(self, addr: int) -> bool:
         return addr in self._index

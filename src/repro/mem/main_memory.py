@@ -148,7 +148,6 @@ class MainMemory(Component):
         #: banked mode is any deviation from the paper's single ordered
         #: channel; the flat path below stays byte-for-byte the original.
         self._banked = banked
-        self.scheduler = scheduler
         self._frfcfs = scheduler == "frfcfs"
         self.queue_depth = queue_depth
         self._banks = (

@@ -9,8 +9,7 @@ data — the constants the network uses for byte accounting).
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.mem.block import LineData
 from repro.protocol.atomics import AtomicOp
@@ -25,11 +24,8 @@ from repro.protocol.types import (
 CTRL_MSG_BYTES = 8
 DATA_MSG_BYTES = 72
 
-_uid_counter = itertools.count()
-
 #: the members the factories stamp, bound once (no per-message enum lookup)
-_PROBE, _PROBE_ACK = MsgType.PROBE, MsgType.PROBE_ACK
-_DATA_RESP, _UNBLOCK = MsgType.DATA_RESP, MsgType.UNBLOCK
+_PROBE, _PROBE_ACK, _UNBLOCK = MsgType.PROBE, MsgType.PROBE_ACK, MsgType.UNBLOCK
 
 
 def _category(mtype: MsgType) -> str:
@@ -77,7 +73,6 @@ class Message:
     #: atomic responses: the old value read-modify-written.
     result: int = 0
     tid: int = -1
-    uid: int = field(default_factory=_uid_counter.__next__)
 
     @property
     def category(self) -> str:
@@ -139,25 +134,6 @@ class Message:
             had_copy=had_copy or data is not None, from_victim=from_victim,
             word_updates=word_updates,
         )
-
-    @classmethod
-    def data_resp(
-        cls,
-        src: str,
-        dst: str,
-        addr: int,
-        data: LineData,
-        state: MoesiState,
-        dirty: bool = False,
-        tid: int = -1,
-    ) -> "Message":
-        return cls(
-            _DATA_RESP, src, dst, addr, data=data, state=state, dirty=dirty, tid=tid
-        )
-
-    @classmethod
-    def ack(cls, mtype: MsgType, src: str, dst: str, addr: int, tid: int = -1) -> "Message":
-        return cls(mtype, src, dst, addr, tid=tid)
 
     @classmethod
     def unblock(cls, src: str, dst: str, addr: int, tid: int) -> "Message":

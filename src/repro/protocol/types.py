@@ -25,19 +25,6 @@ class MoesiState(enum.Enum):
     # per-event transition/category dict lookups.
     __hash__ = object.__hash__
 
-    @property
-    def readable(self) -> bool:
-        return self in READABLE_STATES
-
-    @property
-    def writable(self) -> bool:
-        return self in WRITABLE_STATES
-
-    @property
-    def is_dirty(self) -> bool:
-        """Does holding this state oblige the cache to supply/write back data?"""
-        return self in DIRTY_STATES
-
 
 class ViState(enum.Enum):
     """GPU-side (TCP/TCC/SQC) stable states — a simple Valid/Invalid protocol."""
@@ -96,38 +83,22 @@ class MsgType(enum.Enum):
     # requester -> directory, closing a transaction
     UNBLOCK = "Unblock"
 
-    @property
-    def is_request(self) -> bool:
-        return self in REQUEST_TYPES
-
-    @property
-    def is_write_permission(self) -> bool:
-        """Request types that trigger *invalidating* probes (incl. the TCC)."""
-        return self in WRITE_PERMISSION_TYPES
-
-    @property
-    def is_read_permission(self) -> bool:
-        """Request types that trigger *downgrading* probes (TCC excluded)."""
-        return self in READ_PERMISSION_TYPES
-
-    @property
-    def is_victim(self) -> bool:
-        return self in VICTIM_TYPES
-
     __hash__ = object.__hash__
 
 
 # -- flag sets ------------------------------------------------------------
 #
-# The flag properties above test membership in these module-level sets, and
-# hot paths test them directly: on CPython 3.11 each ``MsgType.X`` class
-# lookup costs several times a plain attribute load, so nothing per message
-# spells a member out (see DESIGN.md, "Hot-path idioms").
+# State and message-type flags are membership tests on these module-level
+# sets: on CPython 3.11 each ``MsgType.X`` class lookup costs several times a
+# plain attribute load, so nothing per message spells a member out (see
+# DESIGN.md, "Hot-path idioms").
 
 READABLE_STATES = frozenset(
     {MoesiState.M, MoesiState.O, MoesiState.E, MoesiState.S}
 )
+# E may silently become M
 WRITABLE_STATES = frozenset({MoesiState.M, MoesiState.E})
+# states that oblige the cache to supply / write back data
 DIRTY_STATES = frozenset({MoesiState.M, MoesiState.O})
 
 REQUEST_TYPES = frozenset(
@@ -144,9 +115,11 @@ REQUEST_TYPES = frozenset(
         MsgType.DMA_WR,
     }
 )
+# requests that trigger *invalidating* probes (incl. the TCC)
 WRITE_PERMISSION_TYPES = frozenset(
     {MsgType.RDBLKM, MsgType.WT, MsgType.ATOMIC, MsgType.DMA_WR}
 )
+# requests that trigger *downgrading* probes (TCC excluded)
 READ_PERMISSION_TYPES = frozenset({MsgType.RDBLK, MsgType.RDBLKS, MsgType.DMA_RD})
 VICTIM_TYPES = frozenset({MsgType.VIC_DIRTY, MsgType.VIC_CLEAN})
 

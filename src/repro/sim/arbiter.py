@@ -61,7 +61,7 @@ class WrrArbiter:
     """
 
     __slots__ = ("name", "_weights", "_queues", "_order", "_index", "_credit",
-                 "_count", "busy", "grants", "enqueued")
+                 "_count", "busy")
 
     def __init__(self, name: str, weights: dict[str, int] | None = None) -> None:
         self.name = name
@@ -77,9 +77,6 @@ class WrrArbiter:
         self._count = 0
         #: port-occupancy flag maintained by the timing layer around us
         self.busy = False
-        #: total grants / enqueues (cheap occupancy telemetry)
-        self.grants = 0
-        self.enqueued = 0
 
     def _add_class(self, cls: str, weight: int) -> None:
         if weight < 1:
@@ -102,24 +99,16 @@ class WrrArbiter:
                 self._credit = self._weights[cls]
         queue.append(item)
         self._count += 1
-        self.enqueued += 1
 
     def pending(self) -> int:
         """Total items waiting across every class."""
         return self._count
-
-    def pending_in(self, cls: str) -> int:
-        queue = self._queues.get(cls)
-        return len(queue) if queue is not None else 0
 
     def __len__(self) -> int:
         return self._count
 
     def classes(self) -> Iterable[str]:
         return tuple(self._order)
-
-    def weight_of(self, cls: str) -> int:
-        return self._weights[cls]
 
     # -- grant side --------------------------------------------------------
 
@@ -153,7 +142,6 @@ class WrrArbiter:
                 self._index = index
                 self._credit = credit - 1
                 self._count -= 1
-                self.grants += 1
                 return cls, queue.popleft()
             # out of credit or nothing queued: move on, recharge next class
             index = (index + 1) % len(order)
@@ -181,7 +169,7 @@ class FrFcfsQueue:
     into :meth:`pick` along with a ``row_of`` accessor.
     """
 
-    __slots__ = ("name", "row_streak_cap", "_queue", "row_streak", "promotions")
+    __slots__ = ("name", "row_streak_cap", "_queue", "row_streak")
 
     def __init__(self, name: str, row_streak_cap: int = 4) -> None:
         if row_streak_cap < 1:
@@ -193,8 +181,6 @@ class FrFcfsQueue:
         self._queue: deque = deque()
         #: consecutive row-hit services (maintained via :meth:`note_row`)
         self.row_streak = 0
-        #: row-hits granted ahead of an older row-missing access
-        self.promotions = 0
 
     def enqueue(self, item: Any) -> None:
         self._queue.append(item)
@@ -215,7 +201,6 @@ class FrFcfsQueue:
                 if row_of(item) == open_row:
                     if index:
                         del queue[index]
-                        self.promotions += 1
                         return item
                     return queue.popleft()
         return queue.popleft()

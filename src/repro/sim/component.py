@@ -82,7 +82,6 @@ class Controller(Component):
         service_cycles: float = 1.0,
     ) -> None:
         super().__init__(sim, name, clock)
-        self.service_cycles = service_cycles
         #: occupancy per message in ticks; ``service_cycles`` is fixed at
         #: construction everywhere in the tree, so the clock conversion is
         #: done once here instead of per delivered message.

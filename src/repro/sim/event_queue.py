@@ -126,16 +126,6 @@ class EventQueue:
             seq |= self._tie_break.getrandbits(32) << 32
         _heappush(self._heap, (self.now + delay, priority, seq, callback, arg))
 
-    def pop_and_run(self) -> None:
-        """Advance time to the next event and run it."""
-        when, _priority, _seq, callback, arg = _heappop(self._heap)
-        self.now = when
-        self.executed_events += 1
-        if arg is _NO_ARG:
-            callback()
-        else:
-            callback(arg)
-
     def run(self, until: int | None = None, max_events: int | None = None) -> None:
         """Run events until the queue drains, ``until`` ticks, or ``max_events``.
 
@@ -187,7 +177,6 @@ class Simulator:
     def __init__(self) -> None:
         self.events = EventQueue()
         self.components: list[Any] = []
-        self._finalizers: list[Callable[[], None]] = []
         #: armed liveness checker (see :mod:`repro.sim.watchdog`), if any
         self.watchdog: Any = None
 
@@ -211,10 +200,6 @@ class Simulator:
         self.components = []
         self.watchdog = None
         self.events._heap.clear()
-
-    def add_finalizer(self, callback: Callable[[], None]) -> None:
-        """Register a callback to run once the simulation fully drains."""
-        self._finalizers.append(callback)
 
     def pending_work(self) -> list[str]:
         """Describe outstanding work across all components (empty = quiesced)."""
@@ -249,8 +234,6 @@ class Simulator:
             raise DeadlockError(
                 "event queue drained with pending work:\n  " + "\n  ".join(pending)
             )
-        for callback in self._finalizers:
-            callback()
         return self.events.now
 
     def _run_watched(self, limit: int) -> None:
@@ -273,23 +256,6 @@ class Simulator:
             if events.next_time() is None:
                 return
             watchdog.check()  # raises WatchdogError on a starved port
-
-    def run_for(self, ticks: int, max_events: int | None = None) -> int:
-        """Run at most ``ticks`` ticks from now; returns the final tick.
-
-        Enforces the same ``DEFAULT_MAX_EVENTS`` livelock backstop as
-        :meth:`run`: if the event budget is exhausted while events remain
-        inside the time window, the run raises instead of spinning forever.
-        """
-        limit = self.DEFAULT_MAX_EVENTS if max_events is None else max_events
-        target = self.events.now + ticks
-        self.events.run(until=target, max_events=limit)
-        next_time = self.events.next_time()
-        if next_time is not None and next_time <= target:
-            raise SimulationError(
-                f"simulation exceeded max_events={limit} (possible livelock)"
-            )
-        return self.events.now
 
 
 def drain(simulator: Simulator, sources: Iterable[Any]) -> int:

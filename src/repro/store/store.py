@@ -36,7 +36,6 @@ import time
 from typing import Callable
 
 from repro.runner.cache import CACHE_VERSION, cell_key, source_digest
-from repro.runner.cells import Cell
 from repro.system.apu import SimulationResult
 from repro.system.serialize import result_from_dict
 
@@ -176,11 +175,6 @@ class ResultStore:
 
     def get(self, key: str) -> SimulationResult | None:
         return self.get_row(key, KIND_CELL, result_from_dict)
-
-    def put(self, key: str, cell: Cell, result: SimulationResult) -> None:
-        from repro.store.resolve import CellJob
-
-        self.put_row(key, KIND_CELL, **CellJob(cell).row(result))
 
     # -- admin operations (repro store) ----------------------------------
 

@@ -274,8 +274,6 @@ class CompiledLitmus(Workload):
     :attr:`regs` keyed ``"<agent>:<reg>"``.
     """
 
-    collaboration = "litmus"
-
     def __init__(self, test: LitmusTest) -> None:
         test.validate()
         self.test = test

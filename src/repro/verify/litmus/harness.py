@@ -67,9 +67,6 @@ POLICY_VARIANTS: dict[str, DirectoryPolicy] = {
 #: completes in thousands of events) yet cheap to hit on a livelock
 LITMUS_MAX_EVENTS = 2_000_000
 
-#: severity order for failure kinds (minimizer keeps the kind fixed)
-FAILURE_KINDS = ("invariant", "spin_timeout", "crash", "oracle", "postcondition")
-
 
 @dataclass
 class LitmusOutcome:

@@ -68,8 +68,6 @@ class Workload:
     name: str = "abstract"
     #: one-line description
     description: str = ""
-    #: which CHAI collaboration pattern this mirrors
-    collaboration: str = ""
 
     def build(self, ctx: WorkloadContext) -> WorkloadBuild:
         raise NotImplementedError

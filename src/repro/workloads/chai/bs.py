@@ -31,7 +31,6 @@ CPU_FRACTION = 0.4
 class BezierSurface(Workload):
     name = "bs"
     description = "Bezier surface evaluation: read-shared control points, partitioned output"
-    collaboration = "coarse data partitioning, read-only sharing"
 
     def build(self, ctx: WorkloadContext) -> WorkloadBuild:
         surface_points = ctx.scaled(768, minimum=64)
@@ -49,10 +48,6 @@ class BezierSurface(Workload):
         cpu_points = int(surface_points * CPU_FRACTION)
         cpu_spans = partition(cpu_points, ctx.num_cpu_cores)
         gpu_lo, gpu_hi = cpu_points, surface_points
-
-        def evaluate(index: int) -> int:
-            # stand-in for the Bernstein evaluation: deterministic f(cp, u, v)
-            return base + 7 * index
 
         def cpu_worker(lo: int, hi: int):
             def program():

@@ -44,7 +44,6 @@ def hysteresis(v: int) -> int:
 class CannyEdgeDetection(Workload):
     name = "cedd"
     description = "4-stage CPU/GPU frame pipeline with per-stage flag handoffs"
-    collaboration = "pipeline parallelism, producer-consumer flags, dirty forwarding"
 
     def build(self, ctx: WorkloadContext) -> WorkloadBuild:
         frames = ctx.scaled(4, minimum=2)

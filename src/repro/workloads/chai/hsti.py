@@ -31,7 +31,6 @@ CPU_SHARE = 0.5
 class HistogramInputPartitioned(Workload):
     name = "hsti"
     description = "input-partitioned histogram with cross-device atomic bins"
-    collaboration = "shared atomic accumulators, contended bin lines"
 
     def build(self, ctx: WorkloadContext) -> WorkloadBuild:
         input_words = ctx.scaled(384, minimum=64)

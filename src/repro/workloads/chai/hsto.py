@@ -31,7 +31,6 @@ GPU_BIN_SHARE = 0.5
 class HistogramOutputPartitioned(Workload):
     name = "hsto"
     description = "output-partitioned histogram: full-input read sharing, private bins"
-    collaboration = "read-only input sharing, disjoint outputs, clean-victim heavy"
 
     def build(self, ctx: WorkloadContext) -> WorkloadBuild:
         input_words = ctx.scaled(384, minimum=64)

@@ -30,7 +30,6 @@ from repro.workloads.chai.common import gpu_spin_flag, token
 class Padding(Workload):
     name = "pad"
     description = "in-place row padding with a backwards cross-device flag chain"
-    collaboration = "fine-grained flags, in-place shared array, CPU/GPU interleave"
 
     def build(self, ctx: WorkloadContext) -> WorkloadBuild:
         rows = ctx.scaled(24, minimum=6)

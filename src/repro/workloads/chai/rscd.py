@@ -37,7 +37,6 @@ def is_inlier(point: int, model: int) -> bool:
 class RansacDataParallel(Workload):
     name = "rscd"
     description = "data-parallel RANSAC: partitioned points, atomic consensus counts"
-    collaboration = "coarse data partitioning, atomic accumulators, atomic max"
 
     def build(self, ctx: WorkloadContext) -> WorkloadBuild:
         num_points = ctx.scaled(192, minimum=32)

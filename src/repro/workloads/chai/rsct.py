@@ -31,7 +31,6 @@ from repro.workloads.chai.rscd import is_inlier
 class RansacTaskParallel(Workload):
     name = "rsct"
     description = "task-parallel RANSAC: CPU model generation, GPU evaluation via a queue"
-    collaboration = "fine-grained task parallelism, queue handoffs, atomic max"
 
     def build(self, ctx: WorkloadContext) -> WorkloadBuild:
         num_points = ctx.scaled(128, minimum=32)

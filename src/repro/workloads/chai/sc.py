@@ -30,7 +30,6 @@ CHUNK = 16  # words per claimed chunk (one line)
 class StreamCompaction(Workload):
     name = "sc"
     description = "cross-device chunk claiming + atomic output reservation"
-    collaboration = "dynamic task claiming, contended atomics, migrating output lines"
 
     def build(self, ctx: WorkloadContext) -> WorkloadBuild:
         input_words = ctx.scaled(512, minimum=64)

@@ -35,7 +35,6 @@ FLAG_WORD = 15
 class TaskQueue(Workload):
     name = "tq"
     description = "CPU producers feed persistent GPU consumer wavefronts via an atomic work queue"
-    collaboration = "fine-grained task parallelism, atomic queue indices, per-slot flags"
 
     def build(self, ctx: WorkloadContext) -> WorkloadBuild:
         num_tasks = ctx.scaled(96, minimum=8)

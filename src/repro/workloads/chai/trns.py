@@ -56,7 +56,6 @@ def transposition_cycles(rows: int, cols: int) -> list[list[int]]:
 class InPlaceTransposition(Workload):
     name = "trns"
     description = "in-place matrix transposition via atomically-claimed permutation cycles"
-    collaboration = "dynamic cycle claiming, scattered in-place RW sharing"
 
     ROWS = 8
 

@@ -50,7 +50,6 @@ def _host_launch_and_wait(kernel: KernelSpec):
 class GpuSpinMutex(Workload):
     name = "hs_mutex"
     description = "GPU wavefronts contend a spin mutex around a shared counter"
-    collaboration = "GPU-only fine-grained synchronization (HeteroSync mutex)"
 
     def __init__(self, acquisitions_per_wave: int = 8) -> None:
         self.acquisitions = acquisitions_per_wave
@@ -93,7 +92,6 @@ class GpuSpinMutex(Workload):
 class GpuSyncBarrier(Workload):
     name = "hs_barrier"
     description = "repeated atomic all-wavefront barrier (sense-reversing)"
-    collaboration = "GPU-only barrier synchronization (HeteroSync sync primitives)"
 
     def __init__(self, rounds: int = 6) -> None:
         self.rounds = rounds
@@ -150,7 +148,6 @@ class GpuSyncBarrier(Workload):
 class GpuLockFreeQueue(Workload):
     name = "hs_lfqueue"
     description = "GPU producers/consumers move items through a ticket queue"
-    collaboration = "GPU-only lock-free data structure (HeteroSync)"
 
     def __init__(self, items_per_producer: int = 12) -> None:
         self.items = items_per_producer

@@ -38,7 +38,6 @@ def step(left: int, center: int, right: int) -> int:
 class LuleshProxy(Workload):
     name = "lulesh"
     description = "bulk-synchronous stencil, CPU/GPU halves, halo exchange only"
-    collaboration = "coarse bulk-synchronous; thin per-iteration halo sharing"
 
     def __init__(self, mesh_cells: int = 128, iterations: int = 4) -> None:
         self.mesh_cells = mesh_cells

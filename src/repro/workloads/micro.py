@@ -30,7 +30,6 @@ from repro.workloads.base import (
 class ReadersWriterSweep(Workload):
     name = "micro_readers_writer"
     description = "all threads read-share a block; one writer invalidates it each round"
-    collaboration = "wide S-state sharing, multicast vs broadcast invalidations"
 
     def __init__(self, lines: int = 8, rounds: int = 6) -> None:
         self.lines = lines
@@ -77,7 +76,6 @@ class ReadersWriterSweep(Workload):
 class MigratoryCounter(Workload):
     name = "micro_migratory"
     description = "one counter line migrates between all cores via atomics"
-    collaboration = "dirty-owner probes, contended atomics"
 
     def __init__(self, increments_per_thread: int = 40) -> None:
         self.increments = increments_per_thread
@@ -110,7 +108,6 @@ class ReadOnlySharedScan(Workload):
 
     name = "micro_readonly_scan"
     description = "all threads stream a shared read-only block; results outside it"
-    collaboration = "wide read-only sharing, directory-capacity pressure"
 
     BASE_LINE = 16  # AddressSpace's first line
 
@@ -170,7 +167,6 @@ class DirtySharingChain(Workload):
 
     name = "micro_dirty_sharing"
     description = "owner write-back under dirty sharers, per-round flag chain"
-    collaboration = "dirty sharing, owner eviction, sharer preservation"
 
     def __init__(self, lines: int = 8, rounds: int = 4, flush_lines: int = 48) -> None:
         self.lines = lines
@@ -231,7 +227,6 @@ class DirtySharingChain(Workload):
 class StreamingScan(Workload):
     name = "micro_streaming"
     description = "each thread streams a private region once (clean-victim capacity traffic)"
-    collaboration = "none: pure capacity/eviction behaviour"
 
     def __init__(self, lines_per_thread: int = 96) -> None:
         self.lines_per_thread = lines_per_thread

@@ -82,12 +82,10 @@ class HostBarrier:
             raise ValueError("a barrier needs at least one party")
         self.parties = parties
         self._waiting: list[Callable[[], None]] = []
-        self.generations = 0
 
     def arrive(self, callback: Callable[[], None]) -> None:
         self._waiting.append(callback)
         if len(self._waiting) >= self.parties:
-            self.generations += 1
             waiters, self._waiting = self._waiting, []
             for waiter in waiters:
                 waiter()

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro import SystemConfig, build_system, get_workload
-from repro.analysis.latency import average_latency, latency_table
+from repro.analysis.latency import average_latency
 from repro.coherence.policies import PRESETS
 
 
@@ -13,12 +13,6 @@ def run(policy_name: str):
 
 
 class TestLatencyReporting:
-    def test_table_lists_request_types(self):
-        result = run("baseline")
-        table = latency_table(result)
-        assert "RdBlk" in table
-        assert "avg latency" in table
-
     def test_average_latency_positive_for_used_types(self):
         result = run("baseline")
         assert average_latency(result, "RdBlk") > 0
@@ -42,5 +36,5 @@ class TestLatencyReporting:
         result = system.run_workload(get_workload("cedd"), scale=0.5)
         assert result.ok
         assert average_latency(result, "RdBlk") > 0
-        table = latency_table(result)
-        assert "dir0" in table and "dir1" in table
+        banks = {key.split(".txn.")[0] for key in result.stats if ".txn." in key}
+        assert {"dir0", "dir1"} <= banks

@@ -45,10 +45,6 @@ class TestSweep:
         text = result.to_text("dir_probes")
         assert "num_corepairs" in text
         assert "owner" in text
-        csv = result.to_csv("cycles")
-        lines = csv.strip().splitlines()
-        assert lines[0] == "num_corepairs,baseline,owner"
-        assert len(lines) == 3
 
     def test_probe_metric_shows_tracking_win(self):
         result = sweep(

@@ -100,6 +100,11 @@ class FakeCache(Controller):
         return [p for p in self.received.probes if p.addr == addr]
 
 
+def dirty_in_llc(llc: LastLevelCache, addr: int) -> bool:
+    line = llc.array.lookup(addr, touch=False)
+    return line is not None and line.dirty
+
+
 class DirHarness:
     """Directory + LLC + memory + 2 fake L2s + 1 fake TCC + 1 fake DMA."""
 

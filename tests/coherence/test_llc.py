@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from repro.coherence.llc import LastLevelCache
 from repro.mem.block import ZERO_LINE
 
+from tests.coherence.harness import dirty_in_llc
+
 
 def line_with(value: int):
     return ZERO_LINE.with_word(0, value)
@@ -51,7 +53,7 @@ class TestWriteThroughMode:
     def test_dirty_flag_ignored(self):
         llc = tiny(writeback=False)
         llc.write_victim(0x40, line_with(1), dirty=True)
-        assert not llc.is_dirty(0x40)
+        assert not dirty_in_llc(llc, 0x40)
 
     def test_displaced_line_never_needs_memory_write(self):
         llc = LastLevelCache(size_bytes=128, assoc=1, writeback=False)
@@ -64,7 +66,7 @@ class TestWriteBackMode:
     def test_dirty_bit_set_by_dirty_victim(self):
         llc = tiny(writeback=True)
         llc.write_victim(0x40, line_with(1), dirty=True)
-        assert llc.is_dirty(0x40)
+        assert dirty_in_llc(llc, 0x40)
 
     def test_sticky_dirty_bit(self):
         """A clean victim over a dirty LLC line must not clear dirtiness —
@@ -72,7 +74,7 @@ class TestWriteBackMode:
         llc = tiny(writeback=True)
         llc.write_victim(0x40, line_with(1), dirty=True)
         llc.write_victim(0x40, line_with(1), dirty=False)
-        assert llc.is_dirty(0x40)
+        assert dirty_in_llc(llc, 0x40)
 
     def test_dirty_displacement_returned_for_memory_writeback(self):
         llc = LastLevelCache(size_bytes=128, assoc=1, writeback=True)
@@ -107,7 +109,7 @@ class TestWriteThroughPath:
     def test_write_through_dirty_in_wb_mode(self):
         llc = tiny(writeback=True)
         llc.write_through(0x40, line_with(3), dirty=True)
-        assert llc.is_dirty(0x40)
+        assert dirty_in_llc(llc, 0x40)
 
     def test_apply_words_updates_only_on_hit(self):
         llc = tiny()
@@ -155,4 +157,4 @@ class TestProperties:
         # every still-resident line's dirty bit matches the shadow model
         for addr, dirty in shadow_dirty.items():
             if llc.holds(addr):
-                assert llc.is_dirty(addr) == dirty, hex(addr)
+                assert dirty_in_llc(llc, addr) == dirty, hex(addr)

@@ -30,6 +30,7 @@ from repro.coherence.policies import PRESETS
 from repro.mem.block import ZERO_LINE
 from repro.protocol.types import DirState, MoesiState, MsgType
 
+from tests.coherence.engine_helpers import declared_nexts
 from tests.coherence.harness import DirHarness
 
 ADDR = 0xD000
@@ -170,7 +171,7 @@ class ConsistentCaches:
         requester.request(mtype, ADDR, **kwargs)
         self.h.run()
         settled, _ = self.h.directory.snapshot_entry(ADDR)
-        declared = self.table1.declared_nexts(prior, mtype.value)
+        declared = declared_nexts(self.table1, prior, mtype.value)
         assert settled in declared, (
             f"({prior}, {mtype.value}) settled in {settled}, "
             f"not among declared next-states {declared}"

@@ -9,7 +9,7 @@ from repro.mem.block import ZERO_LINE
 from repro.protocol.atomics import AtomicOp
 from repro.protocol.types import MoesiState, MsgType, ProbeType
 
-from tests.coherence.harness import DirHarness, line_with
+from tests.coherence.harness import DirHarness, dirty_in_llc, line_with
 
 ADDR = 0x1000
 
@@ -151,7 +151,7 @@ class TestVictimPolicies:
         h.run()
         assert h.l2s[0].last_response().mtype is MsgType.WB_ACK
         assert h.llc.holds(ADDR) is in_llc
-        assert h.llc.is_dirty(ADDR) is llc_dirty
+        assert dirty_in_llc(h.llc, ADDR) is llc_dirty
         assert h.mem_writes == mem_writes
         if mem_writes:
             assert h.memory.peek(ADDR).word(0) == 5
@@ -173,7 +173,7 @@ class TestVictimPolicies:
         h.run()
         h.l2s[0].request(MsgType.VIC_CLEAN, ADDR, data=line_with(5))
         h.run()
-        assert h.llc.is_dirty(ADDR)
+        assert dirty_in_llc(h.llc, ADDR)
 
 
 class TestWriteThroughPaths:
@@ -197,7 +197,7 @@ class TestWriteThroughPaths:
         h.tcc.request(MsgType.WT, ADDR, data=line_with(8))
         h.run()
         assert h.llc.holds(ADDR)
-        assert h.llc.is_dirty(ADDR)
+        assert dirty_in_llc(h.llc, ADDR)
         assert h.mem_writes == 0
 
     def test_masked_wt_read_modifies_memory(self):
@@ -284,12 +284,6 @@ class TestEarlyDirtyResponse:
     def test_early_response_before_memory_returns(self):
         """With a slow memory, the dirty probe ack should produce the
         response long before the (stale) memory read completes."""
-        base = DirHarness()
-        base.l2s[1].behave(ADDR, had_copy=True, dirty=True, data=line_with(9))
-        base.l2s[0].request(MsgType.RDBLK, ADDR)
-        base.run()
-        base_time = base.l2s[0].last_response().uid  # placeholder
-
         h = DirHarness(policy=PRESETS["earlyDirtyResp"])
         h.memory.latency_cycles = 5000
         h.l2s[1].behave(ADDR, had_copy=True, dirty=True, data=line_with(9))
@@ -307,7 +301,6 @@ class TestEarlyDirtyResponse:
         # response delivered far earlier than the 5000-cycle memory latency
         assert arrival and arrival[0] < 1000 * 1000  # < 1000 cycles in ticks
         assert h.directory.stats["early_dirty_responses"] == 1
-        del base_time
 
     def test_no_early_response_for_invalidating_requests(self):
         h = DirHarness(policy=PRESETS["earlyDirtyResp"])

@@ -15,7 +15,8 @@ from repro.mem.block import ZERO_LINE
 from repro.protocol.atomics import AtomicOp
 from repro.protocol.types import DirState, MoesiState, MsgType
 
-from tests.coherence.harness import DirHarness, line_with
+from tests.coherence.engine_helpers import declared_nexts
+from tests.coherence.harness import DirHarness, dirty_in_llc, line_with
 
 ADDR = 0x3000
 
@@ -250,7 +251,7 @@ class TestFromO:
         assert merged is not None
         assert merged.word(0) == 5
         assert merged.word(1) == 7
-        assert h.llc.is_dirty(ADDR)
+        assert dirty_in_llc(h.llc, ADDR)
 
     def test_atomic_applies_to_owner_data(self):
         h = make()
@@ -354,7 +355,7 @@ class TestTableIDeclaration:
                 else:
                     declared[(state_label(state), event)] = {
                         state_label(s)
-                        for s in table.declared_nexts(state, event)
+                        for s in declared_nexts(table, state, event)
                     }
         assert declared == self.PAPER
         # the blank Table I cells are exactly the declared-illegal ones
@@ -373,8 +374,8 @@ class TestTableIDeclaration:
         from repro.coherence.engine import state_label
 
         table = self.table(dma_updates_dir_state=False)
-        assert {state_label(s) for s in table.declared_nexts(DirState.S, "DMAWr")} == {"S"}
-        assert {state_label(s) for s in table.declared_nexts(DirState.O, "DMAWr")} == {"O"}
+        assert {state_label(s) for s in declared_nexts(table, DirState.S, "DMAWr")} == {"S"}
+        assert {state_label(s) for s in declared_nexts(table, DirState.O, "DMAWr")} == {"O"}
 
     def test_conservative_vicdirty_overlay(self):
         """§VII variant: a VicDirty invalidates the sharers, so the entry
@@ -383,7 +384,7 @@ class TestTableIDeclaration:
 
         table = self.table(vicdirty_invalidates_sharers=True)
         for event in ("VicDirty", "VicClean"):
-            nexts = {state_label(s) for s in table.declared_nexts(DirState.O, event)}
+            nexts = {state_label(s) for s in declared_nexts(table, DirState.O, event)}
             assert "S" not in nexts, (event, nexts)
 
 

@@ -11,10 +11,10 @@ the memory write)."""
 
 from __future__ import annotations
 
-from repro.coherence.engine import RecordingHook
 from repro.coherence.policies import PRESETS
 from repro.protocol.types import MsgType
 
+from tests.coherence.engine_helpers import RecordingHook
 from tests.coherence.harness import DirHarness, line_with
 
 ADDR = 0xC000

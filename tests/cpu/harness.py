@@ -6,9 +6,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.cpu.corepair import CorePair
+from repro.mem.address import line_addr, word_index
 from repro.mem.block import ZERO_LINE, LineData
 from repro.protocol.messages import Message
-from repro.protocol.types import MoesiState, MsgType, ProbeType
+from repro.protocol.types import VICTIM_TYPES, MoesiState, MsgType, ProbeType
 from repro.sim.clock import ClockDomain
 from repro.sim.component import Controller
 from repro.sim.event_queue import Simulator
@@ -49,7 +50,7 @@ class FakeDirectory(Controller):
 
     def release(self, msg: Message) -> None:
         """Answer one (possibly previously withheld) request."""
-        if msg.mtype.is_victim:
+        if msg.mtype in VICTIM_TYPES:
             self.network.send(
                 Message(MsgType.WB_ACK, self.name, msg.src, msg.addr, tid=msg.tid)
             )
@@ -129,3 +130,13 @@ class CorePairHarness:
         self.corepair.access(
             slot, CpuRequest(kind, addr, **fields), self.results.append
         )
+
+    def l2_state(self, line: int) -> MoesiState:
+        cached = self.corepair.l2.lookup(line, touch=False)
+        return MoesiState.I if cached is None else cached.state
+
+    def l2_word(self, addr: int) -> int | None:
+        cached = self.corepair.l2.lookup(line_addr(addr), touch=False)
+        if cached is None or cached.data is None:
+            return None
+        return cached.data.word(word_index(addr))

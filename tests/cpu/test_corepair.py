@@ -26,7 +26,7 @@ class TestMissesAndHits:
         assert h.results == [11]
         assert len(h.directory.requests_of(MsgType.RDBLK)) == 1
         assert len(h.directory.unblocks) == 1
-        assert h.corepair.peek_state(ADDR) is MoesiState.E
+        assert h.l2_state(ADDR) is MoesiState.E
 
     def test_load_hit_after_fill_no_second_request(self):
         h = CorePairHarness()
@@ -42,8 +42,8 @@ class TestMissesAndHits:
         h.access("store", ADDR, value=5)
         h.run()
         assert len(h.directory.requests_of(MsgType.RDBLKM)) == 1
-        assert h.corepair.peek_state(ADDR) is MoesiState.M
-        assert h.corepair.peek_word(ADDR) == 5
+        assert h.l2_state(ADDR) is MoesiState.M
+        assert h.l2_word(ADDR) == 5
 
     def test_silent_e_to_m_on_store_hit(self):
         h = CorePairHarness()
@@ -53,18 +53,18 @@ class TestMissesAndHits:
         h.access("store", ADDR, value=7)
         h.run()
         assert len(h.directory.requests) == requests_before  # silent
-        assert h.corepair.peek_state(ADDR) is MoesiState.M
+        assert h.l2_state(ADDR) is MoesiState.M
 
     def test_store_on_shared_line_upgrades(self):
         h = CorePairHarness()
         h.directory.script[ADDR] = DirScript(MoesiState.S, line_with(1))
         h.access("load", ADDR)
         h.run()
-        assert h.corepair.peek_state(ADDR) is MoesiState.S
+        assert h.l2_state(ADDR) is MoesiState.S
         h.access("store", ADDR, value=9)
         h.run()
         assert len(h.directory.requests_of(MsgType.RDBLKM)) == 1
-        assert h.corepair.peek_state(ADDR) is MoesiState.M
+        assert h.l2_state(ADDR) is MoesiState.M
 
     def test_upgrade_keeps_local_data_over_response_data(self):
         """The response may carry stale memory data on an upgrade."""
@@ -76,7 +76,7 @@ class TestMissesAndHits:
         h.directory.script[ADDR] = DirScript(MoesiState.M, ZERO_LINE)
         h.access("store", ADDR + 4, value=1)
         h.run()
-        assert h.corepair.peek_word(ADDR) == 42  # local word preserved
+        assert h.l2_word(ADDR) == 42  # local word preserved
 
     def test_ifetch_miss_sends_rdblks(self):
         h = CorePairHarness()
@@ -90,7 +90,7 @@ class TestMissesAndHits:
         h.access("atomic", ADDR, atomic_op=AtomicOp.ADD, operand=5)
         h.run()
         assert h.results == [10]
-        assert h.corepair.peek_word(ADDR) == 15
+        assert h.l2_word(ADDR) == 15
         assert len(h.directory.requests_of(MsgType.RDBLKM)) == 1
 
     def test_mshr_merges_requests_to_same_line(self):
@@ -98,7 +98,7 @@ class TestMissesAndHits:
         h.directory.respond = False
         h.access("load", ADDR, slot=0)
         h.access("load", ADDR + 4, slot=1)
-        h.sim.run_for(100_000)
+        h.sim.events.run(until=h.sim.now + 100_000)
         assert len(h.directory.requests) == 1
         assert h.corepair.stats["mshr_merges"] == 1
         # release the response; both waiters complete
@@ -118,7 +118,7 @@ class TestProbes:
         else:
             h.access("load", ADDR)
         h.run()
-        assert h.corepair.peek_state(ADDR) is state
+        assert h.l2_state(ADDR) is state
 
     def test_downgrade_on_m_forwards_dirty_and_becomes_o(self):
         h = CorePairHarness()
@@ -128,7 +128,7 @@ class TestProbes:
         ack = h.directory.probe_acks[-1]
         assert ack.dirty
         assert ack.data.word(0) == 9
-        assert h.corepair.peek_state(ADDR) is MoesiState.O
+        assert h.l2_state(ADDR) is MoesiState.O
 
     def test_downgrade_on_e_silently_becomes_s(self):
         h = CorePairHarness()
@@ -139,7 +139,7 @@ class TestProbes:
         assert not ack.dirty
         assert ack.data is None
         assert ack.had_copy
-        assert h.corepair.peek_state(ADDR) is MoesiState.S
+        assert h.l2_state(ADDR) is MoesiState.S
 
     def test_invalidate_on_m_forwards_and_drops(self):
         h = CorePairHarness()
@@ -148,7 +148,7 @@ class TestProbes:
         h.run()
         ack = h.directory.probe_acks[-1]
         assert ack.dirty and ack.data.word(0) == 9
-        assert h.corepair.peek_state(ADDR) is MoesiState.I
+        assert h.l2_state(ADDR) is MoesiState.I
 
     def test_invalidate_on_s_acks_without_data(self):
         h = CorePairHarness()
@@ -157,7 +157,7 @@ class TestProbes:
         h.run()
         ack = h.directory.probe_acks[-1]
         assert not ack.dirty and ack.data is None and ack.had_copy
-        assert h.corepair.peek_state(ADDR) is MoesiState.I
+        assert h.l2_state(ADDR) is MoesiState.I
 
     def test_probe_miss_acks_no_copy(self):
         h = CorePairHarness()
@@ -174,19 +174,19 @@ class TestProbes:
         h.run()
         h.directory.respond = False
         h.access("store", ADDR, value=2)
-        h.sim.run_for(100_000)
+        h.sim.events.run(until=h.sim.now + 100_000)
         h.directory.probe("l2.0", ADDR, ProbeType.INVALIDATE)
-        h.sim.run_for(100_000)
-        assert h.corepair.peek_state(ADDR) is MoesiState.I
+        h.sim.events.run(until=h.sim.now + 100_000)
+        assert h.l2_state(ADDR) is MoesiState.I
         # now the M response arrives with (merged) data
         request = h.directory.requests_of(MsgType.RDBLKM)[0]
         h.directory.script[ADDR] = DirScript(MoesiState.M, line_with(50))
         h.directory.release(request)
         h.run()
-        assert h.corepair.peek_state(ADDR) is MoesiState.M
+        assert h.l2_state(ADDR) is MoesiState.M
         # the store was applied on top of the response data
-        assert h.corepair.peek_word(ADDR) == 2
-        assert h.corepair.peek_word(ADDR + 0) == 2
+        assert h.l2_word(ADDR) == 2
+        assert h.l2_word(ADDR + 0) == 2
 
 
 class TestVictims:
@@ -219,12 +219,12 @@ class TestVictims:
         h.run()
         h.directory.respond = False
         h.access("load", ADDR + 0x80)
-        h.sim.run_for(100_000)
+        h.sim.events.run(until=h.sim.now + 100_000)
         # answer only the RdBlk; withhold every WB ack
         for message in list(h.directory.requests):
             if message.mtype is MsgType.RDBLK and message.addr == ADDR + 0x80:
                 h.directory.release(message)
-        h.sim.run_for(200_000)
+        h.sim.events.run(until=h.sim.now + 200_000)
         vics = [m for m in h.directory.requests if m.mtype is MsgType.VIC_DIRTY]
         assert vics and vics[0].addr == ADDR
         assert ADDR in h.corepair._vic_pending
@@ -233,7 +233,7 @@ class TestVictims:
         h = CorePairHarness(l2_geometry=(128, 2))
         self.evict_dirty_line_holding_wb_ack(h)
         h.directory.probe("l2.0", ADDR, ProbeType.INVALIDATE)
-        h.sim.run_for(200_000)
+        h.sim.events.run(until=h.sim.now + 200_000)
         acks = [a for a in h.directory.probe_acks if a.addr == ADDR]
         assert acks
         ack = acks[-1]
@@ -246,14 +246,14 @@ class TestVictims:
         self.evict_dirty_line_holding_wb_ack(h)
         results_before = len(h.results)
         h.access("load", ADDR)  # must stall behind the pending victim
-        h.sim.run_for(200_000)
+        h.sim.events.run(until=h.sim.now + 200_000)
         assert len(h.results) == results_before
         # release the WB ack; the stalled load re-executes (as a miss)
         h.directory.respond = True
         for message in list(h.directory.requests):
             if message.mtype is MsgType.VIC_DIRTY:
                 h.directory.release(message)
-        h.sim.run_for(500_000)
+        h.sim.events.run(until=h.sim.now + 500_000)
         assert len(h.results) == results_before + 1
         assert h.corepair.pending_work() is None
 

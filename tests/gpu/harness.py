@@ -7,6 +7,7 @@ from repro.gpu.compute_unit import ComputeUnit
 from repro.gpu.gpu_device import GpuDevice
 from repro.gpu.sqc import SqcCache
 from repro.gpu.tcc import TccController
+from repro.mem.address import line_addr, word_index
 from repro.sim.clock import ClockDomain
 from repro.sim.event_queue import Simulator
 from repro.sim.network import Network
@@ -49,3 +50,7 @@ class GpuHarness:
 
     def run(self) -> None:
         self.sim.run()
+
+    def tcc_word(self, addr: int) -> int | None:
+        cached = self.tcc.array.lookup(line_addr(addr), touch=False)
+        return None if cached is None else cached.data.word(word_index(addr))

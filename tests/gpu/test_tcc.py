@@ -46,7 +46,7 @@ class TestFetch:
         calls = []
         h.tcc.fetch(ADDR, lambda _d: calls.append(1))
         h.tcc.fetch(ADDR, lambda _d: calls.append(2))
-        h.sim.run_for(100_000)
+        h.sim.events.run(until=h.sim.now + 100_000)
         assert len(h.directory.requests) == 1
         h.directory.release(h.directory.requests[0])
         h.run()
@@ -87,14 +87,14 @@ class TestWriteThroughMode:
         h.run()
         h.tcc.write(ADDR, {0: 9}, lambda: None)
         h.run()
-        assert h.tcc.peek_word(ADDR) == 9
+        assert h.tcc_word(ADDR) == 9
 
     def test_drain_waits_for_wt_acks(self):
         h = GpuHarness(tcc_writeback=False)
         h.directory.respond = False
         drained = []
         h.tcc.write(ADDR, {0: 1}, lambda: None)
-        h.sim.run_for(50_000)
+        h.sim.events.run(until=h.sim.now + 50_000)
         h.tcc.drain(lambda: drained.append(True))
         assert not drained
         h.directory.release(h.directory.requests[-1])
@@ -106,10 +106,10 @@ class TestWriteThroughMode:
         h.directory.respond = False
         h.tcc.write(ADDR, {0: 1}, lambda: None)
         h.tcc.write(ADDR, {1: 2}, lambda: None)
-        h.sim.run_for(50_000)
+        h.sim.events.run(until=h.sim.now + 50_000)
         first, second = h.directory.requests_of(MsgType.WT)
         h.directory.release(first)
-        h.sim.run_for(50_000)
+        h.sim.events.run(until=h.sim.now + 50_000)
         assert h.tcc.pending_work() == "1 WTs in flight"
         h.directory.release(second)
         h.run()
@@ -121,7 +121,7 @@ class TestWriteThroughMode:
         h = GpuHarness(tcc_writeback=False)
         h.tcc.write(ADDR, {0: 1}, lambda: None)
         h.run()
-        stray = Message.ack(MsgType.WT_ACK, "dir", "tcc0", ADDR)
+        stray = Message(MsgType.WT_ACK, "dir", "tcc0", ADDR)
         with pytest.raises(TccError, match="WT ack without pending WT"):
             h.tcc.handle_message(stray)
 
@@ -217,7 +217,7 @@ class TestAtomics:
         h.tcc.atomic(ADDR, 0, AtomicOp.ADD, 5, 0, "glc", olds.append)
         h.run()
         assert olds == [10]
-        assert h.tcc.peek_word(ADDR) == 15
+        assert h.tcc_word(ADDR) == 15
         assert h.directory.requests_of(MsgType.ATOMIC) == []  # device scope
 
     def test_glc_atomic_in_wt_mode_writes_through_result(self):
@@ -290,4 +290,4 @@ class TestRelease:
         h.tcc.fetch(ADDR + 0x40, lambda _d: None)
         h.run()
         h.tcc.invalidate_all()
-        assert h.tcc.array.occupancy() == 0
+        assert len(list(h.tcc.array.iter_valid())) == 0

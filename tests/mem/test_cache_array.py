@@ -71,6 +71,18 @@ class TestLookupInstall:
         assert evicted.dirty
         assert evicted.data == ZERO_LINE
 
+    def test_fill_replaces_a_valid_victim_in_place(self):
+        array = CacheArray(num_sets=1, ways=2)
+        array.install(addr_of(0), state="S")
+        array.install(addr_of(1), state="S")
+        victim = array.choose_victim(addr_of(2))
+        old = victim.addr
+        array.fill(victim, addr_of(2), "M", ZERO_LINE, True)
+        assert array.lookup(addr_of(2), touch=False) is victim
+        assert old not in array
+        assert (victim.state, victim.dirty) == ("M", True)
+        assert len(list(array.iter_valid())) == 2
+
     def test_invalidate(self):
         array = CacheArray(4, 2)
         array.install(addr_of(3), state="E")
@@ -85,7 +97,7 @@ class TestLookupInstall:
         array.install(addr_of(2), state="S")
         assert addr_of(1) in array
         assert addr_of(9) not in array
-        assert array.occupancy() == 2
+        assert len(list(array.iter_valid())) == 2
 
     def test_iter_valid(self):
         array = CacheArray(4, 2)
@@ -134,7 +146,7 @@ class TestProperties:
         array = CacheArray(num_sets=4, ways=2)
         for line_no in line_numbers:
             array.install(addr_of(line_no), state="S")
-        assert array.occupancy() <= len(array)
+        assert len(list(array.iter_valid())) <= len(array)
 
     @settings(max_examples=50)
     @given(st.lists(st.integers(min_value=0, max_value=63), min_size=1, max_size=200))
@@ -307,6 +319,45 @@ class TestSparseStorage:
                         True, addr, model[addr])
                 else:
                     assert line is None
-            assert array.occupancy() == len(model)
+            assert len(list(array.iter_valid())) == len(model)
             assert {line.addr: line.state for line in array.iter_valid()} == model
             assert all((addr in array) for addr in model)
+
+
+class TestOneVictimPickPerFill:
+    """Controllers that act on their victim before filling it pass that
+    victim to :meth:`CacheArray.fill`, so a miss fill picks once."""
+
+    def test_bounded_cell_picks_once_per_fill(self, monkeypatch):
+        from repro import SystemConfig, build_system, get_workload
+        from repro.coherence.policies import PRESETS
+
+        picks: dict[int, int] = {}
+        fills: dict[int, int] = {}
+        choose_victim, fill = CacheArray.choose_victim, CacheArray.fill
+
+        def counted_pick(self, *args, **kwargs):
+            picks[id(self)] = picks.get(id(self), 0) + 1
+            return choose_victim(self, *args, **kwargs)
+
+        def counted_fill(self, *args, **kwargs):
+            fills[id(self)] = fills.get(id(self), 0) + 1
+            return fill(self, *args, **kwargs)
+
+        monkeypatch.setattr(CacheArray, "choose_victim", counted_pick)
+        monkeypatch.setattr(CacheArray, "fill", counted_fill)
+        system = build_system(SystemConfig.bounded(policy=PRESETS["sharers"]))
+        result = system.run_workload(get_workload("cedd"), scale=0.5)
+        assert result.ok
+        arrays = {
+            "l2": [pair.l2 for pair in system.corepairs],
+            "tcc": [tcc.array for tcc in system.tccs],
+            "tcp": [cu.tcp for cu in system.cus],
+            "dir": [bank.dir_cache for bank in system.directories],
+        }
+        for kind, members in arrays.items():
+            filled = sum(fills.get(id(a), 0) for a in members)
+            picked = sum(picks.get(id(a), 0) for a in members)
+            assert filled > 0, kind
+            assert picked == filled, (kind, picked, filled)
+        system.close()

@@ -420,7 +420,6 @@ class TestFrFcfsScheduler:
         ]
         assert memory.stats["row_hits"] == 1
         assert memory.stats["row_misses"] == 2
-        assert memory._banks[0].fr.promotions == 1
 
     def test_fifo_services_the_same_pattern_in_order(self, sim, clock):
         memory = self.make(sim, clock, "fifo")

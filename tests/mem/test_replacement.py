@@ -242,7 +242,7 @@ class TestStateAwareFallback:
         first = array.choose_victim(4 * 64, cost_of=owned_is_expensive)
         again = array.choose_victim(4 * 64, cost_of=owned_is_expensive)
         assert first is again
-        assert array.occupancy() == 4
+        assert len(list(array.iter_valid())) == 4
 
     def test_fallback_matches_preferred_order(self):
         import random

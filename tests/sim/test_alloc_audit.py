@@ -72,14 +72,14 @@ def _assert_flat_footprint(input_queue_depth: int) -> Network:
         network.send(_Msg("a", "b"))
 
     # warmup: create every stat counter and route
-    sim.run_for(2_000_000)
+    sim.events.run(until=sim.now + 2_000_000)
     warm_events = sim.events.executed_events
     assert warm_events > 1_000
 
     tracemalloc.start(10)
     try:
         before = tracemalloc.take_snapshot()
-        sim.run_for(25_000_000)
+        sim.events.run(until=sim.now + 25_000_000)
         after = tracemalloc.take_snapshot()
     finally:
         tracemalloc.stop()

@@ -72,6 +72,13 @@ class TestEventQueue:
         assert queue.now == 50
         assert len(queue) == 1
 
+    def test_next_time_reports_earliest_event(self):
+        queue = EventQueue()
+        assert queue.next_time() is None
+        queue.schedule(7, lambda: None)
+        queue.schedule(3, lambda: None)
+        assert queue.next_time() == 3
+
     def test_events_scheduled_during_run_execute(self):
         queue = EventQueue()
         order = []
@@ -261,14 +268,6 @@ class TestArgScheduling:
         queue.run()
         assert order == ["high-priority", "arg-form", "closure-form"]
 
-    def test_pop_and_run_handles_arg_events(self):
-        queue = EventQueue()
-        seen = []
-        queue.schedule(1, seen.append, arg=42)
-        queue.pop_and_run()
-        assert seen == [42]
-        assert queue.executed_events == 1
-
     def test_schedule_after_negative_delay_raises(self):
         queue = EventQueue()
         queue.schedule(10, lambda: queue.schedule_after(-5, lambda: None))
@@ -316,65 +315,3 @@ class TestSimulator:
         simulator.events.schedule(0, respawn)
         with pytest.raises(SimulationError, match="max_events"):
             simulator.run(max_events=100)
-
-    def test_finalizers_run_after_drain(self):
-        simulator = Simulator()
-        calls = []
-        simulator.add_finalizer(lambda: calls.append("done"))
-        simulator.events.schedule(5, lambda: calls.append("event"))
-        simulator.run()
-        assert calls == ["event", "done"]
-
-    def test_run_for_advances_bounded_time(self):
-        simulator = Simulator()
-        ran = []
-        simulator.events.schedule(10, lambda: ran.append(10))
-        simulator.events.schedule(1000, lambda: ran.append(1000))
-        simulator.run_for(100)
-        assert ran == [10]
-        assert simulator.now == 100
-
-
-class TestRunForLivelockBackstop:
-    """``run_for`` must enforce the same max-events backstop as ``run``: a
-    livelocked protocol (events forever inside the window) used to hang."""
-
-    def _livelocked(self) -> Simulator:
-        simulator = Simulator()
-
-        def respawn():
-            simulator.events.schedule_after(1, respawn)
-
-        simulator.events.schedule(0, respawn)
-        return simulator
-
-    def test_run_for_raises_on_livelock(self):
-        simulator = self._livelocked()
-        with pytest.raises(SimulationError, match="max_events"):
-            simulator.run_for(10_000_000, max_events=100)
-
-    def test_run_for_default_uses_class_backstop(self):
-        simulator = self._livelocked()
-        simulator.DEFAULT_MAX_EVENTS = 50  # instance override for the test
-        with pytest.raises(SimulationError, match="max_events=50"):
-            simulator.run_for(10_000_000)
-
-    def test_run_for_still_respects_time_window(self):
-        simulator = self._livelocked()
-        assert simulator.run_for(10, max_events=1_000) == 10
-        assert simulator.events.executed_events <= 12
-
-    def test_run_for_finite_events_unaffected(self):
-        simulator = Simulator()
-        fired = []
-        simulator.events.schedule(5, lambda: fired.append(5))
-        simulator.events.schedule(25, lambda: fired.append(25))
-        assert simulator.run_for(10) == 10
-        assert fired == [5]
-
-    def test_next_time_reports_earliest_event(self):
-        queue = EventQueue()
-        assert queue.next_time() is None
-        queue.schedule(7, lambda: None)
-        queue.schedule(3, lambda: None)
-        assert queue.next_time() == 3

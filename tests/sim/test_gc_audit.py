@@ -121,7 +121,7 @@ def test_fabric_stopped_mid_flight_is_freed_by_close():
         sim, network = _build_fabric(input_queue_depth=1)
         for _ in range(4):
             network.send(_Msg("a", "b"))
-        sim.run_for(10_000)
+        sim.events.run(until=sim.now + 10_000)
         assert len(sim.events)
         assert any(out.queue for out in network._out_ports.values())
         sim.close()

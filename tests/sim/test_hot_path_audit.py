@@ -65,8 +65,7 @@ HOT_FUNCTIONS = {
                              "_check_moesi"),
     },
     "repro.protocol.messages": {
-        "Message": ("request", "probe", "probe_ack", "data_resp", "ack",
-                    "unblock"),
+        "Message": ("request", "probe", "probe_ack", "unblock"),
     },
 }
 

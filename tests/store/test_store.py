@@ -14,6 +14,7 @@ import pytest
 from repro.coherence.policies import PRESETS
 from repro.runner import Cell, cell_key, run_cell_inline
 from repro.store import KIND_CELL, KIND_LITMUS, ResultStore
+from repro.store.resolve import CellJob
 from repro.system.config import SystemConfig
 
 
@@ -25,6 +26,10 @@ def small_cell(**overrides) -> Cell:
     )
     defaults.update(overrides)
     return Cell(**defaults)
+
+
+def put_cell(store: ResultStore, key: str, cell: Cell, result) -> None:
+    store.put_row(key, KIND_CELL, **CellJob(cell).row(result))
 
 
 @pytest.fixture
@@ -39,14 +44,14 @@ class TestCellRows:
         key = cell_key(cell)
         assert store.get(key) is None
         result = run_cell_inline(cell)
-        store.put(key, cell, result)
+        put_cell(store, key, cell, result)
         assert store.get(key) == result  # dataclass equality, every field
         assert store.hits == 1 and store.misses == 1 and store.puts == 1
 
     def test_disabled_store_never_stores(self, tmp_path):
         store = ResultStore(tmp_path / "off.sqlite", enabled=False)
         cell = small_cell()
-        store.put(cell_key(cell), cell, run_cell_inline(cell))
+        put_cell(store, cell_key(cell), cell, run_cell_inline(cell))
         assert store.get(cell_key(cell)) is None
         assert not (tmp_path / "off.sqlite").exists()
 
@@ -54,15 +59,15 @@ class TestCellRows:
         cell = small_cell()
         key = cell_key(cell)
         result = run_cell_inline(cell)
-        store.put(key, cell, result)
-        store.put(key, cell, result)
+        put_cell(store, key, cell, result)
+        put_cell(store, key, cell, result)
         assert len(store) == 1
         assert store.get(key) == result
 
     def test_clear_removes_everything(self, store):
         for name in ("bs", "tq"):
             cell = small_cell(workload=name)
-            store.put(cell_key(cell), cell, run_cell_inline(cell))
+            put_cell(store, cell_key(cell), cell, run_cell_inline(cell))
         assert len(store) == 2
         assert store.clear() == 2
         assert store.get(cell_key(small_cell())) is None
@@ -88,19 +93,19 @@ class TestCorruptRows:
     def test_unparsable_row_evicted_as_miss(self, store):
         cell = small_cell()
         key = cell_key(cell)
-        store.put(key, cell, run_cell_inline(cell))
+        put_cell(store, key, cell, run_cell_inline(cell))
         self._corrupt(store, key, "{truncated json")
         assert store.get(key) is None
         assert store.evicted == 1
         # the corrupt row is gone: a rewrite is not shadowed
         result = run_cell_inline(cell)
-        store.put(key, cell, result)
+        put_cell(store, key, cell, result)
         assert store.get(key) == result
 
     def test_decodable_but_wrong_shape_evicted(self, store):
         cell = small_cell()
         key = cell_key(cell)
-        store.put(key, cell, run_cell_inline(cell))
+        put_cell(store, key, cell, run_cell_inline(cell))
         self._corrupt(store, key, json.dumps({"not": "a result"}))
         assert store.get(key) is None
         assert store.evicted == 1
@@ -110,7 +115,7 @@ class TestCorruptRows:
 class TestAdmin:
     def test_stats_counts_rows_and_freshness(self, store):
         cell = small_cell()
-        store.put(cell_key(cell), cell, run_cell_inline(cell))
+        put_cell(store, cell_key(cell), cell, run_cell_inline(cell))
         store.put_row("stale", KIND_CELL, workload="w", config={},
                       result={"x": 1}, source="an-old-digest")
         stats = store.stats()
@@ -122,7 +127,7 @@ class TestAdmin:
     def test_gc_reclaims_stale_rows_only(self, store):
         cell = small_cell()
         key = cell_key(cell)
-        store.put(key, cell, run_cell_inline(cell))
+        put_cell(store, key, cell, run_cell_inline(cell))
         store.put_row("stale", KIND_CELL, workload="w", config={},
                       result={"x": 1}, source="an-old-digest")
         assert store.gc() == 1
@@ -131,7 +136,7 @@ class TestAdmin:
     def test_gc_older_than_drops_aged_fresh_rows(self, store, monkeypatch):
         cell = small_cell()
         key = cell_key(cell)
-        store.put(key, cell, run_cell_inline(cell))
+        put_cell(store, key, cell, run_cell_inline(cell))
         future = time.time() + 1e9
         monkeypatch.setattr(time, "time", lambda: future)
         assert store.gc(older_than_s=3600) == 1
@@ -141,7 +146,7 @@ class TestAdmin:
         cells = [small_cell(workload=name) for name in ("bs", "tq")]
         results = [run_cell_inline(cell) for cell in cells]
         for cell, result in zip(cells, results):
-            store.put(cell_key(cell), cell, result)
+            put_cell(store, cell_key(cell), cell, result)
         snapshot = tmp_path / "snap.jsonl"
         assert store.export_snapshot(snapshot) == 2
         store.clear()
@@ -152,7 +157,7 @@ class TestAdmin:
     def test_export_is_deterministic(self, store, tmp_path):
         for name in ("tq", "bs"):
             cell = small_cell(workload=name)
-            store.put(cell_key(cell), cell, run_cell_inline(cell))
+            put_cell(store, cell_key(cell), cell, run_cell_inline(cell))
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         store.export_snapshot(a)
         time.sleep(0.01)  # created timestamps differ; exports must not
@@ -161,7 +166,7 @@ class TestAdmin:
 
     def test_import_skips_corrupt_lines(self, store, tmp_path):
         cell = small_cell()
-        store.put(cell_key(cell), cell, run_cell_inline(cell))
+        put_cell(store, cell_key(cell), cell, run_cell_inline(cell))
         snapshot = tmp_path / "snap.jsonl"
         store.export_snapshot(snapshot)
         snapshot.write_text("not json\n" + snapshot.read_text() + "{}\n")

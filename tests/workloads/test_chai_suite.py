@@ -28,7 +28,6 @@ class TestRegistry:
         for name in ALL:
             workload = get_workload(name)
             assert workload.description, name
-            assert workload.collaboration, name
 
 
 @pytest.mark.parametrize("name", ALL)
