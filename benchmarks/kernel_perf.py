@@ -24,6 +24,11 @@ Timed benchmarks plus a machine-speed calibration score:
 - ``calibration`` — a fixed pure-Python integer loop, used to normalize
   events/sec across machines of different speeds (the CI perf gate
   compares *calibrated* ratios, not absolute numbers).
+- ``cold_start`` — a fresh interpreter importing ``repro``,
+  ``repro.store``, ``repro.runner`` and ``repro.verify.litmus``: the
+  median wall time over N runs, the child's peak RSS and its module
+  count.  It is reported beside ``benchmarks``, not in it, and is not
+  gated: calibration does not cancel interpreter start-up noise.
 
 ``run_suite`` returns a JSON-serializable report; ``main`` writes it to
 ``BENCH_kernel.json`` (or ``--output``).  The committed ``BENCH_kernel.json``
@@ -35,7 +40,10 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import pathlib
+import statistics
+import subprocess
 import sys
 import time
 
@@ -299,6 +307,42 @@ def bench_paper_build(presets: tuple[str, ...] = ("baseline", "sharers")) -> dic
     }
 
 
+# -- interpreter cold start ------------------------------------------------
+
+#: what the child reports: the imports every single-process run pays for
+_COLD_START_CHILD = (
+    "import json, resource, sys\n"
+    "import repro, repro.store, repro.runner, repro.verify.litmus\n"
+    "print(json.dumps({'maxrss_kb': resource.getrusage(resource.RUSAGE_SELF)"
+    ".ru_maxrss, 'modules': len(sys.modules)}))\n"
+)
+
+
+def bench_cold_start(runs: int = 7) -> dict:
+    """Start ``runs`` fresh interpreters that import the public packages.
+
+    Wall time is taken around the whole child (interpreter start-up
+    included); peak RSS and the module count come from the child itself.
+    """
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    seconds = []
+    child = {}
+    for _ in range(runs):
+        start = time.perf_counter()
+        out = subprocess.run(
+            [sys.executable, "-c", _COLD_START_CHILD], env=env,
+            capture_output=True, text=True, check=True,
+        ).stdout
+        seconds.append(time.perf_counter() - start)
+        child = json.loads(out)
+    return {
+        "runs": runs,
+        "median_ms": 1000 * statistics.median(seconds),
+        "peak_rss_mb": child["maxrss_kb"] / 1024,
+        "modules": child["modules"],
+    }
+
+
 # -- suite ------------------------------------------------------------------
 
 #: the throughput each benchmark is calibrated and gated on (default
@@ -353,6 +397,7 @@ def run_suite(quick: bool = False, repeats: int = 3) -> dict:
             ),
             "paper_build": best(bench_paper_build, key="builds_per_sec"),
         },
+        "cold_start": bench_cold_start(runs=3 if quick else 7),
     }
     cal = report["calibration_ops_per_sec"]
     for name, bench in report["benchmarks"].items():
@@ -365,6 +410,12 @@ def format_rate(name: str, bench: dict) -> str:
     unit = key.removesuffix("_per_sec")
     return (f"{name:<20} {bench[key]:>12,.1f} {unit}/s "
             f"(calibrated {bench['calibrated_score']:.4g})")
+
+
+def format_cold_start(bench: dict) -> str:
+    return (f"{'cold_start':<20} {bench['median_ms']:>12,.1f} ms "
+            f"(peak {bench['peak_rss_mb']:.1f} MB, {bench['modules']} modules, "
+            f"median of {bench['runs']}; not gated)")
 
 
 def gate(fresh: dict, baseline: dict, tolerance: float = 0.30) -> list[str]:
@@ -415,6 +466,7 @@ def main(argv: list[str] | None = None) -> int:
     pathlib.Path(args.output).write_text(json.dumps(report, indent=1) + "\n")
     for name, bench in report["benchmarks"].items():
         print(format_rate(name, bench))
+    print(format_cold_start(report["cold_start"]))
     print(f"report written to {args.output}")
 
     if args.gate:

@@ -2,7 +2,8 @@
 
 Times the simulation kernel — raw event-queue dispatch, pooled memory
 churn, the fabric message path (flat, contended and bounded), one real
-figure-pipeline cell, and paper-geometry system construction — and emits
+figure-pipeline cell, paper-geometry system construction, and a fresh
+interpreter's import cost (reported, not gated) — and emits
 ``BENCH_kernel.json`` at the repo root (override with ``$REPRO_BENCH_OUT``).
 The committed ``BENCH_kernel.json`` is the perf-trajectory baseline; the CI
 perf-smoke job re-runs this suite and fails on a >30% calibrated
@@ -23,7 +24,13 @@ import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 
-from kernel_perf import REPO_ROOT, format_rate, gate, run_suite  # noqa: E402
+from kernel_perf import (  # noqa: E402
+    REPO_ROOT,
+    format_cold_start,
+    format_rate,
+    gate,
+    run_suite,
+)
 
 _QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
 
@@ -37,6 +44,7 @@ def report() -> dict:
     print(f"\nkernel perf report written to {out}")
     for name, bench in result["benchmarks"].items():
         print(f"  {format_rate(name, bench)}")
+    print(f"  {format_cold_start(result['cold_start'])}")
     return result
 
 
@@ -87,6 +95,17 @@ def test_paper_build_times_both_presets(report):
     assert bench["presets"] == ["baseline", "sharers"]
     assert bench["builds"] == 2
     assert bench["builds_per_sec"] > 0
+
+
+def test_cold_start_is_reported_but_not_gated(report):
+    bench = report["cold_start"]
+    assert bench["median_ms"] > 0
+    assert bench["peak_rss_mb"] > 0
+    assert bench["modules"] > 0
+    assert "cold_start" not in report["benchmarks"]
+    slower = json.loads(json.dumps(report))
+    slower["cold_start"]["median_ms"] *= 10
+    assert gate(slower, report) == []
 
 
 def test_report_is_gateable(report):

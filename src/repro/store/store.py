@@ -30,14 +30,16 @@ from __future__ import annotations
 import json
 import os
 import pathlib
-import sqlite3
 import threading
 import time
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.runner.cache import CACHE_VERSION, cell_key, source_digest
 from repro.system.apu import SimulationResult
 from repro.system.serialize import result_from_dict
+
+if TYPE_CHECKING:
+    import sqlite3
 
 #: default database location (override with $REPRO_STORE_PATH)
 DEFAULT_STORE_PATH = ".repro_store.sqlite"
@@ -92,6 +94,8 @@ class ResultStore:
 
     def _connect(self) -> sqlite3.Connection:
         if self._conn is None:
+            import sqlite3  # loaded on first connect: a store-less run never pays for it
+
             self.path.parent.mkdir(parents=True, exist_ok=True)
             conn = sqlite3.connect(
                 str(self.path), timeout=30.0, check_same_thread=False

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from repro.coherence.policies import DirectoryPolicy
+from repro.mem.address import LINE_BYTES
 
 
 @dataclass(frozen=True)
@@ -183,6 +184,49 @@ class SystemConfig:
             )
         if self.watchdog_window_cycles < 0:
             raise ValueError("watchdog_window_cycles must be >= 0 (0 = off)")
+        # A negative latency still runs, to a silently different model;
+        # a cache without a line or a way cannot be built.  Flat tuples,
+        # not a dataclasses.fields() walk: every litmus build validates.
+        for name, cycles in (
+            ("dir_latency_cycles", self.dir_latency_cycles),
+            ("dir_service_cycles", self.dir_service_cycles),
+            ("mem_latency_cycles", self.mem_latency_cycles),
+            ("mem_gap_cycles", self.mem_gap_cycles),
+            ("net_latency_cycles", self.net_latency_cycles),
+            ("mem_row_hit_latency_cycles", self.mem_row_hit_latency_cycles),
+            ("mem_row_miss_latency_cycles", self.mem_row_miss_latency_cycles),
+            ("cu_issue_cycles", self.cu_issue_cycles),
+            ("lds_latency_cycles", self.lds_latency_cycles),
+            ("kernel_launch_overhead_cycles", self.kernel_launch_overhead_cycles),
+            ("l2_service_cycles", self.l2_service_cycles),
+            ("tcc_service_cycles", self.tcc_service_cycles),
+        ):
+            if cycles < 0:
+                raise ValueError(f"{name} must be >= 0, got {cycles}")
+        for name, cache in (
+            ("l1d", self.l1d), ("l1i", self.l1i), ("l2", self.l2),
+            ("tcp", self.tcp), ("sqc", self.sqc), ("tcc", self.tcc),
+            ("llc", self.llc),
+        ):
+            if cache.size_bytes < LINE_BYTES:
+                raise ValueError(
+                    f"{name}.size_bytes must be >= {LINE_BYTES} (one line), "
+                    f"got {cache.size_bytes}"
+                )
+            if cache.assoc < 1:
+                raise ValueError(f"{name}.assoc must be >= 1, got {cache.assoc}")
+            if cache.latency_cycles < 0:
+                raise ValueError(
+                    f"{name}.latency_cycles must be >= 0, got {cache.latency_cycles}"
+                )
+        if self.dma_max_outstanding < 1:
+            raise ValueError(
+                f"dma_max_outstanding must be >= 1, got {self.dma_max_outstanding}"
+            )
+        if self.max_wavefronts_per_cu < 1:
+            raise ValueError(
+                f"max_wavefronts_per_cu must be >= 1, got {self.max_wavefronts_per_cu}"
+            )
         self.policy.validate()
 
     # -- presets ----------------------------------------------------------------

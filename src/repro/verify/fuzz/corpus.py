@@ -20,6 +20,7 @@ import hashlib
 import json
 import os
 
+from repro.verify.fuzz.coverage import write_json
 from repro.verify.litmus.dsl import LitmusTest
 from repro.verify.litmus.harness import run_litmus
 from repro.verify.litmus.minimize import _Budget, shrink_agents
@@ -134,9 +135,7 @@ class Corpus:
         path = self._path(digest)
         if os.path.exists(path):
             return False
-        with open(path, "w") as handle:
-            json.dump(entry.to_json(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        write_json(path, entry.to_json())
         return True
 
     def remove(self, digest: str) -> None:

@@ -19,6 +19,7 @@ same language:
 from __future__ import annotations
 
 import json
+import os
 from functools import lru_cache
 
 from repro.coherence.engine import state_label
@@ -66,6 +67,17 @@ def policy_dead_rows(policy_name: str) -> frozenset[Triple]:
     return frozenset(triples)
 
 
+def write_json(path: str, data: dict) -> None:
+    """Write ``data`` as sorted, indented JSON, atomically: a campaign
+    killed mid-write leaves the old file or the new one, never a torn one,
+    so re-running it resumes."""
+    partial = f"{path}.partial"
+    with open(partial, "w") as handle:
+        json.dump(data, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    os.replace(partial, path)
+
+
 class CoverageState:
     """Accumulated per-policy transition coverage, JSON round-trippable."""
 
@@ -108,9 +120,7 @@ class CoverageState:
         return state
 
     def save(self, path: str) -> None:
-        with open(path, "w") as handle:
-            json.dump(self.to_json(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        write_json(path, self.to_json())
 
     @classmethod
     def load(cls, path: str) -> "CoverageState":

@@ -8,7 +8,9 @@ from repro import SystemConfig, build_system
 from repro.coherence.directory import DirectoryController
 from repro.coherence.policies import PRESETS, DirectoryKind, DirectoryPolicy
 from repro.coherence.precise import PreciseDirectory
-from repro.system.config import KIB, MIB
+from repro.system.config import KIB, MIB, CacheGeometry
+from repro.verify.litmus import POLICY_VARIANTS, default_schedules
+from repro.verify.litmus.harness import litmus_config
 
 
 class TestRyzenPreset:
@@ -79,6 +81,72 @@ class TestScaledPresets:
         with pytest.raises(ValueError, match="TCC port arbitration"):
             SystemConfig(arbitrate_tcc_ports=True).validate()
         SystemConfig(arbitrate_tcc_ports=True, link_bytes_per_cycle=8).validate()
+
+
+#: every latency or service time a config carries, in cycles
+_CYCLE_FIELDS = (
+    "dir_latency_cycles", "dir_service_cycles", "mem_latency_cycles",
+    "mem_gap_cycles", "net_latency_cycles", "mem_row_hit_latency_cycles",
+    "mem_row_miss_latency_cycles", "cu_issue_cycles", "lds_latency_cycles",
+    "kernel_launch_overhead_cycles", "l2_service_cycles", "tcc_service_cycles",
+)
+_CACHES = ("l1d", "l1i", "l2", "tcp", "sqc", "tcc", "llc")
+
+
+class TestValidateRejectsBrokenConfigs:
+    """A broken knob fails at build time with a message naming the field,
+    instead of running to a silently different model or dying deep inside
+    the builder."""
+
+    @pytest.mark.parametrize("name", _CYCLE_FIELDS)
+    def test_negative_cycles(self, name):
+        with pytest.raises(ValueError, match=f"^{name} must be >= 0"):
+            build_system(SystemConfig.small(**{name: -1}))
+
+    @pytest.mark.parametrize("cache", _CACHES)
+    def test_cache_without_a_way(self, cache):
+        config = SystemConfig.small()
+        setattr(config, cache, CacheGeometry(8 * KIB, 0, 1.0))
+        with pytest.raises(ValueError, match=rf"^{cache}\.assoc must be >= 1"):
+            build_system(config)
+
+    @pytest.mark.parametrize("cache", _CACHES)
+    @pytest.mark.parametrize("size", [0, 32])
+    def test_cache_smaller_than_a_line(self, cache, size):
+        config = SystemConfig.small()
+        setattr(config, cache, CacheGeometry(size, 2, 1.0))
+        with pytest.raises(ValueError, match=rf"^{cache}\.size_bytes must be >= 64"):
+            build_system(config)
+
+    @pytest.mark.parametrize("cache", _CACHES)
+    def test_cache_negative_latency(self, cache):
+        config = SystemConfig.small()
+        setattr(config, cache, CacheGeometry(8 * KIB, 2, -1.0))
+        with pytest.raises(ValueError, match=rf"^{cache}\.latency_cycles must be >= 0"):
+            build_system(config)
+
+    @pytest.mark.parametrize("name", ["dma_max_outstanding", "max_wavefronts_per_cu"])
+    def test_count_below_one(self, name):
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1"):
+            build_system(SystemConfig.small(**{name: 0}))
+
+    def test_zero_latencies_and_one_line_caches_stay_valid(self):
+        SystemConfig.small(
+            net_latency_cycles=0, mem_latency_cycles=0,
+            l2=CacheGeometry(64, 1, 0.0),
+        ).validate()
+
+    @pytest.mark.parametrize("preset", [
+        SystemConfig, SystemConfig.small, SystemConfig.benchmark,
+        SystemConfig.bounded, SystemConfig.contended,
+    ], ids=lambda preset: preset.__name__)
+    def test_every_preset_validates(self, preset):
+        preset().validate()
+
+    @pytest.mark.parametrize("policy", sorted(POLICY_VARIANTS))
+    def test_every_litmus_config_validates(self, policy):
+        for schedule in default_schedules():
+            litmus_config(POLICY_VARIANTS[policy], schedule).validate()
 
 
 class TestContendedPreset:

@@ -4,6 +4,12 @@ from __future__ import annotations
 
 import json
 import os
+import pathlib
+import re
+import signal
+import subprocess
+import sys
+import time
 
 from repro.store import ResultStore
 from repro.verify.fuzz.campaign import (
@@ -86,6 +92,59 @@ class TestResume:
         grown_cov = grown.report_data["policies"]["baseline"]["covered"]
         assert grown_cov >= small_cov
         assert len(Corpus(corpus_dir)) >= small.new_entries
+
+
+ROOT = pathlib.Path(__file__).resolve().parents[3]
+
+#: two batches of 25 programs x 3 policies: coverage.json first appears
+#: after the first, so a kill then lands in the second
+KILL_BUDGET = 150
+
+
+def _fuzz_command(workdir, name):
+    return [
+        sys.executable, "-m", "repro", "fuzz", "run", "--seed", "0",
+        "--budget", str(KILL_BUDGET), "--jobs", "1",
+        "--corpus", str(workdir / name), "--store", str(workdir / f"{name}.sqlite"),
+    ]
+
+
+def _finish(command, env):
+    proc = subprocess.run(command, env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return re.search(r"digest ([0-9a-f]{64})", proc.stdout).group(1)
+
+
+def _files(corpus_dir):
+    return {path.name: path.read_bytes()
+            for path in sorted(corpus_dir.iterdir()) if path.is_file()}
+
+
+class TestKilledCampaign:
+    def test_sigkill_mid_run_then_rerun_matches_uninterrupted(self, tmp_path):
+        """A campaign killed part-way (after its first coverage checkpoint)
+        resumes by re-running the same command, to the digest, coverage
+        and corpus files of a campaign that was never interrupted."""
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        killed = subprocess.Popen(_fuzz_command(tmp_path, "A"), env=env,
+                                  stdout=subprocess.DEVNULL,
+                                  stderr=subprocess.DEVNULL)
+        checkpoint = tmp_path / "A" / COVERAGE_FILE
+        deadline = time.monotonic() + 60
+        while not checkpoint.exists() and killed.poll() is None:
+            assert time.monotonic() < deadline, "no coverage checkpoint"
+            time.sleep(0.01)
+        killed.send_signal(signal.SIGKILL)
+        assert killed.wait(timeout=30) == -signal.SIGKILL, (
+            "the campaign finished before it could be killed"
+        )
+        assert not (tmp_path / "A" / REPORT_FILE).exists()
+
+        resumed = _finish(_fuzz_command(tmp_path, "A"), env)
+        uninterrupted = _finish(_fuzz_command(tmp_path, "B"), env)
+        assert resumed == uninterrupted
+        assert _files(tmp_path / "A") == _files(tmp_path / "B")
 
 
 class TestDirectedCampaign:
