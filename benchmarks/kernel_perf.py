@@ -51,6 +51,7 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.coherence.policies import PRESETS  # noqa: E402
+from repro.mem.block import ZERO_LINE  # noqa: E402
 from repro.mem.main_memory import MainMemory  # noqa: E402
 from repro.sim.clock import ClockDomain  # noqa: E402
 from repro.sim.component import Controller  # noqa: E402
@@ -135,6 +136,8 @@ def bench_alloc_pooling(num_accesses: int = 60_000) -> dict:
 
     def make_stream(source: str, base: int):
         addr = [base]
+        # one line value per stream, stamped with the stream's base
+        line = ZERO_LINE.with_word(0, base | 1)
 
         def next_access(_data=None) -> None:
             if remaining[0] <= 0:
@@ -144,7 +147,7 @@ def bench_alloc_pooling(num_accesses: int = 60_000) -> dict:
             if remaining[0] % 3:
                 memory.read(addr[0], next_access, source=source)
             else:
-                memory.write(addr[0], None, source=source)
+                memory.write(addr[0], line, source=source)
                 memory.read(addr[0], next_access, source=source)
 
         return next_access

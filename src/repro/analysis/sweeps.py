@@ -14,20 +14,16 @@ table — the engine behind design-space exploration like
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.coherence.policies import PRESETS, DirectoryPolicy
+from repro.coherence.policies import PRESETS
 from repro.runner import Cell
 from repro.store import ResultStore, resolve_cells
 from repro.system.apu import SimulationResult
-from repro.system.config import SystemConfig
+from repro.system.config import SystemConfig, with_knobs
 from repro.workloads.base import Workload
 from repro.workloads.registry import get_workload
-
-#: knobs that live on the DirectoryPolicy rather than the SystemConfig
-_POLICY_FIELDS = set(DirectoryPolicy.__dataclass_fields__)
-
 
 @dataclass
 class SweepResult:
@@ -89,16 +85,10 @@ def sweep(
     labels: list[tuple[str, object]] = []
     for policy_name in policies:
         for value in axis_values:
-            policy = PRESETS[policy_name]
-            if axis_name in _POLICY_FIELDS:
-                policy = policy.named(**{axis_name: value})
-                config = config_factory(policy=policy)
-            else:
-                config = config_factory(policy=policy)
-                config = replace(config, **{axis_name: value})
             cells.append(Cell(
                 workload=instance,
-                config=config,
+                config=with_knobs(config_factory, PRESETS[policy_name],
+                                  {axis_name: value}),
                 scale=scale,
                 verify=verify,
                 label=f"{instance.name}/{policy_name}/{axis_name}={value}",

@@ -5,10 +5,9 @@ Subcommands:
 - ``run`` — run one workload on one policy, print the headline metrics
   (optionally energy breakdown, stats dump, protocol trace tail).
 - ``compare`` — run one workload across several policies, print a table.
-- ``figures`` — regenerate the paper's figures (Figures 4-7 + tables).
-- ``bench`` — regenerate figures through the results store (``--jobs``,
-  ``--no-cache``, ``--clear-cache``, ``--store-path``); warm cells are
-  sub-millisecond store lookups.
+- ``figures`` — regenerate the paper's figures (Figures 4-7 + tables), one
+  (``--figure``) or all, over ``--jobs`` workers; with ``--store [DB]``
+  warm cells are sub-millisecond store lookups.
 - ``store`` — administer the persistent SQLite results store
   (``stats``, ``gc``, ``clear``, ``export``/``import`` snapshots).
 - ``lint-protocol`` — statically lint every shipped transition table
@@ -58,6 +57,15 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _add_store_option(parser: argparse.ArgumentParser, use: str) -> None:
+    """The opt-in ``--store [DB]`` option of every store-backed command."""
+    parser.add_argument(
+        "--store", nargs="?", const="", default=None, metavar="DB",
+        help=f"{use} the results store (default path: "
+             ".repro_store.sqlite, or $REPRO_STORE_PATH)",
+    )
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -92,30 +100,18 @@ def _build_parser() -> argparse.ArgumentParser:
     cmp_p.add_argument("--energy", action="store_true")
 
     fig_p = sub.add_parser("figures", help="regenerate the paper's figures")
+    fig_p.add_argument("--figure", choices=["4", "5", "6", "7", "all"],
+                       default="all",
+                       help="which figure to regenerate (all = Figures 4-7 "
+                            "plus Tables II and III)")
     fig_p.add_argument("--scale", type=float, default=1.0)
     fig_p.add_argument("--jobs", type=_positive_int, default=None,
                        help="worker processes (default: os.cpu_count())")
-
-    bench_p = sub.add_parser(
-        "bench",
-        help="regenerate figures via the parallel runner + results store",
-    )
-    bench_p.add_argument("--figure", choices=["4", "5", "6", "7", "all"],
-                         default="all", help="which figure to regenerate")
-    bench_p.add_argument("--jobs", type=_positive_int, default=None,
-                         help="worker processes (default: os.cpu_count())")
-    bench_p.add_argument("--scale", type=float, default=1.0)
-    bench_p.add_argument("--verify", action="store_true",
-                         help="attach the invariant monitor and value oracle")
-    bench_p.add_argument("--no-cache", action="store_true",
-                         help="disable the persistent results store")
-    bench_p.add_argument("--store-path", default=None, metavar="DB",
-                         help="results store location (default: "
-                              ".repro_store.sqlite, or $REPRO_STORE_PATH)")
-    bench_p.add_argument("--clear-cache", action="store_true",
-                         help="clear the store before running")
-    bench_p.add_argument("--timeout", type=float, default=None, metavar="S",
-                         help="per-cell wall-clock timeout in seconds")
+    fig_p.add_argument("--verify", action="store_true",
+                       help="attach the invariant monitor and value oracle")
+    fig_p.add_argument("--timeout", type=float, default=None, metavar="S",
+                       help="per-cell wall-clock timeout in seconds")
+    _add_store_option(fig_p, "serve (workload, policy) cells from")
 
     prof_p = sub.add_parser(
         "profile",
@@ -179,11 +175,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             "trace events")
     lit_p.add_argument("-v", "--verbose", action="store_true",
                        help="print every (policy, schedule) run")
-    lit_p.add_argument("--store", nargs="?", const="", default=None,
-                       metavar="DB",
-                       help="memoize (test, policy, schedule) outcomes in "
-                            "the results store (default path: "
-                            ".repro_store.sqlite, or $REPRO_STORE_PATH)")
+    _add_store_option(lit_p, "memoize (test, policy, schedule) outcomes in")
 
     fuzz_p = sub.add_parser(
         "fuzz",
@@ -218,11 +210,7 @@ def _build_parser() -> argparse.ArgumentParser:
                              "(table, state, event) row (repeatable); see "
                              "`repro fuzz coverage --policy P` for the "
                              "reachable-but-unhit rows")
-    frun_p.add_argument("--store", nargs="?", const="", default=None,
-                        metavar="DB",
-                        help="memoize runs in the results store (resume "
-                             "support; default path: .repro_store.sqlite, "
-                             "or $REPRO_STORE_PATH)")
+    _add_store_option(frun_p, "memoize runs (resume support) in")
 
     fcov_p = fuzz_sub.add_parser(
         "coverage", help="report per-policy table coverage from a corpus"
@@ -355,35 +343,26 @@ def _compare(args) -> int:
     return 0
 
 
+def _open_store(args):
+    """The results store ``--store`` names, or None when not given."""
+    if args.store is None:
+        return None
+    from repro.store import ResultStore
+
+    return ResultStore(args.store or None)
+
+
 def _figures(args) -> int:
-    matrix = ExperimentMatrix(scale=args.scale, jobs=getattr(args, "jobs", None))
-    print(table2_text())
-    print()
-    print(table3_text())
-    for figure in (run_figure4(matrix), run_figure5(matrix),
-                   run_figure6(matrix), run_figure7(matrix)):
-        print("\n" + "=" * 70)
-        print(figure.to_text())
-        if figure.name == "Figure 5":
-            print(f"average reduction: {figure5_reduction(figure):.1f}% [paper: 50.4%]")
-    return 0
-
-
-def _bench(args) -> int:
     import time
 
     from repro.runner import default_progress
-    from repro.store import ResultStore
 
-    store = ResultStore(args.store_path, enabled=not args.no_cache)
-    if args.clear_cache:
-        removed = store.clear()
-        print(f"cleared {removed} stored result(s) from {store.path}")
+    store = _open_store(args)
     matrix = ExperimentMatrix(
         scale=args.scale,
         verify=args.verify,
         jobs=args.jobs,
-        store=store if not args.no_cache else None,
+        store=store,
         progress=default_progress,
         timeout_s=args.timeout,
     )
@@ -393,7 +372,13 @@ def _bench(args) -> int:
         "6": run_figure6,
         "7": run_figure7,
     }
-    selected = list(figures.values()) if args.figure == "all" else [figures[args.figure]]
+    if args.figure == "all":
+        print(table2_text())
+        print()
+        print(table3_text())
+        selected = list(figures.values())
+    else:
+        selected = [figures[args.figure]]
     start = time.perf_counter()
     for regenerate in selected:
         figure = regenerate(matrix)
@@ -401,12 +386,11 @@ def _bench(args) -> int:
         print(figure.to_text())
         if figure.name == "Figure 5":
             print(f"average reduction: {figure5_reduction(figure):.1f}% [paper: 50.4%]")
-    elapsed = time.perf_counter() - start
-    print(
-        f"\n[bench] {elapsed:.2f}s wall clock, "
-        f"store: {store.hits} hit(s) / {store.misses} miss(es) "
-        f"at {store.path}"
-    )
+    footer = f"\n[figures] {time.perf_counter() - start:.2f}s wall clock"
+    if store is not None:
+        footer += (f", store: {store.hits} hit(s) / {store.misses} miss(es) "
+                   f"at {store.path}")
+    print(footer)
     return 0
 
 
@@ -552,11 +536,7 @@ def _litmus(args) -> int:
         bounded_schedules(args.schedules) if args.bounded
         else default_schedules(args.schedules)
     )
-    store = None
-    if args.store is not None:
-        from repro.store import ResultStore
-
-        store = ResultStore(args.store or None)
+    store = _open_store(args)
 
     start = time.perf_counter()
     total_runs = failures = mismatches = 0
@@ -629,11 +609,7 @@ def _fuzz(args) -> int:
                 print(f"unknown policy variants: {sorted(unknown)}",
                       file=sys.stderr)
                 return 2
-        store = None
-        if args.store is not None:
-            from repro.store import ResultStore
-
-            store = ResultStore(args.store or None)
+        store = _open_store(args)
         kwargs = {}
         if args.min_runs is not None:
             kwargs["minimize_runs"] = args.min_runs
@@ -789,8 +765,6 @@ def main(argv: list[str] | None = None) -> int:
         return _compare(args)
     if args.command == "figures":
         return _figures(args)
-    if args.command == "bench":
-        return _bench(args)
     if args.command == "profile":
         return _profile(args)
     if args.command == "lint-protocol":

@@ -219,7 +219,7 @@ class CorePair(Controller):
         if start < events.now:
             start = events.now
         self._next_free = start + self._service_ticks
-        events.schedule(start, self._execute_queued, 0, (slot, request, callback))
+        events.schedule(start, self._execute_queued, (slot, request, callback))
 
     # -- execution ---------------------------------------------------------------
 
@@ -324,7 +324,7 @@ class CorePair(Controller):
             return
         ticks = self._hit_ticks(slot, line, icache=True)
         events = self.events
-        events.schedule(events.now + ticks, callback, 0, None)
+        events.schedule(events.now + ticks, callback, None)
 
     # -- misses ----------------------------------------------------------------------
 

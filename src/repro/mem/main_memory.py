@@ -300,7 +300,7 @@ class MainMemory(Component):
         self._grant(bank, access, now)
         events.schedule(
             now + self.clock.cycles_to_ticks(self.gap_cycles),
-            self._next, 0, bank,
+            self._next, bank,
         )
         if bank.overflow:
             # the grant freed one bounded-queue slot: promote the oldest
@@ -338,7 +338,7 @@ class MainMemory(Component):
             latency = self.latency_cycles
         if access.kind == "r":
             start += self.clock.cycles_to_ticks(latency)
-        self.sim.events.schedule(start, self._complete, 0, access)
+        self.sim.events.schedule(start, self._complete, access)
 
     def _complete(self, access: _Access) -> None:
         self._outstanding -= 1
@@ -348,10 +348,6 @@ class MainMemory(Component):
             access.callback()
 
     # -- bookkeeping -------------------------------------------------------
-
-    @property
-    def accesses(self) -> int:
-        return int(self.stats["reads"] + self.stats["writes"])
 
     def pending_work(self) -> str | None:
         if self._outstanding:

@@ -29,7 +29,7 @@ can be delayed only a fixed number of grants (starvation freedom).
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 #: network endpoint kind -> arbitration traffic class
 CLASS_OF_KIND = {
@@ -103,9 +103,6 @@ class WrrArbiter:
     def __len__(self) -> int:
         """Total items waiting across every class."""
         return self._count
-
-    def classes(self) -> Iterable[str]:
-        return tuple(self._order)
 
     # -- grant side --------------------------------------------------------
 

@@ -34,18 +34,14 @@ class Component:
         return self.events.now
 
     def schedule(
-        self,
-        delay_cycles: float,
-        callback: Callable,
-        priority: int = 0,
-        arg: object = _NO_ARG,
+        self, delay_cycles: float, callback: Callable, arg: object = _NO_ARG
     ) -> None:
         """Run ``callback`` (or ``callback(arg)``) after ``delay_cycles`` of
         this component's clock."""
         events = self.events
         events.schedule(
             events.now + self.clock.cycles_to_ticks(delay_cycles),
-            callback, priority, arg,
+            callback, arg,
         )
 
     def pending_work(self) -> str | None:
@@ -118,7 +114,7 @@ class Controller(Component):
                 counters["queue_wait_ticks"] += busy
         self._next_free = start + self._service_ticks
         counters["messages_received"] += 1
-        events.schedule(start, self.handle_message, 0, msg)
+        events.schedule(start, self.handle_message, msg)
 
     def handle_message(self, msg: Any) -> None:
         raise NotImplementedError(f"{type(self).__name__} must implement handle_message")

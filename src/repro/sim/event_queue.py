@@ -5,13 +5,12 @@ convention).  Components never touch ticks directly; they schedule through
 their :class:`~repro.sim.clock.ClockDomain`, which converts local cycles to
 ticks.
 
-The kernel is one binary heap of ``(time, priority, seq, callback, arg)``
-tuples (:class:`EventQueue`).  Events run in ``(time, priority, seq)``
-order: lower priority first among same-tick events, then FIFO by the
-sequence number taken at scheduling time.  That order is the contract every
-golden stat set, the litmus schedule pin and the per-run litmus hashes rest
-on; :meth:`EventQueue.set_tie_break` is the only sanctioned way to permute
-it.  The queue keeps no free lists: the event tuple is the whole record.
+The kernel is one binary heap of ``(time, seq, callback, arg)`` tuples
+(:class:`EventQueue`).  Events run in ``(time, seq)`` order: same-tick
+events run FIFO by the sequence number taken at scheduling time.  That
+order is the contract every golden stat set, the litmus schedule pin and
+the per-run litmus hashes rest on; :meth:`EventQueue.set_tie_break` is the
+only sanctioned way to permute it.  The queue keeps no free lists: the event tuple is the whole record.
 """
 
 from __future__ import annotations
@@ -38,11 +37,10 @@ _NO_ARG = object()
 
 
 class EventQueue:
-    """A binary-heap priority queue of ``(time, priority, seq)`` events.
+    """A binary-heap queue of ``(time, seq)`` events.
 
-    ``priority`` breaks ties between events scheduled for the same tick
-    (lower runs first); ``seq`` preserves FIFO order among equals so the
-    simulation is fully deterministic.
+    ``seq`` preserves FIFO order among events scheduled for the same tick,
+    so the simulation is fully deterministic.
 
     Events come in two shapes: ``callback()`` (the classic closure form) and
     ``callback(arg)`` when an ``arg`` is supplied to :meth:`schedule` /
@@ -51,18 +49,18 @@ class EventQueue:
     event.
 
     *Schedule exploration* (:meth:`set_tie_break`): tests can replace the
-    FIFO tie-break among same-``(time, priority)`` events with a seeded
-    random permutation, exploring alternative *legal* event orders the
-    default schedule never samples.  Every explored schedule is still fully
+    FIFO tie-break among same-tick events with a seeded random
+    permutation, exploring alternative *legal* event orders the default
+    schedule never samples.  Every explored schedule is still fully
     deterministic for a given seed.
     """
 
     def __init__(self) -> None:
-        self._heap: list[tuple[int, int, int, Callable, object]] = []
+        self._heap: list[tuple[int, int, Callable, object]] = []
         self._seq = 0
         self.now = 0
         self.executed_events = 0
-        #: optional RNG permuting same-(time, priority) ordering (see
+        #: optional RNG permuting same-tick ordering (see
         #: :meth:`set_tie_break`); None = deterministic FIFO.
         self._tie_break = None
 
@@ -70,12 +68,12 @@ class EventQueue:
         return len(self._heap)
 
     def set_tie_break(self, rng) -> None:
-        """Permute the ordering of same-``(time, priority)`` events.
+        """Permute the ordering of same-tick events.
 
         ``rng`` is a seeded :class:`random.Random` (or None to restore FIFO
         order).  Each newly scheduled event's sequence number gains a random
-        high-order key, so events that tie on time and priority run in a
-        seeded-random (but reproducible) order instead of FIFO.  Low-order
+        high-order key, so events that tie on time run in a seeded-random
+        (but reproducible) order instead of FIFO.  Low-order
         bits keep the raw sequence, so keys stay unique and ordering never
         falls through to comparing callbacks.
 
@@ -85,11 +83,7 @@ class EventQueue:
         self._tie_break = rng
 
     def schedule(
-        self,
-        when: int,
-        callback: Callable,
-        priority: int = 0,
-        arg: object = _NO_ARG,
+        self, when: int, callback: Callable, arg: object = _NO_ARG
     ) -> None:
         """Schedule ``callback`` (or ``callback(arg)``) at absolute tick ``when``."""
         if when < self.now:
@@ -100,14 +94,10 @@ class EventQueue:
         self._seq = seq + 1
         if self._tie_break is not None:
             seq |= self._tie_break.getrandbits(32) << 32
-        _heappush(self._heap, (when, priority, seq, callback, arg))
+        _heappush(self._heap, (when, seq, callback, arg))
 
     def schedule_after(
-        self,
-        delay: int,
-        callback: Callable,
-        priority: int = 0,
-        arg: object = _NO_ARG,
+        self, delay: int, callback: Callable, arg: object = _NO_ARG
     ) -> None:
         """Schedule ``callback`` to run ``delay`` ticks from now.
 
@@ -124,7 +114,7 @@ class EventQueue:
         self._seq = seq + 1
         if self._tie_break is not None:
             seq |= self._tie_break.getrandbits(32) << 32
-        _heappush(self._heap, (self.now + delay, priority, seq, callback, arg))
+        _heappush(self._heap, (self.now + delay, seq, callback, arg))
 
     def run(self, until: int | None = None, max_events: int | None = None) -> None:
         """Run events until the queue drains, ``until`` ticks, or ``max_events``.
@@ -146,7 +136,7 @@ class EventQueue:
                     return
                 if executed == limit:
                     return
-                when, _priority, _seq, callback, arg = pop(heap)
+                when, _seq, callback, arg = pop(heap)
                 self.now = when
                 executed += 1
                 if arg is no_arg:

@@ -284,7 +284,7 @@ class Network(Component):
                 # claim the engine before the resume event fires so an
                 # arrival in between cannot start a second grant engine
                 port.arb.busy = True
-                events.schedule(events.now, self._arb_grant, 0, port)
+                events.schedule(events.now, self._arb_grant, port)
 
     def close(self) -> None:
         """Drop the endpoint and transport tables, and whatever a crashed
@@ -411,7 +411,7 @@ class Network(Component):
         self._route_counters[route.route_key] += 1
         events = self.events
         if not self.link_bytes_per_cycle:
-            events.schedule(events.now + route.delay_ticks, route.deliver, 0, msg)
+            events.schedule(events.now + route.delay_ticks, route.deliver, msg)
             return
         ser = self._ser_memo.get(size)
         if ser is None:
@@ -436,7 +436,7 @@ class Network(Component):
             port.credits -= 1
         out.busy = True
         self._port_counters[out.busy_key] += ser
-        events.schedule(now + ser, self._out_done, 0, (route, msg, ser))
+        events.schedule(now + ser, self._out_done, (route, msg, ser))
 
     # -- contended transport ----------------------------------------------
 
@@ -459,9 +459,9 @@ class Network(Component):
             counters[port_out.queued_key] += 1
         arrival = start + ser + route.delay_ticks
         if route.in_port is None:
-            events.schedule(arrival, route.deliver, 0, msg)
+            events.schedule(arrival, route.deliver, msg)
         else:
-            events.schedule(arrival, self._arb_arrive, 0, (route, msg, ser))
+            events.schedule(arrival, self._arb_arrive, (route, msg, ser))
 
     # -- flow-controlled transport ----------------------------------------
 
@@ -504,7 +504,7 @@ class Network(Component):
         if wait:
             counters[out.wait_key] += wait
             counters[out.queued_key] += 1
-        events.schedule(now + ser, self._out_done, 0, (route, msg, ser))
+        events.schedule(now + ser, self._out_done, (route, msg, ser))
 
     def _out_done(self, flight: tuple) -> None:
         """Serialization finished: launch the latency flight and pump the
@@ -515,9 +515,9 @@ class Network(Component):
         events = self.events
         arrival = events.now + route.delay_ticks
         if route.in_port is None:
-            events.schedule(arrival, route.deliver, 0, msg)
+            events.schedule(arrival, route.deliver, msg)
         else:
-            events.schedule(arrival, self._arb_arrive, 0, flight)
+            events.schedule(arrival, self._arb_arrive, flight)
         if out.queue:
             self._out_pump(out)
 
@@ -605,11 +605,11 @@ class Network(Component):
             # longest-parked sender (as an event, so the grant engine never
             # re-enters sender code), or return it to the pool
             if port.waiters:
-                events.schedule(now, self._out_unblock, 0,
+                events.schedule(now, self._out_unblock,
                                 (port, port.waiters.popleft()))
             else:
                 port.credits += 1
-        events.schedule(now + ser, self._arb_complete, 0, (port, msg))
+        events.schedule(now + ser, self._arb_complete, (port, msg))
 
     def _arb_complete(self, grant: tuple) -> None:
         """The granted message has fully crossed the input port: deliver it

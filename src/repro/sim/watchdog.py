@@ -135,10 +135,6 @@ class Watchdog(Component):
         self.stats.inc("trips")
         raise WatchdogError(self.report(reason, details))
 
-    @property
-    def trips(self) -> int:
-        return int(self.stats["trips"])
-
     def report(self, reason: str, details: list[str]) -> str:
         """Render the full trip report: reason, details, every dump hook,
         and the protocol-trace tail."""

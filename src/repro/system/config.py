@@ -10,7 +10,8 @@ evict).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from typing import Callable, Mapping
 
 from repro.coherence.policies import DirectoryPolicy
 from repro.mem.address import LINE_BYTES
@@ -329,3 +330,34 @@ class SystemConfig:
         )
         defaults.update(overrides)
         return cls(**defaults)
+
+
+_POLICY_FIELDS = frozenset(f.name for f in fields(DirectoryPolicy))
+_CONFIG_FIELDS = frozenset(f.name for f in fields(SystemConfig))
+
+
+def with_knobs(preset: Callable[..., SystemConfig], policy: DirectoryPolicy,
+               knobs: Mapping[str, object]) -> SystemConfig:
+    """``preset(policy=policy)`` with ``knobs`` overridden by field name.
+
+    A knob naming a :class:`DirectoryPolicy` field goes onto the policy
+    before the preset scales it, so an explicit directory geometry
+    survives the preset's scaling; every other knob goes onto the built
+    config.  A name that is neither raises :class:`ValueError`.
+    """
+    policy_knobs = {}
+    config_knobs = {}
+    for name, value in knobs.items():
+        if name in _POLICY_FIELDS:
+            policy_knobs[name] = value
+        elif name in _CONFIG_FIELDS:
+            config_knobs[name] = value
+        else:
+            raise ValueError(
+                f"unknown knob {name!r}: not a SystemConfig or "
+                f"DirectoryPolicy field"
+            )
+    if policy_knobs:
+        policy = policy.named(**policy_knobs)
+    config = preset(policy=policy)
+    return replace(config, **config_knobs) if config_knobs else config

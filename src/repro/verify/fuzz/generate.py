@@ -21,8 +21,8 @@ A :class:`FuzzProfile` parameterizes the op-kind weights and the
 tiny-directory schedule chance.  The default profile emits ``flush``
 ops (conflict-load eviction pressure — the only way to reach the
 ``Evict``/``Vic*`` protocol rows from a litmus program) and occasionally
-shrinks the directory cache (``Schedule.dir_entries``), which is what
-drives the directory's ``B*``-state replacement transients.
+shrinks the directory cache (a ``dir_entries`` schedule knob), which is
+what drives the directory's ``B*``-state replacement transients.
 :func:`profile_for_targets` biases a profile toward a set of
 ``(table, state, event)`` rows for directed campaigns
 (``repro fuzz run --target``).
@@ -230,18 +230,18 @@ def generate_schedule(rng: random.Random,
     """Canonical ~1/4 of the time, otherwise a random rotation variant
     under a random schedule seed; a ``tiny_dir_chance`` roll then layers
     a shrunken directory cache on top of either shape."""
-    if rng.random() < 0.25:
-        schedule = Schedule(0)
-    else:
+    canonical = rng.random() < 0.25
+    if not canonical:
         variant = rng.choice(SCHEDULE_VARIANTS)
-        schedule = variant.schedule(rng.randint(1, 10_000))
+        seed = rng.randint(1, 10_000)
     # the roll is unconditional so the rng draw count — and therefore the
     # rest of the case stream — is identical across profiles
     roll = rng.random()
     entries = rng.choice(profile.tiny_dir_entries)
-    if roll < profile.tiny_dir_chance:
-        schedule = dataclasses.replace(schedule, dir_entries=entries)
-    return schedule
+    knobs = {"dir_entries": entries} if roll < profile.tiny_dir_chance else {}
+    if canonical:
+        return Schedule(0, **knobs)
+    return variant.schedule(seed, **knobs)
 
 
 def generate_case(

@@ -41,7 +41,7 @@ from repro.runner.cache import CACHE_VERSION, source_digest
 from repro.sim.tracing import ProtocolTrace
 from repro.store.store import KIND_LITMUS
 from repro.system.builder import build_system
-from repro.system.config import SystemConfig
+from repro.system.config import SystemConfig, with_knobs
 from repro.system.serialize import policy_to_dict
 from repro.verify.invariants import InvariantViolation
 from repro.verify.litmus.dsl import CompiledLitmus, LitmusEnv, LitmusTest, SpinTimeout
@@ -110,27 +110,17 @@ def litmus_config(policy: DirectoryPolicy,
     """The system every litmus runs on: the scaled-down test config whose
     small caches make evictions (and their races) reachable in a few ops.
 
-    A schedule's fabric knobs (``link_bytes_per_cycle``,
-    ``input_queue_depth``, ``watchdog_window_cycles``) and its
-    ``dir_entries`` are built into the config here, so they reach the
-    system the one way every other config knob does and
-    :meth:`SystemConfig.validate` checks them.  Tiny directories force
-    directory-cache replacement (the B-state eviction transients) under
-    otherwise ordinary litmus traffic.  Only the per-run perturbations
-    (latency jitter, tie-break) are left to :meth:`Schedule.apply`.
+    A schedule's knobs are built into the config here
+    (:func:`~repro.system.config.with_knobs`), so they reach the system
+    the one way every other config knob does and
+    :meth:`SystemConfig.validate` checks them.  Tiny directories
+    (``dir_entries``) force directory-cache replacement (the B-state
+    eviction transients) under otherwise ordinary litmus traffic.  Only
+    the per-run perturbations (latency jitter, tie-break) are left to
+    :meth:`Schedule.apply`.
     """
-    schedule = schedule or Schedule(0)
-    if schedule.dir_entries:
-        policy = policy.named(
-            dir_entries=schedule.dir_entries,
-            dir_assoc=min(policy.dir_assoc, schedule.dir_entries),
-        )
-    return SystemConfig.small(
-        policy=policy,
-        link_bytes_per_cycle=schedule.link_bytes_per_cycle,
-        input_queue_depth=schedule.input_queue_depth,
-        watchdog_window_cycles=schedule.watchdog_window_cycles,
-    )
+    knobs = dict(schedule.knobs) if schedule else {}
+    return with_knobs(SystemConfig.small, policy, knobs)
 
 
 def litmus_key(test: LitmusTest, policy: DirectoryPolicy,

@@ -462,12 +462,12 @@ _register(LitmusTest(
 
 # -- back-pressure shapes ------------------------------------------------------
 #
-# These target the bounded-queue fabric (Schedule.input_queue_depth /
-# SystemConfig.bounded): bursts sized past the default credit pool so the
-# directory in-ports fill and back-pressure stalls the sending ports.  On
-# an unbounded fabric they are ordinary (if chatty) tests — finals stay
-# deterministic either way, so the differential sweep runs them under
-# every schedule shape, bounded included.
+# These target the bounded-queue fabric (an ``input_queue_depth`` schedule
+# knob / SystemConfig.bounded): bursts sized past the default credit pool
+# so the directory in-ports fill and back-pressure stalls the sending
+# ports.  On an unbounded fabric they are ordinary (if chatty) tests —
+# finals stay deterministic either way, so the differential sweep runs
+# them under every schedule shape, bounded included.
 
 
 def _post_bp_store_store(env: LitmusEnv) -> list[str]:

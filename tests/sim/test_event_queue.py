@@ -32,14 +32,6 @@ class TestEventQueue:
         queue.run()
         assert order == ["a", "b", "c", "d"]
 
-    def test_priority_breaks_same_tick_ties(self):
-        queue = EventQueue()
-        order = []
-        queue.schedule(5, lambda: order.append("low"), priority=1)
-        queue.schedule(5, lambda: order.append("high"), priority=0)
-        queue.run()
-        assert order == ["high", "low"]
-
     def test_now_advances_with_events(self):
         queue = EventQueue()
         seen = []
@@ -136,25 +128,25 @@ class TestEventQueue:
         queue.run()
         assert order == [("timer", far + 100), ("near", far + 103)]
 
-    def test_schedule_at_now_interleaves_by_priority(self):
-        # events scheduled for the current tick from inside a callback
-        # interleave with the tick's pending events in (priority, seq) order
+    def test_schedule_at_now_runs_after_pending_events(self):
+        # events scheduled for the current tick from inside a callback run
+        # after the tick's already-pending events, in scheduling order
         queue = EventQueue()
         order = []
 
         def first():
             order.append("first")
-            queue.schedule(queue.now, order.append, priority=5, arg="low")
-            queue.schedule(queue.now, order.append, priority=-5, arg="high")
+            queue.schedule(queue.now, order.append, arg="third")
+            queue.schedule(queue.now, order.append, arg="fourth")
 
         queue.schedule(5, first)
-        queue.schedule(5, order.append, priority=1, arg="second")
+        queue.schedule(5, order.append, arg="second")
         queue.run()
-        assert order == ["first", "high", "second", "low"]
+        assert order == ["first", "second", "third", "fourth"]
 
-    def test_random_schedule_runs_in_time_priority_seq_order(self):
+    def test_random_schedule_runs_in_time_seq_order(self):
         # reference model: each event to run is the smallest
-        # (time, priority, scheduling order) key among those pending
+        # (time, scheduling order) key among those pending
         rng = random.Random(1234)
         queue = EventQueue()
         pending = set()
@@ -165,23 +157,23 @@ class TestEventQueue:
             pending.remove(key)
             if count[0] < 400:
                 delay = rng.choice([0, 1, 1, 8, 8, 8, 64, 1 << 23])
-                add(queue.now + delay, rng.choice([0, 0, 1]))
+                add(queue.now + delay)
 
-        def add(when, priority):
-            key = (when, priority, count[0])
+        def add(when):
+            key = (when, count[0])
             count[0] += 1
             pending.add(key)
-            queue.schedule(when, spawn, priority=priority, arg=key)
+            queue.schedule(when, spawn, arg=key)
 
         for lane in range(8):
-            add(lane % 3, 0)
+            add(lane % 3)
         queue.run()
         assert not pending
         assert queue.executed_events == count[0]
 
 
 class TestTieBreakExploration:
-    """``set_tie_break`` permutes same-(time, priority) ordering — the
+    """``set_tie_break`` permutes same-tick ordering — the
     litmus suite's schedule-exploration hook."""
 
     @staticmethod
@@ -208,17 +200,17 @@ class TestTieBreakExploration:
         order = self._order(3)
         assert sorted(order) == list("abcdefgh")
 
-    def test_time_and_priority_order_still_respected(self):
+    def test_time_order_still_respected(self):
         import random
 
         queue = EventQueue()
         queue.set_tie_break(random.Random(11))
         order: list[str] = []
         queue.schedule(20, order.append, arg="late")
-        queue.schedule(10, order.append, arg="early-low", priority=1)
-        queue.schedule(10, order.append, arg="early-high", priority=0)
+        queue.schedule(10, order.append, arg="early")
+        queue.schedule(15, order.append, arg="middle")
         queue.run()
-        assert order == ["early-high", "early-low", "late"]
+        assert order == ["early", "middle", "late"]
 
     def test_none_restores_fifo(self):
         import random
@@ -264,9 +256,9 @@ class TestArgScheduling:
         order = []
         queue.schedule(5, order.append, arg="arg-form")
         queue.schedule(5, lambda: order.append("closure-form"))
-        queue.schedule(5, order.append, priority=-1, arg="high-priority")
+        queue.schedule_after(5, order.append, arg="relative-arg-form")
         queue.run()
-        assert order == ["high-priority", "arg-form", "closure-form"]
+        assert order == ["arg-form", "closure-form", "relative-arg-form"]
 
     def test_schedule_after_negative_delay_raises(self):
         queue = EventQueue()

@@ -104,7 +104,7 @@ def test_bounded_cell_with_watchdog_leaves_no_cyclic_garbage():
 def test_bounded_litmus_run_leaves_no_cyclic_garbage():
     # the bounded rotation slot: credits, WRR input ports, a watchdog
     schedule = variant_of(4).schedule(4)
-    assert schedule.input_queue_depth
+    assert dict(schedule.knobs)["input_queue_depth"]
 
     def run():
         outcome = run_litmus(get_litmus("bp_store_store"), schedule=schedule,

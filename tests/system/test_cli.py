@@ -122,14 +122,29 @@ class TestLitmusCommand:
         assert "protocol trace" in out
 
 
-class TestBenchCommand:
-    def test_bench_cold_then_warm(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_STORE_PATH", str(tmp_path / "env.sqlite"))
-        args = ["bench", "--figure", "6", "--scale", "0.25", "--jobs", "2"]
-        assert main(args) == 0
+class TestFiguresCommand:
+    FIGURE_6 = ["figures", "--figure", "6", "--scale", "0.25"]
+
+    def test_one_figure_skips_the_tables(self, capsys):
+        assert main(self.FIGURE_6 + ["--jobs", "1"]) == 0
         out = capsys.readouterr().out
-        assert "Figure 6" in out
-        assert "0 hit(s)" in out
+        assert "Figure 6" in out and "Figure 4" not in out
+        assert "Table II" not in out
+        assert "store:" not in out
+
+    def test_figures_without_store_writes_nothing(self, tmp_path, capsys,
+                                                  monkeypatch):
+        monkeypatch.setenv("REPRO_STORE_PATH", str(tmp_path / "env.sqlite"))
+        assert main(self.FIGURE_6 + ["--jobs", "1"]) == 0
+        assert "Figure 6" in capsys.readouterr().out
+        assert not (tmp_path / "env.sqlite").exists()
+
+    def test_bare_store_uses_the_default_path(self, tmp_path, capsys,
+                                              monkeypatch):
+        monkeypatch.setenv("REPRO_STORE_PATH", str(tmp_path / "env.sqlite"))
+        args = self.FIGURE_6 + ["--jobs", "2", "--store"]
+        assert main(args) == 0
+        assert "0 hit(s)" in capsys.readouterr().out
 
         assert main(args) == 0
         warm = capsys.readouterr().out
@@ -137,27 +152,9 @@ class TestBenchCommand:
         assert "0 miss(es)" in warm
         assert (tmp_path / "env.sqlite").exists()
 
-    def test_bench_clear_cache(self, tmp_path, capsys):
-        base = ["bench", "--figure", "6", "--scale", "0.25", "--jobs", "1",
-                "--store-path", str(tmp_path / "bench.sqlite")]
-        assert main(base) == 0
-        capsys.readouterr()
-        assert main(base + ["--clear-cache"]) == 0
-        out = capsys.readouterr().out
-        assert "cleared" in out
-        assert "miss(es)" in out and "0 miss(es)" not in out
-
-    def test_bench_no_cache(self, tmp_path, capsys):
-        assert main(["bench", "--figure", "6", "--scale", "0.25",
-                     "--jobs", "1", "--no-cache",
-                     "--store-path", str(tmp_path / "bench.sqlite")]) == 0
-        out = capsys.readouterr().out
-        assert "Figure 6" in out
-        assert not (tmp_path / "bench.sqlite").exists()
-
-    def test_bench_on_store_cold_then_warm(self, tmp_path, capsys):
-        args = ["bench", "--figure", "6", "--scale", "0.25", "--jobs", "2",
-                "--store-path", str(tmp_path / "bench.sqlite")]
+    def test_figures_on_store_cold_then_warm(self, tmp_path, capsys):
+        args = self.FIGURE_6 + ["--jobs", "2",
+                                "--store", str(tmp_path / "figures.sqlite")]
         assert main(args) == 0
         out = capsys.readouterr().out
         assert "Figure 6" in out
@@ -171,8 +168,8 @@ class TestBenchCommand:
 
 class TestStoreCommand:
     def _fill(self, path, capsys):
-        assert main(["bench", "--figure", "6", "--scale", "0.25",
-                     "--jobs", "1", "--store-path", path]) == 0
+        assert main(["figures", "--figure", "6", "--scale", "0.25",
+                     "--jobs", "1", "--store", path]) == 0
         capsys.readouterr()
 
     def test_stats(self, tmp_path, capsys):
@@ -200,8 +197,8 @@ class TestStoreCommand:
         assert main(["store", "import", snapshot, "--path", fresh]) == 0
         assert "imported" in capsys.readouterr().out
         # the imported store serves the same figure with zero misses
-        assert main(["bench", "--figure", "6", "--scale", "0.25",
-                     "--jobs", "1", "--store-path", fresh]) == 0
+        assert main(["figures", "--figure", "6", "--scale", "0.25",
+                     "--jobs", "1", "--store", fresh]) == 0
         assert "0 miss(es)" in capsys.readouterr().out
 
     def test_export_without_file_rejected(self, tmp_path, capsys):

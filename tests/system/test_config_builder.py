@@ -8,7 +8,7 @@ from repro import SystemConfig, build_system
 from repro.coherence.directory import DirectoryController
 from repro.coherence.policies import PRESETS, DirectoryKind, DirectoryPolicy
 from repro.coherence.precise import PreciseDirectory
-from repro.system.config import KIB, MIB, CacheGeometry
+from repro.system.config import KIB, MIB, CacheGeometry, with_knobs
 from repro.verify.litmus import POLICY_VARIANTS, default_schedules
 from repro.verify.litmus.harness import litmus_config
 
@@ -93,6 +93,31 @@ _CYCLE_FIELDS = (
     "kernel_launch_overhead_cycles", "l2_service_cycles", "tcc_service_cycles",
 )
 _CACHES = ("l1d", "l1i", "l2", "tcp", "sqc", "tcc", "llc")
+
+
+class TestWithKnobs:
+    """One override path for sweeps and litmus schedules."""
+
+    def test_policy_knob_survives_preset_scaling(self):
+        config = with_knobs(SystemConfig.benchmark, PRESETS["sharers"],
+                            {"dir_entries": 64})
+        assert config.policy.dir_entries == 64
+        assert config.policy.kind is PRESETS["sharers"].kind
+
+    def test_config_knob_overrides_the_preset(self):
+        config = with_knobs(SystemConfig.small, PRESETS["baseline"],
+                            {"mem_banks": 2, "num_cus": 1})
+        assert (config.mem_banks, config.num_cus) == (2, 1)
+        assert config.l2 == SystemConfig.small().l2
+
+    def test_no_knobs_is_the_preset(self):
+        assert (with_knobs(SystemConfig.small, PRESETS["owner"], {})
+                == SystemConfig.small(policy=PRESETS["owner"]))
+
+    def test_unknown_knob_is_named(self):
+        with pytest.raises(ValueError, match="'dir_entires'"):
+            with_knobs(SystemConfig.small, PRESETS["baseline"],
+                       {"dir_entires": 8})
 
 
 class TestValidateRejectsBrokenConfigs:

@@ -92,7 +92,7 @@ class TestProfiles:
             gpu_flush += sum(
                 op[0] == "flush" for wave in test.gpu_waves for op in wave
             )
-            tiny += bool(schedule.dir_entries)
+            tiny += "dir_entries" in dict(schedule.knobs)
         assert cpu_flush > 0 and gpu_flush > 0
         assert tiny > 0
 

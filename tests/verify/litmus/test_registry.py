@@ -84,7 +84,7 @@ class TestBackPressureShapes:
 
     def _bounded_run(self, name, schedule):
         captured = {}
-        assert schedule.input_queue_depth
+        assert dict(schedule.knobs)["input_queue_depth"]
         outcome = run_litmus(
             get_litmus(name), schedule=schedule,
             mutate_system=lambda system: captured.update(system=system),

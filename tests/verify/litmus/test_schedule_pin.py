@@ -5,9 +5,9 @@ and compares its fingerprint -- registers, final memory, ticks,
 executed-event count and the SHA-256 of the trace text -- against
 ``schedule_pin.json``.  The pinned fingerprints were recorded on the
 calendar-queue kernel that preceded the single heap :class:`EventQueue`,
-so this pin carries that kernel's ``(time, priority, seq)`` order
-forward: a kernel or fabric change that reorders even one same-tick
-event moves the trace hash or the event count.
+so this pin carries that kernel's ``(time, seq)`` order forward: a
+kernel or fabric change that reorders even one same-tick event moves the
+trace hash or the event count.
 
 The cases cover the canonical schedule, jittered latencies with the
 seeded tie-break, the contended fabric, and the bounded fabric with

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro import build_system
@@ -18,10 +20,8 @@ from repro.verify.litmus import (
 )
 from repro.verify.litmus.harness import litmus_config
 from repro.verify.litmus.schedule import (
+    BOUNDED_SCHEDULE_KNOBS,
     DEFAULT_JITTER_CYCLES,
-    DEFAULT_SCHEDULE_BANDWIDTH,
-    DEFAULT_SCHEDULE_QUEUE_DEPTH,
-    DEFAULT_SCHEDULE_WATCHDOG_CYCLES,
 )
 
 
@@ -47,9 +47,9 @@ class TestScheduleObjects:
         assert any(s.jitter_cycles and not s.tie_break for s in schedules)
         assert any(s.tie_break and not s.jitter_cycles for s in schedules)
         assert any(s.jitter_cycles and s.tie_break for s in schedules)
-        assert any(s.link_bytes_per_cycle for s in schedules)
-        assert any(s.input_queue_depth for s in schedules)
-        assert any(s.watchdog_window_cycles for s in schedules)
+        knobs = {name for s in schedules for name, _ in s.knobs}
+        assert {"link_bytes_per_cycle", "input_queue_depth",
+                "watchdog_window_cycles"} <= knobs
 
     def test_bounded_set_arms_every_schedule(self):
         """``--bounded`` sweep: same count and same jitter/tie-break
@@ -59,12 +59,7 @@ class TestScheduleObjects:
         assert len(schedules) == 8
         assert len(set(schedules)) == 8
         for schedule in schedules:
-            assert schedule.link_bytes_per_cycle == DEFAULT_SCHEDULE_BANDWIDTH
-            assert schedule.input_queue_depth == DEFAULT_SCHEDULE_QUEUE_DEPTH
-            assert (
-                schedule.watchdog_window_cycles
-                == DEFAULT_SCHEDULE_WATCHDOG_CYCLES
-            )
+            assert dict(schedule.knobs) == BOUNDED_SCHEDULE_KNOBS
         # the perturbation shapes still vary underneath the bounding
         assert any(s.jitter_cycles for s in schedules)
         assert any(s.tie_break and not s.jitter_cycles for s in schedules)
@@ -99,7 +94,9 @@ class TestScheduleObjects:
         # schedules saved before the flow-control / tiny-dir knobs
         old = {"seed": 3, "jitter_cycles": 4, "tie_break": True,
                "link_bytes_per_cycle": 8}
-        assert Schedule.from_json(old) == Schedule(3, 4, True, 8)
+        assert Schedule.from_json(old) == Schedule(
+            3, 4, True, link_bytes_per_cycle=8
+        )
 
     def test_apply_enables_link_bandwidth(self):
         """Fabric knobs reach the system through the built config."""
@@ -127,6 +124,30 @@ class TestScheduleObjects:
         with pytest.raises(ValueError, match="bounded input queues need"):
             build_system(config)
 
+    def test_any_config_knob_builds_without_code(self):
+        """A knob the label table does not name still reaches the system
+        by field name, and labels as ``name=value`` in sorted order."""
+        schedule = Schedule(1, tie_break=True, link_bytes_per_cycle=8,
+                            mem_banks=2, mem_row_bytes=1024)
+        assert schedule.label() == "s1:tie+bw8+mem_banks=2+mem_row_bytes=1024"
+        system = build_system(
+            litmus_config(POLICY_VARIANTS["baseline"], schedule)
+        )
+        assert system.memory.num_banks == 2
+        assert system.memory.row_bytes == 1024
+        assert Schedule.from_json(schedule.to_json()) == schedule
+
+    def test_policy_knob_lands_on_the_policy(self):
+        config = litmus_config(POLICY_VARIANTS["baseline"],
+                               Schedule(1, dir_entries=8, dir_banks=2))
+        assert config.policy.dir_entries == 8
+        assert config.policy.dir_banks == 2
+
+    def test_unknown_knob_rejected_by_name(self):
+        with pytest.raises(ValueError, match="no_such_knob"):
+            litmus_config(POLICY_VARIANTS["baseline"],
+                          Schedule(1, no_such_knob=3))
+
     def test_labels_are_distinct(self):
         labels = [s.label() for s in default_schedules(8)]
         assert len(set(labels)) == 8
@@ -137,19 +158,18 @@ class TestScheduleVariants:
 
     def test_every_variant_enumerated(self):
         """All five rotation shapes, by name, with their exact knobs."""
-        by_name = {variant.name: variant for variant in SCHEDULE_VARIANTS}
-        assert sorted(by_name) == ["jitter", "jitter+tie", "tie",
-                                   "tie+bounded", "tie+contended"]
-        assert by_name["jitter+tie"].jitter and by_name["jitter+tie"].tie_break
-        assert not by_name["jitter+tie"].contended
-        assert by_name["jitter"].jitter and not by_name["jitter"].tie_break
-        assert by_name["tie"].tie_break and not by_name["tie"].jitter
-        contended = by_name["tie+contended"]
-        assert contended.tie_break and contended.contended
-        assert not contended.jitter and not contended.bounded
-        bounded = by_name["tie+bounded"]
-        assert bounded.tie_break and bounded.contended and bounded.bounded
-        assert not bounded.jitter
+        shapes = {
+            variant.name: (variant.jitter, variant.tie_break,
+                           dict(variant.knobs))
+            for variant in SCHEDULE_VARIANTS
+        }
+        assert shapes == {
+            "jitter+tie": (True, True, {}),
+            "jitter": (True, False, {}),
+            "tie": (False, True, {}),
+            "tie+contended": (False, True, {"link_bytes_per_cycle": 8}),
+            "tie+bounded": (False, True, BOUNDED_SCHEDULE_KNOBS),
+        }
 
     def test_variant_schedules_cover_every_knob_shape(self):
         for variant in SCHEDULE_VARIANTS:
@@ -157,19 +177,9 @@ class TestScheduleVariants:
             assert schedule.seed == 7
             assert bool(schedule.jitter_cycles) == variant.jitter
             assert schedule.tie_break == variant.tie_break
-            assert bool(schedule.link_bytes_per_cycle) == variant.contended
-            assert bool(schedule.input_queue_depth) == variant.bounded
-            assert bool(schedule.watchdog_window_cycles) == variant.bounded
+            assert dict(schedule.knobs) == variant.knobs
             if variant.jitter:
                 assert schedule.jitter_cycles == DEFAULT_JITTER_CYCLES
-            if variant.contended:
-                assert (schedule.link_bytes_per_cycle
-                        == DEFAULT_SCHEDULE_BANDWIDTH)
-            if variant.bounded:
-                assert (schedule.input_queue_depth
-                        == DEFAULT_SCHEDULE_QUEUE_DEPTH)
-                assert (schedule.watchdog_window_cycles
-                        == DEFAULT_SCHEDULE_WATCHDOG_CYCLES)
 
     def test_rotation_order(self):
         """Seed 1 -> jitter-only, 2 -> tie-only, 3 -> contended,
@@ -187,13 +197,77 @@ class TestScheduleVariants:
             Schedule(2, tie_break=True),
             Schedule(3, tie_break=True, link_bytes_per_cycle=8),
             Schedule(4, tie_break=True, link_bytes_per_cycle=8,
-                     input_queue_depth=DEFAULT_SCHEDULE_QUEUE_DEPTH,
-                     watchdog_window_cycles=DEFAULT_SCHEDULE_WATCHDOG_CYCLES),
+                     input_queue_depth=4, watchdog_window_cycles=100_000.0),
             Schedule(5, jitter_cycles=4, tie_break=True),
             Schedule(6, jitter_cycles=4),
             Schedule(7, tie_break=True),
         ]
         assert default_schedules(8) == expected
+
+
+#: every schedule record's keys, in the order ``to_json`` writes them
+SCHEDULE_JSON_KEYS = [
+    "seed", "jitter_cycles", "tie_break", "link_bytes_per_cycle",
+    "input_queue_depth", "watchdog_window_cycles", "dir_entries",
+]
+
+#: (label, JSON values in key order) of ``default_schedules(8)``
+DEFAULT_SET = [
+    ("s0:canonical", "[0, 0, false, 0, 0, 0.0, 0]"),
+    ("s1:jitter4", "[1, 4, false, 0, 0, 0.0, 0]"),
+    ("s2:tie", "[2, 0, true, 0, 0, 0.0, 0]"),
+    ("s3:tie+bw8", "[3, 0, true, 8, 0, 0.0, 0]"),
+    ("s4:tie+bw8+q4+wd", "[4, 0, true, 8, 4, 100000.0, 0]"),
+    ("s5:jitter4+tie", "[5, 4, true, 0, 0, 0.0, 0]"),
+    ("s6:jitter4", "[6, 4, false, 0, 0, 0.0, 0]"),
+    ("s7:tie", "[7, 0, true, 0, 0, 0.0, 0]"),
+]
+
+#: the same for ``bounded_schedules(8)``
+BOUNDED_SET = [
+    ("s0:jitter4+tie+bw8+q4+wd", "[0, 4, true, 8, 4, 100000.0, 0]"),
+    ("s1:jitter4+bw8+q4+wd", "[1, 4, false, 8, 4, 100000.0, 0]"),
+    ("s2:tie+bw8+q4+wd", "[2, 0, true, 8, 4, 100000.0, 0]"),
+    ("s3:tie+bw8+q4+wd", "[3, 0, true, 8, 4, 100000.0, 0]"),
+    ("s4:tie+bw8+q4+wd", "[4, 0, true, 8, 4, 100000.0, 0]"),
+    ("s5:jitter4+tie+bw8+q4+wd", "[5, 4, true, 8, 4, 100000.0, 0]"),
+    ("s6:jitter4+bw8+q4+wd", "[6, 4, false, 8, 4, 100000.0, 0]"),
+    ("s7:tie+bw8+q4+wd", "[7, 0, true, 8, 4, 100000.0, 0]"),
+]
+
+#: the same for seed 7 on every ``SCHEDULE_VARIANTS`` shape, in order
+VARIANT_SET = [
+    ("s7:jitter4+tie", "[7, 4, true, 0, 0, 0.0, 0]"),
+    ("s7:jitter4", "[7, 4, false, 0, 0, 0.0, 0]"),
+    ("s7:tie", "[7, 0, true, 0, 0, 0.0, 0]"),
+    ("s7:tie+bw8", "[7, 0, true, 8, 0, 0.0, 0]"),
+    ("s7:tie+bw8+q4+wd", "[7, 0, true, 8, 4, 100000.0, 0]"),
+]
+
+
+class TestScheduleRecordPin:
+    """Labels and JSON records of the standard schedule sets, byte for
+    byte: stored litmus outcomes, fuzz corpora and minimizer artifacts
+    key on them, so no refactor of :class:`Schedule` may move one."""
+
+    @staticmethod
+    def records(schedules):
+        out = []
+        for schedule in schedules:
+            data = schedule.to_json()
+            assert list(data) == SCHEDULE_JSON_KEYS
+            out.append((schedule.label(), json.dumps(list(data.values()))))
+        return out
+
+    def test_default_set(self):
+        assert self.records(default_schedules(8)) == DEFAULT_SET
+
+    def test_bounded_set(self):
+        assert self.records(bounded_schedules(8)) == BOUNDED_SET
+
+    def test_every_variant_shape(self):
+        shapes = [variant.schedule(7) for variant in SCHEDULE_VARIANTS]
+        assert self.records(shapes) == VARIANT_SET
 
 
 class TestScheduleExecution:
@@ -227,7 +301,8 @@ class TestScheduleExecution:
         watchdog) completes without a single watchdog trip."""
         test = get_litmus("dirty_handoff")
         schedule = variant_of(4).schedule(4)
-        assert schedule.input_queue_depth and schedule.watchdog_window_cycles
+        knobs = dict(schedule.knobs)
+        assert knobs["input_queue_depth"] and knobs["watchdog_window_cycles"]
         outcome = run_litmus(test, schedule=schedule)
         assert outcome.ok
 
